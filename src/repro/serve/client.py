@@ -5,8 +5,11 @@ pins the tenant's workload (one of the :mod:`repro.apps` registry
 components at a fixed problem size), pre-registers the read-only inputs
 once (clients resend the same model/graph/wall on every call, so the
 runtime's coherence layer may cache device copies across requests) and
-mints one fresh output buffer per request so requests of one tenant do
-not serialize on write-write dependencies.
+registers one fresh output per request so requests of one tenant do not
+serialize on write-write dependencies.  With kernels off nothing ever
+writes that output, so it is a read-only zero-stride placeholder: it
+carries the real buffer's shape, dtype and ``nbytes`` (so transfers,
+footprints and traces are unchanged) without allocating its payload.
 
 Two load shapes, both with seeded determinism:
 
@@ -100,6 +103,14 @@ class Request:
 # workload sessions (shared read-only inputs, fresh output per request)
 # ---------------------------------------------------------------------------
 
+def _output(rt: "Runtime", shape, dtype) -> np.ndarray:
+    """A request's output buffer: real zeros when kernels run, otherwise
+    a stride-0 view of one zero that no kernel will write."""
+    if rt.engine.run_kernels:
+        return np.zeros(shape, dtype)
+    return np.broadcast_to(np.zeros((), dtype), shape)
+
+
 class _Session:
     """Base session: lazily registers shared inputs on first request."""
 
@@ -148,7 +159,7 @@ class SgemmSession(_Session):
         tenant = self.spec.name
 
         def submit(rt: "Runtime") -> "Task":
-            c = np.zeros((s, s), dtype=np.float32)
+            c = _output(rt, (s, s), np.float32)
             h_c = rt.register(c, f"{tenant}:C{req_id}")
             return rt.submit(
                 self.codelet,
@@ -188,7 +199,7 @@ class PathfinderSession(_Session):
         tenant = self.spec.name
 
         def submit(rt: "Runtime") -> "Task":
-            result = np.zeros(cols, dtype=np.int32)
+            result = _output(rt, cols, np.int32)
             h_res = rt.register(result, f"{tenant}:res{req_id}")
             return rt.submit(
                 self.codelet,
@@ -235,7 +246,7 @@ class BfsSession(_Session):
         tenant = self.spec.name
 
         def submit(rt: "Runtime") -> "Task":
-            costs = np.zeros(n, dtype=np.int32)
+            costs = _output(rt, n, np.int32)
             h_costs = rt.register(costs, f"{tenant}:costs{req_id}")
             return rt.submit(
                 self.codelet,

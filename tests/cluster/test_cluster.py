@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.cluster import check_cluster
 from repro.cluster import (
     BrownoutPolicy,
     Cluster,
@@ -12,6 +13,11 @@ from repro.cluster import (
     chaos_schedule,
 )
 from repro.errors import PeppherError
+from repro.experiments.cluster import (
+    build_cluster,
+    chaos_tenant_mix,
+    targeted_chaos,
+)
 from repro.hw.faults import FaultModel
 from repro.runtime.engine import RecoveryPolicy
 
@@ -198,6 +204,34 @@ def test_partition_redelivery_is_suppressed_not_double_applied():
     dups = [a for a in tr.attempts if a.outcome == "duplicate"]
     assert dups, "no duplicate deliveries — the scenario did not trigger"
     assert events(tr, "duplicate")
+    c.shutdown()
+
+
+def test_partition_healing_before_detection_resolves_blackholed_requests():
+    """A 2.5 ms partition heals before the detector declares the node
+    dead.  Dispatches blackholed during it never reached the engine; the
+    heal resolves them as lost and fails them over, so the run ends
+    (it used to keep scheduling heartbeats forever)."""
+    n, rate = 120, 12_000.0
+    specs = chaos_tenant_mix(n, rate, seed=0)
+    at, window = 0.5 * n / rate, 0.25 * n / rate
+    plan = targeted_chaos(8, specs, at=at, partition_for=window)
+    (victim,) = plan.crash_at
+    chaos = NodeFaultModel(
+        slow_at=plan.slow_at,
+        partition_at={**plan.partition_at, victim: (at, at + window)},
+    )
+    c = build_cluster(8, specs, 0, chaos, False)
+    tr = c.run()
+    assert not events(tr, "dead", victim), "partition was detected first"
+    healed = [
+        e for e in events(tr, "failover", victim)
+        if e.detail == "blackholed by partition"
+    ]
+    assert healed, "no dispatch was blackholed — the scenario did not trigger"
+    assert len(tr.requests) == sum(s.n_requests for s in specs)
+    assert all(r.outcome == "completed" for r in tr.requests)
+    assert check_cluster(c) == []
     c.shutdown()
 
 
