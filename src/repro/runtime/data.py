@@ -33,7 +33,7 @@ from repro.errors import DataConsistencyError
 from repro.hw.description import HOST_NODE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.task import Task
+    from repro.runtime.task import DoneTask, Task
 
 
 class CopyState(Enum):
@@ -57,6 +57,11 @@ class DataHandle:
         Number of memory nodes in the machine.
     name:
         Debugging / tracing label.
+
+    ``last_writer`` and ``readers_since_write`` hold the tasks a new
+    access must order after.  Once a task completes, the engine replaces
+    it there by a :class:`~repro.runtime.task.DoneTask`, which keeps only
+    ``task_id``, ``end_time`` and ``state``.
     """
 
     _ids = count()
@@ -82,8 +87,8 @@ class DataHandle:
         #: virtual time of the last use of each node's copy (LRU eviction)
         self._last_used: list[float] = [0.0] * n_nodes
         # --- sequential-consistency bookkeeping -------------------------
-        self.last_writer: "Task | None" = None
-        self.readers_since_write: list["Task"] = []
+        self.last_writer: "Task | DoneTask | None" = None
+        self.readers_since_write: list["Task | DoneTask"] = []
         # --- partitioning ------------------------------------------------
         self.parent: DataHandle | None = None
         self.children: list[DataHandle] = []
@@ -255,13 +260,13 @@ class DataHandle:
 
     # -- sequential data consistency ---------------------------------------
 
-    def dependencies_for(self, writes: bool) -> list["Task"]:
+    def dependencies_for(self, writes: bool) -> list["Task | DoneTask"]:
         """Tasks a new access must wait for (StarPU's R/W ordering):
 
         - a reader waits for the last writer;
         - a writer waits for the last writer *and* every reader since.
         """
-        deps: list["Task"] = []
+        deps: list["Task | DoneTask"] = []
         if self.last_writer is not None:
             deps.append(self.last_writer)
         if writes:
@@ -274,7 +279,9 @@ class DataHandle:
             self.last_writer = task
             self.readers_since_write = []
         else:
-            self.readers_since_write.append(task)
+            from repro.runtime.task import append_reader  # import cycle
+
+            append_reader(self.readers_since_write, task)
 
     def reset_host_access(self) -> None:
         """The host program wrote the data (acquire-RW): task-level
