@@ -204,6 +204,9 @@ class Engine:
         #: index instead of making one method call per candidate
         self._avail: list[float] = [0.0] * len(self._workers)
         self._gang = tuple(u for u in machine.units if u.is_cpu)
+        #: one shared ``(unit_id,)`` per worker: the ``worker_ids`` of
+        #: every single-worker task record, instead of a fresh 1-tuple
+        self._solo_ids = tuple((u.unit_id,) for u in machine.units)
         #: per-(link node, direction) DMA availability; direction is
         #: "h2d"/"d2h" for duplex links, "both" otherwise
         self._link_free: dict[tuple[int, str], float] = {}
@@ -1391,14 +1394,15 @@ class Engine:
         self.perf.record(task.footprint(), variant.name, float(size), duration)
         if len(workers) == 1:
             u0 = workers[0]
-            worker_ids: tuple[int, ...] = (u0.unit_id,)
+            worker_ids: tuple[int, ...] = self._solo_ids[u0.unit_id]
             energy = duration * u0.device.busy_watts
         else:
             worker_ids = tuple(u.unit_id for u in workers)
             energy = duration * sum(u.device.busy_watts for u in workers)
         # column-direct append: values in TaskRecord field order minus the
         # trailing seq (add_task stamps it); no record object is built
-        # unless a subscriber asks for one
+        # unless a subscriber asks for one, and the id lists go in as
+        # built (the trace copies them into flat typed columns)
         trace = self.trace
         trace.add_task(
             (
@@ -1414,8 +1418,8 @@ class Engine:
                 end_time,
                 energy,
                 workers[0].memory_node,
-                tuple(reads),
-                tuple(writes),
+                reads,
+                writes,
                 task.dep_ids,
                 task.submit_seq,
             )

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,19 +123,31 @@ class HistoryModel:
 
 
 class RegressionModel:
-    """Power-law fit of time vs. total operand size, per variant."""
+    """Power-law fit of time vs. total operand size, per variant.
+
+    Each variant's samples live in two flat ``array('d')`` — sizes and
+    durations, in recording order — rather than a list of
+    ``(size, duration)`` tuples: a session keeps every sample, and the
+    arrays hold one in 16 bytes.  Values are stored as floats (the
+    engine records float sizes), so :meth:`samples` returns float pairs.
+    """
 
     def __init__(self, min_samples: int = 4, min_size_ratio: float = 2.0) -> None:
         self.min_samples = min_samples
         #: largest/smallest sampled size must exceed this for extrapolation
         self.min_size_ratio = min_size_ratio
-        self._samples: dict[str, list[tuple[float, float]]] = {}
+        #: variant -> (sizes, durations)
+        self._samples: dict[str, tuple[array, array]] = {}
         self._fits: dict[str, tuple[float, float] | None] = {}
 
     def record(self, variant_name: str, size: float, duration: float) -> None:
         if size <= 0 or duration <= 0:
             return  # log-log fit cannot use non-positive samples
-        self._samples.setdefault(variant_name, []).append((size, duration))
+        cols = self._samples.get(variant_name)
+        if cols is None:
+            cols = self._samples[variant_name] = (array("d"), array("d"))
+        cols[0].append(size)
+        cols[1].append(duration)
         if self._fits:  # invalidate cached fit (skipped while unfit)
             self._fits.pop(variant_name, None)
 
@@ -142,25 +155,21 @@ class RegressionModel:
         """Return (log_a, b) of ``t = a * s^b``, or None if unfit-able."""
         if variant_name in self._fits:
             return self._fits[variant_name]
-        fit = self._fit_samples(self._samples.get(variant_name, ()))
+        sizes, durations = self._samples.get(variant_name, ((), ()))
+        fit = self._fit_samples(sizes, durations)
         self._fits[variant_name] = fit
         return fit
 
-    def _fit_samples(
-        self, samples: list[tuple[float, float]]
-    ) -> tuple[float, float] | None:
+    def _fit_samples(self, sizes, durations) -> tuple[float, float] | None:
         fit: tuple[float, float] | None = None
-        if len(samples) >= self.min_samples:
-            sizes = [s for s, _ in samples]
+        if len(sizes) >= self.min_samples:
             # a single footprint size cannot anchor a slope, whatever
             # min_size_ratio allows; without the explicit spread check a
             # rounding-noise sxx (~1e-31) would fabricate one
-            if (
-                max(sizes) > min(sizes)
-                and max(sizes) / min(sizes) >= self.min_size_ratio
-            ):
-                xs = [math.log(s) for s, _ in samples]
-                ys = [math.log(t) for _, t in samples]
+            lo, hi = min(sizes), max(sizes)
+            if hi > lo and hi / lo >= self.min_size_ratio:
+                xs = list(map(math.log, sizes))
+                ys = list(map(math.log, durations))
                 n = len(xs)
                 mx = sum(xs) / n
                 my = sum(ys) / n
@@ -191,7 +200,9 @@ class RegressionModel:
         validation of a fit against a measurement it has not seen."""
         if size <= 0:
             return None
-        fit = self._fit_samples(samples)
+        fit = self._fit_samples(
+            [s for s, _ in samples], [t for _, t in samples]
+        )
         if fit is None:
             return None
         log_a, b = fit
@@ -199,10 +210,19 @@ class RegressionModel:
 
     def samples(self, variant_name: str) -> list[tuple[float, float]]:
         """Copy of the recorded (size, duration) samples for a variant."""
-        return list(self._samples.get(variant_name, ()))
+        return list(zip(*self._samples.get(variant_name, ((), ()))))
 
     def n_samples(self, variant_name: str) -> int:
-        return len(self._samples.get(variant_name, ()))
+        cols = self._samples.get(variant_name)
+        return 0 if cols is None else len(cols[0])
+
+    def put_samples(self, variant_name: str, samples) -> None:
+        """Replace a variant's samples with ``(size, duration)`` pairs."""
+        self._samples[variant_name] = (
+            array("d", [s for s, _ in samples]),
+            array("d", [t for _, t in samples]),
+        )
+        self._fits.pop(variant_name, None)
 
 
 class PerfModel:
@@ -346,7 +366,8 @@ class PerfModel:
                 for (fp, var), st in self.history._table.items()
             ],
             "regression": {
-                var: samples for var, samples in self.regression._samples.items()
+                var: self.regression.samples(var)
+                for var in self.regression._samples
             },
             "codelets": dict(self._variant_codelet),
         }
@@ -365,8 +386,8 @@ class PerfModel:
             ]
         if self.measured_regression._samples:
             out["measured_regression"] = {
-                var: samples
-                for var, samples in self.measured_regression._samples.items()
+                var: self.measured_regression.samples(var)
+                for var in self.measured_regression._samples
             }
         return out
 
@@ -377,14 +398,14 @@ class PerfModel:
             st = RunningStats(n=entry["n"], mean=entry["mean"], m2=entry["m2"])
             model.history._table[(entry["footprint"], entry["variant"])] = st
         for var, samples in raw.get("regression", {}).items():
-            model.regression._samples[var] = [tuple(s) for s in samples]
+            model.regression.put_samples(var, samples)
         for entry in raw.get("measured_history", []):
             st = RunningStats(n=entry["n"], mean=entry["mean"], m2=entry["m2"])
             model.measured_history._table[
                 (entry["footprint"], entry["variant"])
             ] = st
         for var, samples in raw.get("measured_regression", {}).items():
-            model.measured_regression._samples[var] = [tuple(s) for s in samples]
+            model.measured_regression.put_samples(var, samples)
         model._variant_codelet = dict(raw.get("codelets", {}))
         return model
 
@@ -443,11 +464,12 @@ class PerfModel:
             (self.regression, other.regression),
             (self.measured_regression, other.measured_regression),
         ):
-            for var, samples in theirs_r._samples.items():
-                ours_s = mine_r._samples.get(var)
-                if ours_s is None or len(samples) > len(ours_s):
-                    mine_r._samples[var] = [tuple(s) for s in samples]
-                    mine_r._fits.pop(var, None)
+            for var in theirs_r._samples:
+                if (
+                    var not in mine_r._samples
+                    or theirs_r.n_samples(var) > mine_r.n_samples(var)
+                ):
+                    mine_r.put_samples(var, theirs_r.samples(var))
         for var, codelet in other._variant_codelet.items():
             self._variant_codelet.setdefault(var, codelet)
 
@@ -481,9 +503,9 @@ class PerfModel:
             (out.regression, self.regression),
             (out.measured_regression, self.measured_regression),
         ):
-            for var, samples in theirs_r._samples.items():
+            for var in theirs_r._samples:
                 if var in keep:
-                    mine_r._samples[var] = [tuple(s) for s in samples]
+                    mine_r.put_samples(var, theirs_r.samples(var))
         out._variant_codelet = {
             var: cl for var, cl in self._variant_codelet.items() if var in keep
         }

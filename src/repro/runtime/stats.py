@@ -5,15 +5,25 @@ makespan (Figures 5-7), per-worker utilisation (hybrid execution), data
 transfer counts and volumes (Figure 3's copy elision, Figure 5's
 communication bottleneck), and per-task timelines for debugging.
 
-Storage layout (the million-task refactor)
-------------------------------------------
+Storage layout
+--------------
 
-Records used to be frozen dataclasses held in plain lists; at million-
-task scale the per-record object overhead (and the ``dataclasses.replace``
-sequence stamping) dominated the engine hot path.  The trace now stores
-records *columnar* (struct-of-arrays): one ``array('d')`` per float
-field, one list per object field, and materializes record objects only
-when somebody actually asks for one.  The engine appends raw field rows
+Records are stored *columnar* (struct-of-arrays) and materialized only
+when somebody asks for one; at million-task scale per-record objects
+dominated both the engine hot path and the memory a session keeps.
+Each field has one column:
+
+- ``array('d')`` for float fields (times, energy);
+- ``array('q')`` for the integer fields of the engine's hot-path
+  records (task and transfer ids, nodes, sizes, sequence numbers);
+- a :class:`RaggedColumn` for the task id-tuple fields (``reads``,
+  ``writes``, ``deps``): one flat ``array('q')`` of ids plus an
+  ``array('q')`` of row ends, read back as the same tuples;
+- a plain list otherwise (names, ``worker_ids``, the other kinds' ids).
+
+Typed columns hold a task's ids in machine words instead of boxed ints
+and small tuples, which cuts the bytes each completed task leaves
+behind by about two fifths.  The engine appends raw field rows
 (:meth:`ExecutionTrace.add_task`, :meth:`ExecutionTrace.add_transfer`)
 and never builds a record object on the no-subscriber fast path.
 
@@ -24,20 +34,18 @@ The blessed access API (stable across future layout changes):
   materialized records; the same attributes still behave like the lists
   they used to be (``len``, indexing, slicing, ``append``).
 - ``trace.columns("end_time")`` — the raw column for one field, the
-  cheapest way to fold an aggregate over a large trace.
-- ``TaskRecord.make(...)`` — forge a record outside the engine (tests,
+  cheapest way to fold an aggregate over a large trace; typed columns
+  expose the buffer protocol, so ``np.frombuffer`` views them in place.
+- ``TaskRecord.make(...)`` — the only way to build a record (tests,
   trace loaders); plus ``rec.replace(...)`` / ``rec.as_dict()`` /
   ``cls._fields`` standing in for the old dataclass conveniences.
-
-Direct construction (``TaskRecord(...)``) still works but emits a
-one-shot :class:`DeprecationWarning` (escalated to an error in this
-repo's test suite): record layout is an engine internal now.
+  Calling the class directly raises :class:`TypeError`: record layout
+  is an engine internal.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from array import array
 from collections.abc import Sequence
 from types import FunctionType
@@ -45,73 +53,8 @@ from types import FunctionType
 from repro.hw.description import HOST_NODE
 
 # ---------------------------------------------------------------------------
-# deprecation shim (repo-standard one-shot warn_* pattern)
-# ---------------------------------------------------------------------------
-
-_construction_warned = False
-
-
-def warn_record_construction(cls: type, stacklevel: int = 3) -> None:
-    """Emit the direct-record-construction warning at most once.
-
-    Records are engine-owned: the engine writes them as raw column rows
-    and everything else reads them through the blessed trace accessors.
-    Code that legitimately forges records (tests, the trace JSON loader)
-    uses ``Record.make(...)``, which skips this shim.
-    """
-    global _construction_warned
-    if _construction_warned:
-        return
-    _construction_warned = True
-    warnings.warn(
-        f"direct construction of {cls.__name__} is deprecated; use "
-        f"{cls.__name__}.make(...) — record layout is an engine internal "
-        "and the positional/keyword signature is only guaranteed through "
-        "make()",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_record_warning() -> None:
-    """Re-arm the one-shot deprecation (for tests)."""
-    global _construction_warned
-    _construction_warned = False
-
-
-# ---------------------------------------------------------------------------
 # slotted record classes
 # ---------------------------------------------------------------------------
-
-
-def _fill(rec, args: tuple, kwargs: dict) -> None:
-    """Assign constructor arguments onto a freshly allocated record."""
-    cls = type(rec)
-    names = cls._fields
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls.__name__} takes at most {len(names)} arguments "
-            f"({len(args)} given)"
-        )
-    for name, value in zip(names, args):
-        if name in kwargs:
-            raise TypeError(
-                f"{cls.__name__} got multiple values for {name!r}"
-            )
-        setattr(rec, name, value)
-    defaults = cls._defaults
-    for name in names[len(args) :]:
-        if name in kwargs:
-            setattr(rec, name, kwargs.pop(name))
-        elif name in defaults:
-            setattr(rec, name, defaults[name])
-        else:
-            raise TypeError(
-                f"{cls.__name__} missing required argument {name!r}"
-            )
-    if kwargs:
-        bad = ", ".join(sorted(kwargs))
-        raise TypeError(f"{cls.__name__} got unexpected arguments: {bad}")
 
 
 def _restore(cls: type, values: tuple):
@@ -126,26 +69,54 @@ class _Record:
     """Base for slotted trace records.
 
     Subclasses declare ``__slots__`` (the field order), ``_defaults``
-    (trailing optional fields) and ``_float_fields`` (fields the
-    columnar store keeps in ``array('d')``).  Equality, hashing, repr,
-    ``replace`` and ``as_dict`` all derive from ``_fields`` so they
-    match the old frozen-dataclass behaviour field for field.
+    (trailing optional fields) and the fields the columnar store keeps
+    typed: ``_float_fields`` in ``array('d')``, ``_int_fields`` in
+    ``array('q')`` and ``_ragged_fields`` (id tuples) in a
+    :class:`RaggedColumn`.  Equality, hashing, repr, ``replace`` and
+    ``as_dict`` all derive from ``_fields`` so they match the old
+    frozen-dataclass behaviour field for field.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
     _float_fields: frozenset = frozenset()
+    _int_fields: frozenset = frozenset()
+    _ragged_fields: frozenset = frozenset()
 
     def __init__(self, *args, **kwargs):
-        warn_record_construction(type(self))
-        _fill(self, args, kwargs)
+        name = type(self).__name__
+        raise TypeError(f"build {name} records with {name}.make(...)")
 
     @classmethod
     def make(cls, *args, **kwargs):
-        """Forge a record without the deprecation shim (blessed)."""
+        """Build a record from positional and keyword field values."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__} takes at most {len(names)} arguments "
+                f"({len(args)} given)"
+            )
         rec = cls.__new__(cls)
-        _fill(rec, args, kwargs)
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(
+                    f"{cls.__name__} got multiple values for {name!r}"
+                )
+            setattr(rec, name, value)
+        defaults = cls._defaults
+        for name in names[len(args) :]:
+            if name in kwargs:
+                setattr(rec, name, kwargs.pop(name))
+            elif name in defaults:
+                setattr(rec, name, defaults[name])
+            else:
+                raise TypeError(
+                    f"{cls.__name__} missing required argument {name!r}"
+                )
+        if kwargs:
+            bad = ", ".join(sorted(kwargs))
+            raise TypeError(f"{cls.__name__} got unexpected arguments: {bad}")
         return rec
 
     def replace(self, **changes):
@@ -234,6 +205,8 @@ class TaskRecord(_Record):
     _float_fields = frozenset(
         {"submit_time", "ready_time", "start_time", "end_time", "energy_j"}
     )
+    _int_fields = frozenset({"task_id", "node", "submit_seq", "seq"})
+    _ragged_fields = frozenset({"reads", "writes", "deps"})
 
     @property
     def duration(self) -> float:
@@ -256,6 +229,9 @@ class TransferRecord(_Record):
     _fields = __slots__
     _defaults = {"seq": -1}
     _float_fields = frozenset({"start_time", "end_time"})
+    _int_fields = frozenset(
+        {"handle_id", "src_node", "dst_node", "nbytes", "seq"}
+    )
 
     @property
     def is_h2d(self) -> bool:
@@ -454,30 +430,96 @@ class RequestRecord(_Record):
 # ---------------------------------------------------------------------------
 
 
+class RaggedColumn(Sequence):
+    """A column of int tuples stored flat.
+
+    Row ``i`` is ``tuple(values[ends[i - 1]:ends[i]])`` (from 0 for the
+    first row): two ``array('q')`` in place of one tuple object per row,
+    and both NumPy-viewable.  Indexing and iteration yield the tuples the
+    records carry; outside the store the column is read-only.
+    """
+
+    __slots__ = ("values", "ends")
+
+    def __init__(self) -> None:
+        self.values = array("q")
+        self.ends = array("q")
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i):
+        ends = self.ends
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(ends)))]
+        end = ends[i]  # IndexError past either end
+        if i < 0:
+            i += len(ends)
+        return tuple(self.values[ends[i - 1] if i else 0 : end])
+
+    def __iter__(self):
+        values = self.values
+        start = 0
+        for end in self.ends:
+            yield tuple(values[start:end])
+            start = end
+
+    def append(self, row) -> None:
+        self.values.extend(row)
+        self.ends.append(len(self.values))
+
+    def __setitem__(self, i: int, row) -> None:
+        ends = self.ends
+        end = ends[i]
+        if i < 0:
+            i += len(ends)
+        start = ends[i - 1] if i else 0
+        new = array("q", row)  # TypeError before anything moves
+        self.values[start:end] = new
+        shift = len(new) - (end - start)
+        if shift:
+            for j in range(i, len(ends)):
+                ends[j] += shift
+
+    def __delitem__(self, rows: slice) -> None:
+        """Drop trailing rows, ``del col[n:]`` (the store's only delete)."""
+        n = rows.indices(len(self.ends))[0]
+        del self.values[self.ends[n - 1] if n else 0 :]
+        del self.ends[n:]
+
+
 @functools.cache
 def _stamped_appender(cls: type) -> FunctionType:
     """The ``append_stamped`` template for one record class.
 
     Tuple unpack plus one bound-append call per column beats iterating
     a zip of (append, value) pairs on the per-task hot path, and the
-    unpack also rejects rows of the wrong width for free.  The row
-    arrives without the trailing ``seq`` (passed separately), sparing
-    one tuple concatenation per task/transfer.  Compiling the source
-    costs ~0.15 ms, so it happens once per class; each store then binds
-    its own columns' ``append`` methods as the defaults of a copy (see
+    unpack also rejects rows of the wrong width for free.  A ragged
+    field extends its flat value array and appends the new row end, so
+    the engine can pass any int sequence (its id lists as built).  The
+    row arrives without the trailing ``seq`` (passed separately),
+    sparing one tuple concatenation per task/transfer.  Compiling the
+    source costs ~0.15 ms, so it happens once per class; each store then
+    binds its own columns' methods as the defaults of a copy (see
     :meth:`_ColumnStore.__init__`).
     """
     if cls._fields[-1] != "seq":
         raise ValueError(f"{cls.__name__} records carry no trailing seq")
-    n = len(cls._fields)
-    binds = ", ".join(f"_a{i}" for i in range(n))
-    unpack = ", ".join(f"v{i}" for i in range(n - 1))
-    calls = "; ".join(f"_a{i}(v{i})" for i in range(n - 1))
+    binds: list[str] = []
+    calls: list[str] = []
+    for i, name in enumerate(cls._fields[:-1]):
+        if name in cls._ragged_fields:
+            binds += (f"_x{i}", f"_e{i}", f"_f{i}")
+            calls.append(f"_x{i}(v{i}); _e{i}(len(_f{i}))")
+        else:
+            binds.append(f"_a{i}")
+            calls.append(f"_a{i}(v{i})")
+    unpack = ", ".join(f"v{i}" for i in range(len(cls._fields) - 1))
     src = (
-        f"def append_stamped(values, seq, _miss, {binds}):\n"
+        f"def append_stamped(values, seq, _miss, {', '.join(binds)}, _seq):\n"
         f"    {unpack}, = values\n"
-        f"    {calls}\n"
-        f"    _a{n - 1}(seq)\n"
+        f"    {'; '.join(calls)}\n"
+        f"    _seq(seq)\n"
         f"    _miss(None)\n"
     )
     ns: dict = {}
@@ -488,13 +530,15 @@ def _stamped_appender(cls: type) -> FunctionType:
 class _ColumnStore:
     """Struct-of-arrays backing for one record kind.
 
-    One column per record field — ``array('d')`` for float fields
-    (times, energy), a plain list otherwise — plus a parallel cache of
+    One column per record field (typed per the record class's field
+    sets, see the module docstring) plus a parallel cache of
     materialized record objects (None until someone indexes that row).
     The engine's hot path appends raw rows (:attr:`append_stamped`) and
     never pays for a record object; forged records appended wholesale
     (:meth:`append_record`) keep their identity, which matters for the
-    shared-nan equality of default RequestRecord fields.
+    shared-nan equality of default RequestRecord fields.  The cache
+    length is the committed row count: a row a typed column refused
+    part-way is rolled back, so the columns never disagree.
     """
 
     __slots__ = (
@@ -510,19 +554,29 @@ class _ColumnStore:
         self.cls = cls
         self._fields = cls._fields
         self.columns: dict = {
-            name: array("d") if name in cls._float_fields else []
+            name: array("d")
+            if name in cls._float_fields
+            else array("q")
+            if name in cls._int_fields
+            else RaggedColumn()
+            if name in cls._ragged_fields
+            else []
             for name in cls._fields
         }
         self._cols = tuple(self.columns[name] for name in cls._fields)
         self._cache: list = []
         # only the engine's hot-path stores (tasks, transfers) get one
         if stamped:
+            # the bound methods the template calls, in its argument order
+            binds = [self._cache.append]
+            for col in self._cols:
+                if type(col) is RaggedColumn:
+                    binds += (col.values.extend, col.ends.append, col.values)
+                else:
+                    binds.append(col.append)
             tmpl = _stamped_appender(cls)
             self.append_stamped = FunctionType(
-                tmpl.__code__,
-                tmpl.__globals__,
-                tmpl.__name__,
-                (self._cache.append, *(col.append for col in self._cols)),
+                tmpl.__code__, tmpl.__globals__, tmpl.__name__, tuple(binds)
             )
         else:
             self.append_stamped = None
@@ -530,13 +584,26 @@ class _ColumnStore:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def append_record(self, rec) -> None:
+    def rollback(self) -> None:
+        """Trim every column back to the committed row count."""
+        n = len(self._cache)
+        for col in self._cols:
+            del col[n:]
+
+    def _check(self, rec) -> None:
         if type(rec) is not self.cls:
             raise TypeError(
                 f"expected {self.cls.__name__}, got {type(rec).__name__}"
             )
-        for name, col in zip(self._fields, self._cols):
-            col.append(getattr(rec, name))
+
+    def append_record(self, rec) -> None:
+        self._check(rec)
+        try:
+            for name, col in zip(self._fields, self._cols):
+                col.append(getattr(rec, name))
+        except BaseException:
+            self.rollback()
+            raise
         self._cache.append(rec)
 
     def get(self, i: int):
@@ -549,19 +616,23 @@ class _ColumnStore:
             self._cache[i] = rec
         return rec
 
-    def set(self, i: int, rec) -> None:
-        if type(rec) is not self.cls:
-            raise TypeError(
-                f"expected {self.cls.__name__}, got {type(rec).__name__}"
-            )
+    def _write(self, i: int, rec) -> None:
         for name, col in zip(self._fields, self._cols):
             col[i] = getattr(rec, name)
+
+    def set(self, i: int, rec) -> None:
+        self._check(rec)
+        old = self.get(i)
+        try:
+            self._write(i, rec)
+        except BaseException:
+            self._write(i, old)
+            raise
         self._cache[i] = rec
 
     def clear(self) -> None:
-        for col in self._cols:
-            del col[:]
         self._cache.clear()
+        self.rollback()
 
 
 class RecordsView(Sequence):
@@ -909,9 +980,13 @@ class ExecutionTrace:
     def columns(self, field: str, kind: str = "tasks"):
         """The raw column for one record field — a read-only view.
 
-        The cheapest way to fold an aggregate over a large trace
-        (``array('d')`` for float fields, a plain list otherwise); do
-        not mutate the returned sequence.
+        The cheapest way to fold an aggregate over a large trace:
+        ``array('d')`` for float fields, ``array('q')`` for int fields
+        (both viewable in place with ``np.frombuffer``), a
+        :class:`RaggedColumn` yielding tuples for the task id-tuple
+        fields, a plain list otherwise.  Do not mutate the returned
+        column, and drop NumPy views before the trace grows again (an
+        array cannot resize while a view of it is alive).
         """
         if kind not in self.RECORD_KINDS:
             raise KeyError(
@@ -947,17 +1022,26 @@ class ExecutionTrace:
 
         ``values`` holds every :class:`TaskRecord` field except the
         trailing ``seq`` in declaration order.  No record object is
-        built; one materializes lazily if somebody indexes the row.
+        built; one materializes lazily if somebody indexes the row.  A
+        row a typed column refuses raises and leaves no trace behind.
         """
         seq = self.next_seq
+        try:
+            self._tasks.append_stamped(values, seq)
+        except BaseException:
+            self._tasks.rollback()
+            raise
         self.next_seq = seq + 1
-        self._tasks.append_stamped(values, seq)
 
     def add_transfer(self, values: tuple) -> None:
         """Hot-path append: one transfer row, ``seq`` stamped in place."""
         seq = self.next_seq
+        try:
+            self._transfers.append_stamped(values, seq)
+        except BaseException:
+            self._transfers.rollback()
+            raise
         self.next_seq = seq + 1
-        self._transfers.append_stamped(values, seq)
 
     def _stamp(self, rec):
         rec = rec.replace(seq=self.next_seq)

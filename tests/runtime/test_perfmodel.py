@@ -1,7 +1,10 @@
 """Performance models: history, regression and persistence."""
 
+import json
 import math
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.errors import RuntimeSystemError
@@ -227,3 +230,50 @@ def test_regression_predict_from_is_out_of_sample():
     assert est == pytest.approx(2e-9 * 1e7**1.5, rel=1e-6)
     assert model.predict_from(samples[:3], 1e7) is None  # under min_samples
     assert model.n_samples("v") == 0  # recorded state untouched
+
+
+def _noisy_model() -> PerfModel:
+    """Analytical and measured power laws, noisy, over scattered sizes."""
+    rng = np.random.default_rng(3)
+    model = PerfModel()
+    laws = {"v_cpu": (2e-9, 1.2), "v_gpu": (5e-11, 1.6)}
+    for var, (a, b) in laws.items():
+        for s in rng.uniform(1e3, 1e7, 40):
+            fp = ("c", (int(s).bit_length(),))
+            t = a * s**b * rng.lognormal(0.0, 0.05)
+            model.record(fp, var, float(s), t)
+            model.record(fp, var, float(s), 3.0 * t, provenance="measured")
+    model.record(("c", (9,)), "v_one", 256.0, 1e-6)  # too few to fit
+    return model
+
+
+def test_array_samples_fit_exactly_like_the_sample_list():
+    model = _noisy_model()
+    for reg in (model.regression, model.measured_regression):
+        assert all(
+            isinstance(col, array) and col.typecode == "d"
+            for cols in reg._samples.values()
+            for col in cols
+        )
+        for var in ("v_cpu", "v_gpu", "v_one", "unseen"):
+            for size in (1.0, 7.5e2, 1e4, 3.3e5, 2e7, 1e9):
+                assert reg.predict_from(reg.samples(var), size) == reg.predict(
+                    var, size
+                )
+    assert model.regression.predict("v_cpu", 1e5) is not None
+    assert model.regression.predict("v_one", 256.0) is None
+
+
+def test_model_dict_round_trips_byte_identically():
+    d = _noisy_model().to_dict()
+    assert "measured_regression" in d and "measured_history" in d
+    assert json.dumps(PerfModel.from_dict(d).to_dict()) == json.dumps(d)
+    # as the model store writes and reads them: through JSON text
+    text = json.dumps(d, indent=1)
+    clone = PerfModel.from_dict(json.loads(text))
+    assert json.dumps(clone.to_dict(), indent=1) == text
+    merged = PerfModel()
+    merged.merge_from(clone)
+    assert json.dumps(merged.to_dict(), indent=1) == text
+    subset = clone.subset_for_codelets({"c"})
+    assert json.dumps(subset.to_dict(), indent=1) == text

@@ -1,10 +1,11 @@
-"""The blessed trace-access API and its deprecation shims.
+"""The blessed trace-access API and its typed columns.
 
 The million-task refactor made record layout an engine internal:
 records live in a columnar store and everything outside the engine
 reads them through ``trace.tasks()`` / ``trace.columns(...)`` or forges
-them with ``Record.make(...)``.  These tests pin the stable surface —
-and that the metrics-off hot path builds no event payloads at all.
+them with ``Record.make(...)``.  These tests pin the stable surface,
+the typed columns behind it (``array('q')`` ints, ragged id tuples)
+— and that the metrics-off hot path builds no event payloads at all.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 from repro.runtime import events as events_mod
 from repro.runtime.stats import (
     ExecutionTrace,
+    RaggedColumn,
     TaskRecord,
     TransferRecord,
-    reset_record_warning,
 )
+from repro.runtime.trace_export import load_trace_json, save_trace_json
 
 
 def _run_small(n_tasks: int = 20) -> Runtime:
@@ -103,20 +105,12 @@ def test_state_dict_round_trips_records():
     rt.shutdown()
 
 
-# -- deprecation shim --------------------------------------------------------
+# -- record construction -----------------------------------------------------
 
 
-def test_direct_record_construction_warns_once():
-    reset_record_warning()
-    try:
-        with pytest.warns(DeprecationWarning, match="direct construction of"):
-            TaskRecord(1, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
-        # one-shot: the second construction stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            TaskRecord(2, "t2", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
-    finally:
-        reset_record_warning()
+def test_direct_record_construction_is_refused():
+    with pytest.raises(TypeError, match=r"TaskRecord\.make"):
+        TaskRecord(1, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
 
 
 def test_make_does_not_warn():
@@ -128,6 +122,135 @@ def test_make_does_not_warn():
     assert rec.end_time == 1.0
     assert rec.replace(name="u").name == "u"
     assert rec.as_dict()["task_id"] == 1
+
+
+# -- typed columns -----------------------------------------------------------
+
+
+def _rec(task_id=5, **fields) -> TaskRecord:
+    return TaskRecord.make(
+        task_id, f"t{task_id}", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0, **fields
+    )
+
+
+def test_int_columns_are_int64_arrays():
+    rt = _run_small(10)
+    trace = rt.engine.trace
+    seq = trace.columns("seq")
+    assert isinstance(seq, array) and seq.typecode == "q"
+    assert len(seq) == 10 and list(seq) == sorted(set(seq))
+    for name in TaskRecord._int_fields:
+        assert trace.columns(name).typecode == "q"
+    for name in TransferRecord._int_fields:
+        assert trace.columns(name, "transfers").typecode == "q"
+    assert all(type(r.task_id) is int for r in trace.tasks())
+    rt.shutdown()
+
+
+def test_numpy_views_share_memory_with_the_trace():
+    rt = _run_small(10)
+    trace = rt.engine.trace
+    for name, dtype in (("seq", np.int64), ("end_time", np.float64)):
+        col = trace.columns(name)
+        view = np.frombuffer(col, dtype=dtype)
+        assert view.__array_interface__["data"][0] == col.buffer_info()[0]
+        assert view.tolist() == list(col)
+        del view  # a live view would pin the array's size
+    rt.shutdown()
+
+
+def test_ragged_columns_index_and_iterate_to_the_record_tuples():
+    rt = _run_small(10)  # ten tasks chained through one "rw" handle
+    trace = rt.engine.trace
+    ids = list(trace.columns("task_id"))
+    hid = trace.columns("reads").values[0]
+    want = {
+        "reads": [(hid,)] * 10,
+        "writes": [(hid,)] * 10,
+        "deps": [()] + [(t,) for t in ids[:-1]],
+    }
+    for name, rows in want.items():
+        col = trace.columns(name)
+        assert isinstance(col, RaggedColumn) and len(col) == 10
+        assert list(col) == rows
+        assert [col[i] for i in range(10)] == rows
+        assert col[-1] == rows[-1] and col[2:5] == rows[2:5]
+        assert [getattr(r, name) for r in trace.tasks()] == rows
+        with pytest.raises(IndexError):
+            col[10]
+    rt.shutdown()
+
+
+def test_ragged_rows_of_any_length_survive_append_and_assignment():
+    trace = ExecutionTrace()
+    trace.add_task(_rec(1, reads=[1, 2, 3], writes=[], deps=())._astuple()[:-1])
+    trace.tasks.append(_rec(2, reads=(), writes=(4,), deps=(1,), seq=1))
+    trace.add_task(_rec(3, reads=(5,), writes=(5, 6), deps=(1, 2))._astuple()[:-1])
+    assert list(trace.columns("reads")) == [(1, 2, 3), (), (5,)]
+    assert trace.tasks[0].reads == (1, 2, 3)
+    # assignment through the records view resizes one row in place
+    trace.tasks[0] = trace.tasks[0].replace(reads=(9,), deps=(7, 8))
+    trace.tasks[1] = trace.tasks[1].replace(reads=(4, 4))
+    assert list(trace.columns("reads")) == [(9,), (4, 4), (5,)]
+    assert list(trace.columns("deps")) == [(7, 8), (1,), (1, 2)]
+    assert list(trace.columns("writes")) == [(), (4,), (5, 6)]
+    assert trace.columns("reads").values.tolist() == [9, 4, 4, 5]
+    assert trace.columns("reads").ends.tolist() == [1, 3, 4]
+    trace.clear()
+    assert len(trace.columns("reads")) == 0 and not trace.columns("reads").values
+
+
+def test_forged_rows_canonical_form_and_trace_json_round_trip(tmp_path):
+    rt = _run_small(10)
+    trace = rt.engine.trace
+    canon = trace.canonicalized()
+    assert canon.columns("task_id").typecode == "q"
+    assert list(canon.columns("task_id")) == list(range(10))
+    assert list(canon.columns("deps")) == [()] + [(i,) for i in range(9)]
+    assert canon.canonicalized().state_dict() == canon.state_dict()
+    path = save_trace_json(trace, rt.machine, tmp_path / "a.json")
+    loaded, _ = load_trace_json(path)
+    for kind in ("tasks", "transfers", "accesses"):
+        assert list(getattr(loaded, kind)) == list(getattr(trace, kind))
+    assert loaded.columns("deps").values == trace.columns("deps").values
+    again = save_trace_json(loaded, rt.machine, tmp_path / "b.json")
+    assert again.read_text() == path.read_text()
+    rt.shutdown()
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("task_id", 1.5),
+        ("node", None),
+        ("submit_seq", "3"),
+        ("reads", (1, "x")),
+        ("deps", (2.5,)),
+    ],
+)
+def test_non_int_in_an_int_field_raises_and_leaves_no_row(field, bad):
+    trace = ExecutionTrace()
+    good = _rec(1, reads=(1,), deps=(0,), seq=0)
+    trace.tasks.append(good)
+    forged = good.replace(**{field: bad})
+    with pytest.raises(TypeError):
+        trace.tasks.append(forged)
+    with pytest.raises(TypeError):
+        trace.add_task(forged._astuple()[:-1])
+    with pytest.raises(TypeError):
+        trace.tasks[0] = forged
+    assert trace.n_tasks == 1 and trace.next_seq == 0
+    assert all(len(col) == 1 for col in trace._tasks.columns.values())
+    assert list(trace.columns(field)) == [getattr(good, field)]
+    assert trace.columns("reads").values.tolist() == [1]
+
+
+def test_transfer_int_fields_refuse_floats():
+    trace = ExecutionTrace()
+    with pytest.raises(TypeError):
+        trace.add_transfer((7, "h7", 0, 1, 64.0, 0.0, 1.0))
+    assert trace.n_transfers == 0
+    assert all(len(col) == 0 for col in trace._transfers.columns.values())
 
 
 # -- metrics-off hot path ----------------------------------------------------
