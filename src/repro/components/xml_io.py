@@ -12,6 +12,7 @@ on the root tag, which is how the repository scanner classifies files.
 
 from __future__ import annotations
 
+import functools
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -355,25 +356,31 @@ def save_descriptor(desc, path: str | Path) -> Path:
 
 
 def load_descriptor(path: str | Path):
-    """Parse any descriptor XML file, dispatching on the root tag."""
+    """Parse any descriptor XML file, dispatching on the root tag.
+
+    Files are parsed by content through a per-process memo: composing
+    and then importing an application reads each deployed descriptor
+    back, and identical bytes yield the same (immutable) descriptor.
+    """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
-        raise DescriptorError(f"{path}: malformed XML: {exc}") from exc
-    try:
-        from_xml = _FROM_XML[root.tag]
-    except KeyError:
-        raise DescriptorError(
-            f"{path}: unknown descriptor root tag {root.tag!r}"
-        ) from None
-    return from_xml(root)
+        return _parse(data)
+    except DescriptorError as exc:
+        raise DescriptorError(f"{path}: {exc}") from exc
 
 
 def parse_descriptor_string(text: str):
     """Parse a descriptor from XML text (round-trip testing aid)."""
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse(data: bytes | str):
+    # safe to share: descriptors are frozen dataclasses holding tuples,
+    # and nothing mutates a parsed constraint
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise DescriptorError(f"malformed XML: {exc}") from exc
     try:

@@ -5,18 +5,37 @@ application": a generated Python package on disk (stubs + registry +
 peppher module + Makefile + deployed descriptors) plus this handle
 object, which can import the generated package and drive it — the
 reproduction's analog of running the linked executable.
+
+The package is imported through :class:`_GeneratedLoader`, which
+compiles each module from its source on disk and never reads or writes
+``__pycache__``: a recompose that rewrites a module always loads what is
+on disk.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
 import importlib.util
 import sys
 from pathlib import Path
-from types import ModuleType
+from types import CodeType, ModuleType
 
 from repro.composer.ir import ComponentTree
 from repro.errors import CompositionError
+
+
+class _GeneratedLoader(importlib.machinery.SourceFileLoader):
+    """Source loader for generated modules, with no bytecode cache.
+
+    ``__pycache__`` validates a ``.pyc`` by the source's mtime in whole
+    seconds and its size, so a same-size rewrite within one second would
+    load the old module; compiling the bytes on disk cannot go stale.
+    """
+
+    def get_code(self, fullname: str) -> CodeType:
+        path = self.get_filename(fullname)
+        return compile(self.get_data(path), path, "exec", dont_inherit=True)
 
 
 class ComposedApplication:
@@ -53,26 +72,26 @@ class ComposedApplication:
             raise CompositionError(
                 f"application {self.name!r}: no generated package at {self.out_dir}"
             )
-        # a previous compose into a different directory may have claimed
-        # the name; evict stale modules so the fresh artefacts load
-        stale = [
-            mod
-            for mod in sys.modules
-            if mod == self.package_name or mod.startswith(self.package_name + ".")
-        ]
+        # a previous compose may have claimed the name; evict stale
+        # modules so the fresh artefacts load
+        name = self.package_name
+        prefix = name + "."
+        stale = [mod for mod in sys.modules if mod == name or mod.startswith(prefix)]
         for mod in stale:
             del sys.modules[mod]
+        # submodules resolve through the package's __path__: route them
+        # to the same loader
+        sys.path_importer_cache[str(self.out_dir)] = importlib.machinery.FileFinder(
+            str(self.out_dir), (_GeneratedLoader, [".py"])
+        )
         spec = importlib.util.spec_from_file_location(
-            self.package_name,
+            name,
             init_path,
+            loader=_GeneratedLoader(name, str(init_path)),
             submodule_search_locations=[str(self.out_dir)],
         )
-        if spec is None or spec.loader is None:
-            raise CompositionError(
-                f"cannot load generated package from {self.out_dir}"
-            )
         package = importlib.util.module_from_spec(spec)
-        sys.modules[self.package_name] = package
+        sys.modules[name] = package
         spec.loader.exec_module(package)
         self._package = package
         return package

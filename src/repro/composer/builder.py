@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.components.main_desc import MainDescriptor
 from repro.components.repository import Repository
-from repro.components.xml_io import load_descriptor, save_descriptor
+from repro.components.xml_io import descriptor_to_string, load_descriptor
 from repro.composer.application import ComposedApplication
 from repro.composer.codegen.header import (
     generate_init_module,
@@ -35,6 +35,21 @@ from repro.composer.recipe import Recipe
 from repro.composer.static_comp import apply_static_composition
 from repro.errors import CompositionError
 from repro.hw.presets import by_name
+
+
+def _deploy(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file already holds its bytes.
+
+    Leaving an unchanged artefact alone keeps its mtime true for ``make``
+    and makes a recompose into the same directory cost only what changed.
+    """
+    data = text.encode()
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
 
 
 class Composer:
@@ -67,16 +82,18 @@ class Composer:
     def generate(self, tree: ComponentTree, out_dir: str | Path) -> ComposedApplication:
         """Phase 3+4: code generation and deployment."""
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         component_names = tree.interface_names()
+        artefacts: dict[Path, str] = {}
 
         # deploy descriptors in the paper's directory structure so the
         # generated registry can reload them independently of this repo
+        descriptors = out_dir / "descriptors"
         for node in tree.nodes:
-            comp_dir = out_dir / "descriptors" / node.name
-            save_descriptor(node.interface, comp_dir / "interface.xml")
+            comp_dir = descriptors / node.name
+            artefacts[comp_dir / "interface.xml"] = descriptor_to_string(node.interface)
             for impl in node.implementations:
-                save_descriptor(impl, comp_dir / impl.platform / f"{impl.name}.xml")
+                path = comp_dir / impl.platform / f"{impl.name}.xml"
+                artefacts[path] = descriptor_to_string(impl)
 
         # wrapper (stub) files: one per component; fully static
         # composition embeds the compacted dispatch function
@@ -87,10 +104,11 @@ class Composer:
                 and node.static_choice is not None
             ):
                 dispatch = node.static_choice.compact()
-            text = generate_stub_module(
-                node.interface, node.implementations, dispatch=dispatch
+            artefacts[out_dir / f"{stub_module_name(node.name)}.py"] = (
+                generate_stub_module(
+                    node.interface, node.implementations, dispatch=dispatch
+                )
             )
-            (out_dir / f"{stub_module_name(node.name)}.py").write_text(text)
 
         # static narrowing the registry must re-apply when reloading
         narrowing: dict[str, list[str]] = {}
@@ -98,19 +116,24 @@ class Composer:
             if node.static_choice is not None:
                 narrowing[node.name] = sorted(node.static_choice.winners())
 
-        (out_dir / "_registry.py").write_text(
-            generate_registry_module(tree.main.name, component_names, narrowing)
+        artefacts[out_dir / "_registry.py"] = generate_registry_module(
+            tree.main.name, component_names, narrowing
         )
-        (out_dir / "peppher.py").write_text(
-            generate_peppher_module(tree.main, component_names)
+        artefacts[out_dir / "peppher.py"] = generate_peppher_module(
+            tree.main, component_names
         )
-        (out_dir / "__init__.py").write_text(generate_init_module(tree.main.name))
-        (out_dir / "Makefile").write_text(
-            generate_makefile(tree, self.repo.platforms)
+        artefacts[out_dir / "__init__.py"] = generate_init_module(tree.main.name)
+        artefacts[out_dir / "Makefile"] = generate_makefile(tree, self.repo.platforms)
+        artefacts[out_dir / "build_manifest.json"] = generate_build_manifest(
+            tree, self.repo.platforms
         )
-        (out_dir / "build_manifest.json").write_text(
-            generate_build_manifest(tree, self.repo.platforms)
-        )
+
+        for path, text in artefacts.items():
+            _deploy(path, text)
+        # the registry reloads every descriptor under a component's
+        # directory: drop those an earlier compose left behind
+        for stale in set(descriptors.rglob("*.xml")).difference(artefacts):
+            stale.unlink()
         return ComposedApplication(tree, out_dir)
 
     # -- the one-call front door ------------------------------------------------

@@ -1,5 +1,7 @@
 """XML round-trips for every descriptor kind."""
 
+import re
+
 import pytest
 
 from repro.components import (
@@ -124,8 +126,33 @@ def test_load_dispatches_on_root_tag(tmp_path):
 def test_malformed_xml_rejected(tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text("<peppherInterface name='x'")
-    with pytest.raises(DescriptorError):
+    with pytest.raises(DescriptorError, match=f"^{re.escape(str(bad))}: malformed XML"):
         load_descriptor(bad)
+
+
+def test_unknown_root_tag_in_file_names_the_file(tmp_path):
+    # the same bytes in two files: each error names its own file
+    for name in ("a.xml", "b.xml"):
+        path = tmp_path / name
+        path.write_text("<somethingElse/>")
+        with pytest.raises(DescriptorError, match=f"^{re.escape(str(path))}: unknown"):
+            load_descriptor(path)
+
+
+@pytest.mark.parametrize("make", [_interface, _implementation])
+def test_identical_files_load_equal_descriptors(tmp_path, make):
+    text = descriptor_to_string(make())
+    first, second = tmp_path / "first.xml", tmp_path / "second.xml"
+    first.write_text(text)
+    second.write_text(text)
+    assert load_descriptor(first) == load_descriptor(second)
+
+
+def test_load_reads_the_file_each_time(tmp_path):
+    path = save_descriptor(_interface(), tmp_path / "i.xml")
+    assert load_descriptor(path).name == "sort"
+    save_descriptor(MainDescriptor(name="a", components=("sort",)), path)
+    assert isinstance(load_descriptor(path), MainDescriptor)
 
 
 def test_unknown_root_tag_rejected():

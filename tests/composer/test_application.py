@@ -1,5 +1,9 @@
 """ComposedApplication behaviour and error paths."""
 
+import importlib
+import os
+import sys
+
 import pytest
 
 from repro.apps import spmv
@@ -8,13 +12,38 @@ from repro.composer import ComposedApplication, Composer, Recipe
 from repro.errors import CompositionError
 
 
-@pytest.fixture
-def app(tmp_path):
+def _compose(out_dir, recipe=None):
     repo = Repository()
     spmv.register(repo)
     main = MainDescriptor(name="spmv_app", components=("spmv",))
     repo.add_main(main)
-    return Composer(repo, Recipe()).compose(main, tmp_path)
+    return Composer(repo, recipe or Recipe()).compose(main, out_dir)
+
+
+#: An mtime no write during a test can produce (2001-09-09).
+_OLD_NS = 1_000_000_000 * 10**9
+
+
+def _age(out_dir):
+    """Set every file's mtime under out_dir to :data:`_OLD_NS`, so any
+    later write moves it even within one tick of the file-system clock."""
+    for p in out_dir.rglob("*"):
+        if p.is_file():
+            os.utime(p, ns=(_OLD_NS, _OLD_NS))
+
+
+def _snapshot(out_dir):
+    """Relative path -> (mtime in ns, bytes) of every file under out_dir."""
+    return {
+        str(p.relative_to(out_dir)): (p.stat().st_mtime_ns, p.read_bytes())
+        for p in out_dir.rglob("*")
+        if p.is_file()
+    }
+
+
+@pytest.fixture
+def app(tmp_path):
+    return _compose(tmp_path)
 
 
 def test_artefact_listing(app):
@@ -39,23 +68,66 @@ def test_missing_package_rejected(app, tmp_path):
 
 
 def test_recompose_evicts_stale_modules(tmp_path, app):
-    """Composing the same app into a new directory must load the fresh
-    artefacts, not the cached modules of the first compose."""
-    repo = Repository()
-    spmv.register(repo)
-    main = MainDescriptor(name="spmv_app", components=("spmv",))
-    repo.add_main(main)
+    """Composing the same app into a new directory, or again into the
+    same one, must load the fresh artefacts, not the cached modules of
+    the first compose."""
+    narrowed = Recipe(disable_impls=("spmv_cpu",))
     app.import_generated()
-    second_dir = tmp_path / "second"
-    app2 = Composer(repo, Recipe(disable_impls=("spmv_cpu",))).compose(
-        main, second_dir
-    )
-    pkg = app2.import_generated()
-    import importlib
-
+    app2 = _compose(tmp_path / "second", narrowed)
+    app2.import_generated()
     registry = importlib.import_module(f"{app2.package_name}._registry")
     names = {v.name for v in registry.CODELETS["spmv"].variants}
     assert "spmv_cpu" not in names  # the fresh, narrowed artefacts loaded
+
+    # the same directory: only the files whose bytes change are rewritten,
+    # and the dropped implementation's descriptor goes away
+    _age(tmp_path)
+    before = _snapshot(tmp_path)
+    app3 = _compose(tmp_path, narrowed)
+    after = _snapshot(tmp_path)
+    assert set(before) - set(after) == {"descriptors/spmv/cpu_serial/spmv_cpu.xml"}
+    rewritten = {f for f in after if after[f][0] != before[f][0]}
+    changed = {f for f in after if after[f][1] != before[f][1]}
+    assert rewritten == changed and "spmv_stub.py" in changed
+    assert "peppher.py" not in rewritten
+    app3.import_generated()
+    registry = importlib.import_module(f"{app3.package_name}._registry")
+    names = {v.name for v in registry.CODELETS["spmv"].variants}
+    assert "spmv_cpu" not in names and names
+
+
+def test_unchanged_recompose_rewrites_nothing(tmp_path, app):
+    app.import_generated()
+    _age(tmp_path)
+    before = _snapshot(tmp_path)
+    again = _compose(tmp_path)
+    assert _snapshot(tmp_path) == before  # every st_mtime_ns unchanged
+    assert again.import_generated() is not app.import_generated()
+
+
+def test_same_size_rewrite_loads_fresh_source(app, monkeypatch):
+    """A module rewritten with the same size and mtime must not import
+    from a stale bytecode cache."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    probe = app.out_dir / "probe.py"
+    probe.write_text("VALUE = 'AAAA'\n")
+    app.import_generated()
+    assert importlib.import_module(f"{app.package_name}.probe").VALUE == "AAAA"
+    stat = probe.stat()
+    probe.write_text("VALUE = 'BBBB'\n")
+    os.utime(probe, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    fresh = ComposedApplication(app.tree, app.out_dir)
+    fresh.import_generated()
+    assert importlib.import_module(f"{fresh.package_name}.probe").VALUE == "BBBB"
+
+
+def test_import_writes_no_bytecode(app, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    files = app.artefact_files()
+    app.import_generated()
+    assert callable(app.entry("spmv"))
+    assert not list(app.out_dir.rglob("__pycache__"))
+    assert app.artefact_files() == files
 
 
 def test_initialize_shutdown_roundtrip(app):
