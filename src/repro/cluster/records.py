@@ -61,7 +61,7 @@ CLUSTER_EVENT_KINDS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class AttemptRecord:
     """One dispatch of a request to one node."""
 
@@ -112,7 +112,7 @@ class AttemptRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterRequestRecord:
     """Final accounting of one request (idempotency key ``tenant:req_id``)."""
 
@@ -183,7 +183,7 @@ class ClusterRequestRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterEventRecord:
     """One control-plane event (ground-truth fault or router reaction)."""
 

@@ -127,7 +127,11 @@ class BrownoutPolicy:
 
 
 class _ReqState:
-    """Router-side mutable state of one request (one idempotency key)."""
+    """Router-side mutable state of one request (one idempotency key).
+
+    Kept in ``Cluster._reqs`` only while the request is in flight (see
+    :meth:`Cluster._retire`).
+    """
 
     __slots__ = (
         "spec",
@@ -151,6 +155,7 @@ class _ReqState:
         "batch_size",
         "failed_over",
         "admitted_node",
+        "queued",
     )
 
     def __init__(
@@ -177,6 +182,8 @@ class _ReqState:
         self.batch_size = 1
         self.failed_over = False
         self.admitted_node: int | None = None
+        #: copies of this request waiting in node coalescers
+        self.queued = 0
 
 
 class Cluster:
@@ -553,6 +560,7 @@ class Cluster:
         if hedge:
             self._queued_hedge.add((st.key, nid))
         node.coalescer.push(req)
+        st.queued += 1
         if not hedge and self.hedge is not None:
             self._push(t + self.hedge.after_s, _HEDGE, st.key)
         self._pump(nid, t)
@@ -597,6 +605,7 @@ class Cluster:
             # the failure detector resolves them
             for req in batch:
                 st = self._reqs[(req.tenant, req.req_id)]
+                st.queued -= 1
                 hedge = (st.key, nid) in self._queued_hedge
                 self._queued_hedge.discard((st.key, nid))
                 a = self._new_attempt(
@@ -608,6 +617,7 @@ class Cluster:
             return
         for req, res in node.submit_batch(list(batch), t):
             st = self._reqs[(req.tenant, req.req_id)]
+            st.queued -= 1
             hedge = (st.key, nid) in self._queued_hedge
             self._queued_hedge.discard((st.key, nid))
             a = self._new_attempt(
@@ -631,6 +641,7 @@ class Cluster:
                     if self.metrics:
                         self.metrics.note_failover(st.spec.name)
                     self._schedule_retry(st, t)
+                self._retire(st)
                 continue
             task = res
             a.start_time = task.start_time
@@ -673,7 +684,7 @@ class Cluster:
     def _deliver(
         self, node: ClusterNode, attempt: AttemptRecord, t: float
     ) -> None:
-        st = self._reqs[(attempt.tenant, attempt.req_id)]
+        st = self._reqs.get((attempt.tenant, attempt.req_id))
         attempt.deliver_time = t
         if math.isnan(attempt.resolved_time):
             attempt.resolved_time = t
@@ -683,22 +694,25 @@ class Cluster:
         # retries dispatched after the declaration do not read as
         # overlapping.
         self._release_slot(node, attempt)
-        if attempt in st.outstanding:
+        if st is not None and attempt in st.outstanding:
             st.outstanding.remove(attempt)
-        if st.finalized:
-            # exactly-once: the key was already completed (or failed) —
-            # suppress, count, never double-apply
+        if st is None or st.finalized:
+            # exactly-once: the key was already completed (or failed),
+            # and its state may be gone — suppress, count, never
+            # double-apply
             attempt.outcome = "duplicate"
             self._event(
                 "duplicate",
                 t,
                 node=node.node_id,
-                tenant=st.spec.name,
-                req_id=st.req_id,
+                tenant=attempt.tenant,
+                req_id=attempt.req_id,
                 detail="hedge loser" if attempt.hedge else "late response",
             )
             if self.metrics:
-                self.metrics.note_duplicate(st.spec.name)
+                self.metrics.note_duplicate(attempt.tenant)
+            if st is not None:
+                self._retire(st)
         else:
             attempt.outcome = "applied"
             self._complete(st, attempt, t)
@@ -752,6 +766,15 @@ class Cluster:
         self.trace.requests.append(rec)
         if self.metrics:
             self.metrics.note_request(rec)
+        self._retire(st)
+
+    def _retire(self, st: _ReqState) -> None:
+        """Drop a key's state once it is finalized with no attempt
+        outstanding and no copy queued.  Later events for the key (a
+        hedge or retry timer, a redelivery at heal) find no state and
+        take the finalized branch."""
+        if st.finalized and not st.outstanding and not st.queued:
+            self._reqs.pop(st.key, None)
 
     # -- failure detection and failover --------------------------------------
 
@@ -792,8 +815,10 @@ class Cluster:
         node.coalescer = Coalescer(node.coalescer.policy)
         for req in queued:
             st = self._reqs[(req.tenant, req.req_id)]
+            st.queued -= 1
             self._queued_hedge.discard((st.key, nid))
             if st.finalized:
+                self._retire(st)
                 continue
             self._failover(st, nid, t, detail="requeued from dead node")
         # outstanding attempts (blackholed or lost mid-execution) fail over
@@ -818,6 +843,7 @@ class Cluster:
             if a in st.outstanding:
                 st.outstanding.remove(a)
             if st.finalized or st.outstanding:
+                self._retire(st)
                 continue  # completed already, or a live hedge still races
             self._failover(st, nid, t, detail=detail)
 
@@ -854,8 +880,8 @@ class Cluster:
             self.metrics.note_retry(st.spec.name)
 
     def _on_retry(self, t: float, key: tuple[str, int]) -> None:
-        st = self._reqs[key]
-        if st.finalized or st.outstanding:
+        st = self._reqs.get(key)
+        if st is None or st.finalized or st.outstanding:
             return
         nid = self._route(st.spec.name, st.tried)
         if nid is None:
@@ -864,8 +890,8 @@ class Cluster:
         self._dispatch(st, nid, t, hedge=False)
 
     def _on_hedge(self, t: float, key: tuple[str, int]) -> None:
-        st = self._reqs[key]
-        if st.finalized or not st.outstanding:
+        st = self._reqs.get(key)
+        if st is None or st.finalized or not st.outstanding:
             return  # completed, or mid-failover (the retry path owns it)
         if self.hedge is None or st.n_hedges >= self.hedge.max_hedges:
             return
@@ -924,8 +950,10 @@ class Cluster:
         node.coalescer = Coalescer(node.coalescer.policy)
         for req in queued:
             st = self._reqs[(req.tenant, req.req_id)]
+            st.queued -= 1
             self._queued_hedge.discard((st.key, node.node_id))
             if st.finalized:
+                self._retire(st)
                 continue
             nxt = self._route(st.spec.name, st.tried)
             if nxt is None:
@@ -975,7 +1003,7 @@ class Cluster:
         """Resolve requests still open when the event heap drains (every
         replica dead, or a never-healing partition ate the response)."""
         t = self._now
-        for st in self._reqs.values():
+        for st in list(self._reqs.values()):
             if st.finalized:
                 continue
             for a in list(st.outstanding):

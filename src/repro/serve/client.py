@@ -26,6 +26,7 @@ Two load shapes, both with seeded determinism:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -102,11 +103,14 @@ class Request:
 
 
 # ---------------------------------------------------------------------------
-# workload sessions (shared read-only inputs, fresh output per request)
+# workload sessions (shared read-only inputs, one output handle per request)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _placeholder(shape, dtype) -> np.ndarray:
-    """A read-only stride-0 view of one zero with the real ``nbytes``."""
+    """A read-only stride-0 view of one zero with the real ``nbytes``,
+    shared by every request of one ``(shape, dtype)``: nothing writes
+    it, and each request still registers its own handle."""
     return np.broadcast_to(np.zeros((), dtype), shape)
 
 

@@ -164,6 +164,7 @@ def test_exactly_once_under_crash_and_hedging():
     for r in tr.requests:
         want = 1 if r.outcome == "completed" else 0
         assert applied.get((r.tenant, r.req_id), 0) == want
+    assert not c._reqs, "finished requests left router state behind"
     c.shutdown()
 
 
@@ -204,6 +205,52 @@ def test_partition_redelivery_is_suppressed_not_double_applied():
     dups = [a for a in tr.attempts if a.outcome == "duplicate"]
     assert dups, "no duplicate deliveries — the scenario did not trigger"
     assert events(tr, "duplicate")
+    assert not c._reqs, "finished requests left router state behind"
+    c.shutdown()
+
+
+def test_redelivery_to_a_retired_key_is_recorded_as_duplicate():
+    """By heal time the stranded requests were failed over, completed
+    and their router state dropped; the redelivered completion is
+    recorded from its attempt record alone."""
+    victim = primary_of("alpha", 4)
+    c = make_cluster(
+        node_faults=NodeFaultModel(
+            slow_at={victim: (0.010, 500.0)},
+            partition_at={victim: (0.012, 0.040)},
+        ),
+        metrics=True,
+    )
+    retired = []
+    deliver = c._deliver
+
+    def spy(node, attempt, t):
+        key = (attempt.tenant, attempt.req_id)
+        if key in c._reqs:
+            return deliver(node, attempt, t)
+        dup = c.metrics.duplicates
+        before = dup.value(tenant=attempt.tenant)
+        deliver(node, attempt, t)
+        assert dup.value(tenant=attempt.tenant) == before + 1
+        assert key not in c._reqs
+        retired.append(attempt)
+
+    c._deliver = spy
+    tr = c.run()
+    assert retired, "no redelivery reached a retired key"
+    for a in retired:
+        assert a.outcome == "duplicate" and a.node == victim
+        assert a.deliver_time == 0.040
+        (ev,) = [
+            e for e in events(tr, "duplicate", victim)
+            if (e.tenant, e.req_id) == (a.tenant, a.req_id)
+        ]
+        assert ev.time == a.deliver_time and ev.detail == "late response"
+    total = sum(
+        c.metrics.duplicates.value(tenant=s.name) for s in tenants()
+    )
+    assert total == len(events(tr, "duplicate"))
+    assert not c._reqs
     c.shutdown()
 
 
@@ -238,6 +285,76 @@ def test_partition_healing_before_detection_resolves_blackholed_requests():
 # ---------------------------------------------------------------------------
 # stragglers and hedging
 # ---------------------------------------------------------------------------
+
+def test_hedge_timer_after_completion_is_a_no_op():
+    """Healthy requests finish in microseconds, so every 2 ms hedge
+    timer fires after its request completed and its state was dropped."""
+    c = make_cluster(hedge=HedgePolicy(after_s=2e-3))
+    late = []
+    on_hedge = c._on_hedge
+
+    def spy(t, key):
+        if key in c._reqs:
+            return on_hedge(t, key)
+        n_events, n_attempts = len(c.trace.events), len(c.trace.attempts)
+        on_hedge(t, key)
+        assert key not in c._reqs
+        assert len(c.trace.events) == n_events
+        assert len(c.trace.attempts) == n_attempts
+        late.append(key)
+
+    c._on_hedge = spy
+    tr = c.run()
+    assert len(late) == len(tr.requests)
+    assert not events(tr, "hedge")
+    assert all(r.outcome == "completed" for r in tr.requests)
+    c.shutdown()
+
+
+@pytest.mark.parametrize("fault", ["drain", "partition"])
+def test_requeued_hedge_copy_of_a_finished_request_stays_retired(fault):
+    """Hedges queue behind a busy second replica; their primaries finish
+    first.  When that replica drains (or is declared dead), the queued
+    copies of finished requests are dropped without reviving state."""
+    primary, second, _ = HashRing(range(3), vnodes=32).preference("alpha")
+    faults = {"slow_at": {primary: (0.01, 50.0), second: (0.005, 50.0)}}
+    if fault == "partition":
+        faults["partition_at"] = {second: (0.02, 0.06)}
+    c = make_cluster(
+        n_nodes=3,
+        node_faults=NodeFaultModel(**faults),
+        hedge=HedgePolicy(after_s=2e-3),
+        max_inflight=1,
+    )
+    if fault == "drain":
+        c.drain(second, at=0.02)
+    requeued = []
+    hooks = {"drain": "_start_drain", "partition": "_handle_death"}
+    original = getattr(c, hooks[fault])
+
+    def spy(node, t):
+        nid = node if fault == "partition" else node.node_id
+        finished = [
+            (r.tenant, r.req_id)
+            for r in c.nodes[nid].coalescer.iter_requests()
+            if c._reqs[(r.tenant, r.req_id)].finalized
+        ]
+        original(node, t)
+        assert not any(key in c._reqs for key in finished)
+        requeued.extend((key, t) for key in finished)
+
+    setattr(c, hooks[fault], spy)
+    tr = c.run()
+    assert requeued, "no finished request had a queued copy"
+    for (tenant, req_id), t in requeued:
+        assert not [
+            a for a in tr.attempts
+            if (a.tenant, a.req_id) == (tenant, req_id)
+            and a.dispatch_time >= t
+        ]
+    assert not c._reqs
+    c.shutdown()
+
 
 def test_straggler_triggers_hedges_and_all_requests_complete():
     victim = primary_of("alpha", 4)
@@ -330,6 +447,32 @@ def test_device_faults_are_retried_inside_nodes():
     )
     assert node_faults > 0, "device fault rate too low to matter"
     assert all(r.outcome == "completed" for r in tr.requests)
+    c.shutdown()
+
+
+def test_failed_hedge_copy_of_a_finished_request_leaves_no_state():
+    """A hedge copy dispatched after its primary completed, answered
+    with a node failure (device retries exhausted), is the last event
+    of its key."""
+    primary, second, _ = HashRing(range(3), vnodes=32).preference("alpha")
+    c = make_cluster(
+        n_nodes=3,
+        node_faults=NodeFaultModel(
+            slow_at={primary: (0.01, 50.0), second: (0.005, 50.0)}
+        ),
+        device_faults=FaultModel(kernel_fault_rate=0.2, seed=5),
+        recovery=RecoveryPolicy(max_retries=0),
+        hedge=HedgePolicy(after_s=2e-3),
+        max_inflight=1,
+    )
+    tr = c.run()
+    done = {(r.tenant, r.req_id): r.end_time for r in tr.requests}
+    assert any(
+        a.hedge and a.outcome == "failed"
+        and a.dispatch_time > done[(a.tenant, a.req_id)]
+        for a in tr.attempts
+    ), "no hedge copy failed after its request finished"
+    assert not c._reqs
     c.shutdown()
 
 

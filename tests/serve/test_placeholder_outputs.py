@@ -38,6 +38,17 @@ def test_kernels_off_outputs_are_stride0_placeholders(workload):
     rt.shutdown()
 
 
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_kernels_off_requests_share_one_placeholder(workload):
+    rt = Runtime(platform_c2050(), noise_sigma=0.0, run_kernels=False)
+    spec = TenantSpec("t", workload=workload, size=64, n_requests=2, seed=1)
+    first, second = (r.submit(rt) for r in make_client(rt, spec).arrivals())
+    h1, h2 = first.handles[-1], second.handles[-1]
+    assert h1.array is h2.array
+    assert h1 is not h2 and h1.handle_id != h2.handle_id
+    rt.shutdown()
+
+
 def test_kernels_off_sgemm_operands_are_placeholders():
     rt = Runtime(platform_c2050(), noise_sigma=0.0, run_kernels=False)
     spec = TenantSpec("t", workload="sgemm", size=64, n_requests=1, seed=1)
