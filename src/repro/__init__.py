@@ -31,28 +31,35 @@ See ``DESIGN.md`` for the system inventory and the per-experiment index and
 ``EXPERIMENTS.md`` for paper-vs-measured results.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
 
-#: headline API, re-exported for convenience:
-#: ``from repro import Runtime, Vector, Composer, Recipe, ...``
-from repro.components import MainDescriptor, Repository
-from repro.composer import ComposedApplication, Composer, Recipe
-from repro.containers import Matrix, Scalar, Vector
-from repro.hw import (
-    MachineDescription,
-    by_name,
-    machine,
-    platform_c1060,
-    platform_c2050,
+#: headline API, re-exported for convenience and resolved on first use:
+#: ``from repro import Runtime, Vector, Composer, Recipe, ...`` imports
+#: only the subsystems those names live in
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.components": ("MainDescriptor", "Repository"),
+        "repro.composer": ("ComposedApplication", "Composer", "Recipe"),
+        "repro.containers": ("Matrix", "Scalar", "Vector"),
+        "repro.hw": (
+            "MachineDescription",
+            "by_name",
+            "machine",
+            "platform_c1060",
+            "platform_c2050",
+        ),
+        "repro.obs": ("MetricsRegistry", "MetricsSuite"),
+        "repro.runtime": ("Runtime",),
+        "repro.runtime.events": ("EngineEvents",),
+        "repro.session": ("Session",),
+        "repro.tuning": ("PerfModelStore",),
+        # entry-point subpackages
+        "repro.check": ("check",),
+        "repro.serve": ("serve",),
+    },
 )
-from repro.obs import MetricsRegistry, MetricsSuite
-from repro.runtime import Runtime
-from repro.runtime.events import EngineEvents
-from repro.session import Session
-from repro.tuning import PerfModelStore
-
-# entry-point subpackages, imported last (they consume the core above)
-from repro import check, serve  # noqa: E402  isort: skip
 
 __all__ = [
     "ComposedApplication",

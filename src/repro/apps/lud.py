@@ -5,12 +5,18 @@ algorithm (diagonal factor, triangular panel solves, trailing GEMM
 update).  Compute-bound like SGEMM but with a serial dependency chain
 along the diagonal, which taxes the GPU's launch overhead — the CPU
 variants stay closer than for pure GEMM (Figure 6).
+
+The panel solves use SciPy, which is imported on the first
+factorisation that needs them rather than with this module: importing
+:mod:`repro.apps` (which registers every app) costs no SciPy start-up
+for programs that never factor a matrix.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.linalg
 
 from repro.apps._ifhelp import interface_from_decl
 from repro.apps.costkit import gpu_time, ncores_of, openmp_time, serial_time
@@ -30,6 +36,13 @@ INTERFACE = interface_from_decl(
 BLOCK = 64
 
 
+@functools.cache
+def _solve_triangular():
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular
+
+
 def _lud(A, n):
     a = A.reshape(n, n)
     for k0 in range(0, n, BLOCK):
@@ -44,11 +57,12 @@ def _lud(A, n):
             d[j + 1:, j + 1:] -= np.outer(d[j + 1:, j], d[j, j + 1:])
         if k1 == n:
             break
+        solve_triangular = _solve_triangular()
         # panel solves: L21 = A21 * U11^-1, U12 = L11^-1 * A12
-        a[k1:, k0:k1] = scipy.linalg.solve_triangular(
+        a[k1:, k0:k1] = solve_triangular(
             d, a[k1:, k0:k1].T, lower=False, trans="T"
         ).T
-        a[k0:k1, k1:] = scipy.linalg.solve_triangular(
+        a[k0:k1, k1:] = solve_triangular(
             d, a[k0:k1, k1:], lower=True, unit_diagonal=True
         )
         # trailing update

@@ -22,17 +22,30 @@ Enable shutdown-time checking per session (``Runtime(check=True)`` /
 offline over a saved trace: ``python -m repro.check trace.json``.
 """
 
-from repro.check.config import default_check, set_default_check
-from repro.errors import InvariantViolation, ReplayDivergence
-from repro.check.invariants import TraceChecker, assert_trace_legal, check_trace
-from repro.check.replay import (
-    DecisionLog,
-    DecisionRecord,
-    DecisionRecorder,
-    RecordingScheduler,
-    ReplayScheduler,
-    assert_traces_identical,
-    record_and_replay,
+from repro._lazy import lazy_exports
+
+#: public names, each resolved on first use: ``repro.check.config`` and
+#: ``repro.check.replay`` load without the invariant checker
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.check.config": ("default_check", "set_default_check"),
+        "repro.errors": ("InvariantViolation", "ReplayDivergence"),
+        "repro.check.invariants": (
+            "TraceChecker",
+            "assert_trace_legal",
+            "check_trace",
+        ),
+        "repro.check.replay": (
+            "DecisionLog",
+            "DecisionRecord",
+            "DecisionRecorder",
+            "RecordingScheduler",
+            "ReplayScheduler",
+            "assert_traces_identical",
+            "record_and_replay",
+        ),
+    },
 )
 
 __all__ = [

@@ -20,32 +20,41 @@ is deterministic: same seed, same chaos, byte-identical trace digest.
 >>> trace = cluster.run()
 """
 
-from repro.cluster.detector import NodeState, PhiAccrualDetector
-from repro.cluster.faults import NodeFaultModel, chaos_schedule
-from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.node import ClusterNode
-from repro.cluster.records import (
-    ATTEMPT_OUTCOMES,
-    CLUSTER_EVENT_KINDS,
-    REQUEST_OUTCOMES,
-    AttemptRecord,
-    ClusterEventRecord,
-    ClusterRequestRecord,
-    ClusterTrace,
-    completed_latencies,
-)
-from repro.cluster.ring import HashRing
-from repro.cluster.router import (
-    BrownoutPolicy,
-    Cluster,
-    ClusterTenant,
-    HedgePolicy,
-)
-from repro.cluster.slo import (
-    RecoveryStats,
-    cluster_slo_report,
-    recovery_stats,
-    windowed_p99,
+from repro._lazy import lazy_exports
+
+#: public names, each resolved on first use: a caller that needs only
+#: the records or the ring does not load the router and its serving stack
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.detector": ("NodeState", "PhiAccrualDetector"),
+        "repro.cluster.faults": ("NodeFaultModel", "chaos_schedule"),
+        "repro.cluster.metrics": ("ClusterMetrics",),
+        "repro.cluster.node": ("ClusterNode",),
+        "repro.cluster.records": (
+            "ATTEMPT_OUTCOMES",
+            "CLUSTER_EVENT_KINDS",
+            "REQUEST_OUTCOMES",
+            "AttemptRecord",
+            "ClusterEventRecord",
+            "ClusterRequestRecord",
+            "ClusterTrace",
+            "completed_latencies",
+        ),
+        "repro.cluster.ring": ("HashRing",),
+        "repro.cluster.router": (
+            "BrownoutPolicy",
+            "Cluster",
+            "ClusterTenant",
+            "HedgePolicy",
+        ),
+        "repro.cluster.slo": (
+            "RecoveryStats",
+            "cluster_slo_report",
+            "recovery_stats",
+            "windowed_p99",
+        ),
+    },
 )
 
 __all__ = [

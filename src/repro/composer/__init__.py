@@ -9,28 +9,47 @@ point ``peppher`` module, a Makefile and a build manifest.  Utility mode
 generates component skeletons from plain C/C++ declarations.
 """
 
-from repro.composer.application import ComposedApplication
-from repro.composer.builder import Composer
-from repro.composer.compaction import DecisionTreeDispatch, compact_dispatch_table
-from repro.composer.expansion import expand_all, expand_component
-from repro.composer.explorer import bottom_up_order, build_ir, reachable_interfaces
-from repro.composer.glue import (
-    RuntimeHolder,
-    invoke_entry,
-    lower_component,
-    make_backend_adapter,
+from repro._lazy import lazy_exports
+
+#: public names, each resolved on first use: the lookahead policy
+#: (``repro.composer.lookahead``) loads without the code generator
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.composer.application": ("ComposedApplication",),
+        "repro.composer.builder": ("Composer",),
+        "repro.composer.compaction": (
+            "DecisionTreeDispatch",
+            "compact_dispatch_table",
+        ),
+        "repro.composer.expansion": ("expand_all", "expand_component"),
+        "repro.composer.explorer": (
+            "bottom_up_order",
+            "build_ir",
+            "reachable_interfaces",
+        ),
+        "repro.composer.glue": (
+            "RuntimeHolder",
+            "invoke_entry",
+            "lower_component",
+            "make_backend_adapter",
+        ),
+        "repro.composer.ir": ("ComponentNode", "ComponentTree"),
+        "repro.composer.narrowing": ("apply_narrowing",),
+        "repro.composer.recipe": ("Recipe",),
+        "repro.composer.static_comp": (
+            "DispatchEntry",
+            "DispatchTable",
+            "apply_static_composition",
+            "build_dispatch_table",
+        ),
+        "repro.composer.training": ("TrainingReport", "train_dispatch_table"),
+        "repro.composer.utility": (
+            "generate_component_files",
+            "generate_from_decls",
+        ),
+    },
 )
-from repro.composer.ir import ComponentNode, ComponentTree
-from repro.composer.narrowing import apply_narrowing
-from repro.composer.recipe import Recipe
-from repro.composer.static_comp import (
-    DispatchEntry,
-    DispatchTable,
-    apply_static_composition,
-    build_dispatch_table,
-)
-from repro.composer.training import TrainingReport, train_dispatch_table
-from repro.composer.utility import generate_component_files, generate_from_decls
 
 __all__ = [
     "ComposedApplication",

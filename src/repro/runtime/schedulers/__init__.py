@@ -31,27 +31,17 @@ _POLICIES: dict[str, type[Scheduler]] = {
 }
 
 
-def _register_replay() -> None:
-    """Add the decision-replay policy (lives in :mod:`repro.check`).
-
-    Deferred to a function so the import stays obviously one-way:
-    ``repro.check.replay`` depends only on ``schedulers.base``.
-    """
-    from repro.check.replay import ReplayScheduler
-
-    _POLICIES[ReplayScheduler.name] = ReplayScheduler
-
-
-_register_replay()
-
-#: policies resolved on first use: the lookahead planner lives in
-#: :mod:`repro.composer` (whose package import pulls the components
-#: stack, which itself imports this runtime package), so registering it
-#: eagerly here would be circular.  By the time anyone *instantiates*
-#: the policy, the runtime package is fully initialized and the import
-#: is safe.
+#: policies resolved on first use, because their classes live outside
+#: the runtime.  The lookahead planner lives in :mod:`repro.composer`
+#: (whose package import pulls the components stack, which itself
+#: imports this runtime package), so registering it eagerly here would
+#: be circular.  The decision-replay policy lives in :mod:`repro.check`,
+#: which a runtime that never replays should not load.  By the time anyone
+#: *instantiates* a policy, the runtime package is fully initialized and
+#: the import is safe.
 _DEFERRED: dict[str, tuple[str, str]] = {
     "lookahead": ("repro.composer.lookahead", "LookaheadScheduler"),
+    "replay": ("repro.check.replay", "ReplayScheduler"),
 }
 
 

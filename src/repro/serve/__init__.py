@@ -27,31 +27,40 @@ Typical use::
     print(report.for_tenant("light").p99_s)
 """
 
-from repro.serve.aio import AsyncClient
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionOutcome,
-    AdmissionPolicy,
-)
-from repro.serve.batching import BatchPolicy, Coalescer
-from repro.serve.client import (
-    ClosedLoopClient,
-    OpenLoopClient,
-    Request,
-    TenantSpec,
-    WORKLOADS,
-    make_client,
-)
-from repro.serve.fairness import WeightedFairQueue
-from repro.serve.metrics import ServingMetrics
-from repro.serve.server import CompositionServer
-from repro.serve.slo import (
-    SloReport,
-    TenantSlo,
-    format_slo_report,
-    percentile,
-    slo_report,
-    tenant_slo,
+from repro._lazy import lazy_exports
+
+#: public names, each resolved on first use: ``import repro.serve`` loads
+#: no submodule, and only ``AsyncClient`` pulls in asyncio
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.aio": ("AsyncClient",),
+        "repro.serve.admission": (
+            "AdmissionController",
+            "AdmissionOutcome",
+            "AdmissionPolicy",
+        ),
+        "repro.serve.batching": ("BatchPolicy", "Coalescer"),
+        "repro.serve.client": (
+            "ClosedLoopClient",
+            "OpenLoopClient",
+            "Request",
+            "TenantSpec",
+            "WORKLOADS",
+            "make_client",
+        ),
+        "repro.serve.fairness": ("WeightedFairQueue",),
+        "repro.serve.metrics": ("ServingMetrics",),
+        "repro.serve.server": ("CompositionServer",),
+        "repro.serve.slo": (
+            "SloReport",
+            "TenantSlo",
+            "format_slo_report",
+            "percentile",
+            "slo_report",
+            "tenant_slo",
+        ),
+    },
 )
 
 __all__ = [
