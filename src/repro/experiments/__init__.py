@@ -3,7 +3,10 @@
 Each module owns one artefact (see DESIGN.md's per-experiment index) and
 exposes ``run(...) -> result`` plus a ``format_*`` printer producing the
 same rows/series the paper reports.  The pytest benchmarks under
-``benchmarks/`` are thin wrappers over these harnesses.
+``benchmarks/`` are thin wrappers over these harnesses.  The modules run
+as ``python -m repro.experiments.<name> [--smoke]`` also expose
+``study(smoke) -> Study``; :mod:`~repro.experiments.runner` is their
+shared command line.
 
 ========================  =====================================
 module                    paper artefact

@@ -26,17 +26,15 @@ not collect any measured sample (backend wiring regression).
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.apps import sgemm, spmv
 from repro.composer.glue import lower_component
 from repro.errors import SchedulingError
 from repro.exec import ThreadPoolBackend
+from repro.experiments.runner import Study, cli
 from repro.hw.presets import platform_c2050
 from repro.runtime.runtime import Runtime
 
@@ -247,43 +245,18 @@ def format_diff(diffs: Sequence[ComponentDiff]) -> str:
     return "\n".join(lines)
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.backends",
-        description="analytical-vs-measured execution backend differential",
+def study(smoke: bool) -> Study:
+    diffs = run(smoke=smoke)
+    return Study(
+        report=format_diff(diffs),
+        doc={"smoke": smoke, "components": [d.to_dict() for d in diffs]},
+        bench="backends",
+        # gate on the wiring, not the agreement: disagreement with the
+        # paper's modeled hardware is a finding, a missing measurement is
+        # a bug
+        gates={"measured_samples": all(d.rows for d in diffs)},
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="smaller ladder / fewer reps for CI"
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_backends.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
-    diffs = run(smoke=args.smoke)
-    print(format_diff(diffs))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_backends.json"
-    bench.write_text(
-        json.dumps(
-            {"smoke": args.smoke, "components": [d.to_dict() for d in diffs]},
-            indent=1,
-        )
-        + "\n"
-    )
-    print(f"wrote {bench}")
-    # gate on the wiring, not the agreement: disagreement with the
-    # paper's modeled hardware is a finding, a missing measurement is a bug
-    ok = all(d.rows for d in diffs)
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli(study))

@@ -31,11 +31,7 @@ is virtual-time simulation: every number is deterministic.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.cluster import (
     BrownoutPolicy,
@@ -49,6 +45,7 @@ from repro.cluster import (
     recovery_stats,
 )
 from repro.cluster.slo import RecoveryStats
+from repro.experiments.runner import Study, cli
 from repro.serve.slo import SloReport, format_slo_report
 
 #: protected tenants' latency budget: well above the healthy tail,
@@ -205,25 +202,28 @@ class ChaosAblationResult:
         top = max(t.priority for t in self.tenants)
         return [t for t in self.tenants if t.priority == top]
 
-    def passed(self, recovery_budget_s: float = RECOVERY_BUDGET_S) -> bool:
-        """The CI gate: deterministic, invariant-clean, recovered in
+    def gates(self) -> dict[str, bool]:
+        """The CI gates: deterministic, invariant-clean, recovered in
         budget, protected tenants' post-recovery tail under SLO, and
         zero protected-tenant requests lost outright."""
-        if not self.deterministic or self.n_violations:
-            return False
-        if self.recovery is None or not self.recovery.recovered:
-            return False
-        if self.recovery.recovery_s > recovery_budget_s:
-            return False
-        if (
-            not math.isnan(self.recovery.p99_after_s)
-            and self.recovery.p99_after_s > self.recovery.slo_s
-        ):
-            return False
-        return all(
-            t.chaos_completed > 0 and t.chaos_shed_rate < 1.0
-            for t in self.protected()
-        )
+        rec = self.recovery
+        return {
+            "deterministic": self.deterministic,
+            "invariants": not self.n_violations,
+            "recovered_in_budget": rec is not None
+            and rec.recovered
+            and rec.recovery_s <= RECOVERY_BUDGET_S,
+            # a NaN tail (no post-recovery sample) compares False: passes
+            "p99_after_under_slo": rec is not None
+            and not rec.p99_after_s > rec.slo_s,
+            "protected_served": all(
+                t.chaos_completed > 0 and t.chaos_shed_rate < 1.0
+                for t in self.protected()
+            ),
+        }
+
+    def passed(self) -> bool:
+        return all(self.gates().values())
 
     def to_dict(self) -> dict:
         return {
@@ -379,55 +379,22 @@ def format_chaos_ablation(
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# CLI entry point
-# ---------------------------------------------------------------------------
-
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.cluster",
-        description="cluster chaos study (virtual time, seeded)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sweep for CI: fewer nodes and requests, same gates",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where the table and BENCH_cluster.json land "
-        f"(default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
+def study(smoke: bool) -> Study:
+    if smoke:
         result, base_report, chaos_report = run_chaos_ablation(
             n_nodes=6, n_requests=6_000, rate_hz=10_000.0
         )
     else:
         result, base_report, chaos_report = run_chaos_ablation()
-
     table = format_chaos_ablation(result, base_report, chaos_report)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    (args.outdir / "cluster_chaos.txt").write_text(table + "\n")
-    print(table)
-    summary = {"smoke": args.smoke, "chaos": result.to_dict()}
-    bench = args.outdir / "BENCH_cluster.json"
-    bench.write_text(json.dumps(summary, indent=1) + "\n")
-    print(f"\nwrote {bench}")
-    if not result.passed():
-        print(
-            "FAILED: recovery/SLO budget blown, invariants violated, "
-            "or chaos runs diverged"
-        )
-        return 1
-    return 0
+    return Study(
+        report=table,
+        doc={"smoke": smoke, "chaos": result.to_dict()},
+        bench="cluster",
+        tables={"cluster_chaos": table},
+        gates=result.gates(),
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli(study))

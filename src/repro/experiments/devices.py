@@ -40,13 +40,10 @@ chains for CI.
 
 from __future__ import annotations
 
-import argparse
-import json
-from pathlib import Path
-
 import numpy as np
 
 from repro.apps.costkit import gpu_time, ncores_of, openmp_time
+from repro.experiments.runner import Study, cli
 from repro.hw.devices import AccessPattern
 from repro.hw.model import KernelProfile
 from repro.hw.presets import machine
@@ -359,34 +356,15 @@ def format_results(doc: dict) -> str:
     return "\n".join(lines)
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.devices",
-        description="coarse vs detailed device-model ablation over the zoo",
+def study(smoke: bool) -> Study:
+    doc = run(smoke=smoke)
+    return Study(
+        report=format_results(doc),
+        doc=doc,
+        bench="devices",
+        gates={name: g["ok"] for name, g in doc["gates"].items()},
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="shorter chains for CI"
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_devices.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
-    doc = run(smoke=args.smoke)
-    print(format_results(doc))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_devices.json"
-    bench.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {bench}")
-    return 0 if doc["within_budget"] else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli(study))

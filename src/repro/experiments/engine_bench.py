@@ -34,11 +34,9 @@ up among the hottest frames.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import gc
 import io
-import json
 import pstats
 import time
 from dataclasses import dataclass
@@ -46,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.experiments.runner import Study, cli
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -241,67 +240,37 @@ def profile_workloads(n_tasks: int, seed: int = 0) -> tuple[str, list[str]]:
     return text, offenders
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.engine_bench",
-        description="engine submit/schedule/complete throughput",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="smaller task counts for CI"
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile each workload, write BENCH_engine_profile.txt, and "
-        "fail if a zero-subscriber event emitter shows up in the top "
-        f"{_COLD_TOP} cumulative frames",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_engine.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
-    results = run(smoke=args.smoke)
-    print(format_results(results))
-
+def study(smoke: bool, profile: bool = False) -> Study:
+    results = run(smoke=smoke)
     ok = all(r.tasks_per_s >= THROUGHPUT_FLOOR for r in results)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_engine.json"
-    bench.write_text(
-        json.dumps(
-            {
-                "smoke": args.smoke,
-                "floor_tasks_per_s": THROUGHPUT_FLOOR,
-                "within_budget": ok,
-                "workloads": [r.to_dict() for r in results],
-            },
-            indent=1,
-        )
-        + "\n"
+    out = Study(
+        report=format_results(results),
+        doc={
+            "smoke": smoke,
+            "floor_tasks_per_s": THROUGHPUT_FLOOR,
+            "within_budget": ok,
+            "workloads": [r.to_dict() for r in results],
+        },
+        bench="engine",
+        gates={"throughput_floor": ok},
     )
-    print(f"wrote {bench}")
-
-    if args.profile:
-        text, offenders = profile_workloads(
-            n_tasks=1000 if args.smoke else 5000
-        )
-        summary = args.outdir / "BENCH_engine_profile.txt"
-        summary.write_text(text)
-        print(f"wrote {summary}")
-        if offenders:
-            print(
-                "profile gate FAILED: known-cold functions in the top "
-                f"{_COLD_TOP}: {', '.join(offenders)}"
-            )
-            ok = False
-    return 0 if ok else 1
+    if profile:
+        text, offenders = profile_workloads(n_tasks=1000 if smoke else 5000)
+        out.tables["BENCH_engine_profile"] = text
+        out.gates["no_cold_frames_in_profile"] = not offenders
+    return out
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        cli(
+            study,
+            profile={
+                "action": "store_true",
+                "help": "cProfile each workload, write "
+                "BENCH_engine_profile.txt, and fail if a zero-subscriber "
+                f"event emitter shows up in the top {_COLD_TOP} "
+                "cumulative frames",
+            },
+        )
+    )

@@ -19,14 +19,13 @@ number is reproducible.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import InvariantViolation, PeppherError, UnrecoverableTaskError
 from repro.experiments.fig6 import SCENARIOS, AppScenario
+from repro.experiments.runner import Study, cli
 from repro.hw.faults import FaultModel
 from repro.hw.presets import platform_c2050
 from repro.runtime import RecoveryPolicy, Runtime
@@ -275,55 +274,6 @@ def device_loss_study(
     return rows
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.faults",
-        description="fault-injection ablation (virtual time, seeded)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny sweep for CI: two policies, two rates, one rep, "
-        "with trace invariant checking on",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate every run's trace at shutdown (implied by --smoke)",
-    )
-    parser.add_argument("--app", default="sgemm", choices=sorted(SCENARIOS))
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    check = True if (args.check or args.smoke) else None
-    if args.smoke:
-        study = fault_study(
-            app=args.app,
-            policies=("eager", "dmda"),
-            rates=(0.0, 0.05),
-            reps=1,
-            calls=2,
-            seed=args.seed,
-            check=check,
-        )
-        rows = device_loss_study(
-            app=args.app,
-            policies=("eager", "dmda"),
-            loss_fractions=(0.5,),
-            seed=args.seed,
-            check=check,
-        )
-    else:
-        study = fault_study(app=args.app, seed=args.seed, check=check)
-        rows = device_loss_study(app=args.app, seed=args.seed, check=check)
-    print(format_fault_study(study))
-    print()
-    print(format_device_loss_study(rows))
-    if check:
-        print("\ntrace invariant checking: every run validated at shutdown")
-    return 0
-
-
 def format_device_loss_study(rows: list[DeviceLossRow]) -> str:
     lines = [
         "ABL-F2: scripted GPU loss mid-run (inflation vs. fault-free makespan)",
@@ -341,5 +291,24 @@ def format_device_loss_study(rows: list[DeviceLossRow]) -> str:
     return "\n".join(lines)
 
 
+def study(smoke: bool) -> Study:
+    if smoke:
+        # tiny sweep for CI, with trace invariant checking on
+        cells = fault_study(
+            policies=("eager", "dmda"), rates=(0.0, 0.05), reps=1, calls=2,
+            check=True,
+        )
+        rows = device_loss_study(
+            policies=("eager", "dmda"), loss_fractions=(0.5,), check=True
+        )
+    else:
+        cells = fault_study()
+        rows = device_loss_study()
+    report = f"{format_fault_study(cells)}\n\n{format_device_loss_study(rows)}"
+    if smoke:
+        report += "\n\ntrace invariant checking: every run validated at shutdown"
+    return Study(report=report)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli(study))

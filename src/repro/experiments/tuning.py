@@ -33,14 +33,13 @@ is deterministic.
 
 from __future__ import annotations
 
-import argparse
-import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.apps import sgemm
 from repro.composer.glue import lower_component
+from repro.experiments.runner import Study, cli
 from repro.hw.presets import platform_c2050
 from repro.session import Session
 from repro.tuning import PerfModelStore, calibrate_component
@@ -230,68 +229,39 @@ def format_tuning_ablation(result: TuningAblationResult) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# CLI entry point
-# ---------------------------------------------------------------------------
-
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.tuning",
-        description="cold vs store-warmed composition (virtual time, seeded)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny stream for CI: fewer sizes, tasks and cold batches, "
-        "with trace invariant checking on",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate every run's trace at shutdown (implied by --smoke)",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where the table and BENCH_tuning.json land "
-        f"(default {_RESULTS_DIR})",
-    )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="perf-model store directory (default: a fresh temp dir)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check or args.smoke:
+def study(smoke: bool, store: Path | None = None) -> Study:
+    if smoke:
         # every Session/Runtime the ablation builds then validates its
         # trace at shutdown
         from repro.check.config import set_default_check
 
         set_default_check(True)
-    if args.smoke:
         result = run_tuning_ablation(
             sizes=(96, 256), tasks_per_size=6, n_cold_batches=3,
-            rungs=5, store_root=args.store,
+            rungs=5, store_root=store,
         )
     else:
-        result = run_tuning_ablation(store_root=args.store)
-
+        result = run_tuning_ablation(store_root=store)
     text = format_tuning_ablation(result)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    (args.outdir / "tuning_ablation.txt").write_text(text + "\n")
-    print(text)
-    bench = args.outdir / "BENCH_tuning.json"
-    bench.write_text(json.dumps({"smoke": args.smoke, **result.to_dict()},
-                                indent=1) + "\n")
-    print(f"wrote {bench}")
-    return 0 if result.ok else 1
+    return Study(
+        report=text,
+        doc={"smoke": smoke, **result.to_dict()},
+        bench="tuning",
+        tables={"tuning_ablation": text},
+        gates={
+            "warm_zero_exploration": result.warm_zero_exploration,
+            "within_tolerance": result.within_tolerance,
+        },
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        cli(
+            study,
+            store={
+                "type": Path,
+                "help": "perf-model store directory (default: a fresh temp dir)",
+            },
+        )
+    )

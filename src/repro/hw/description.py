@@ -13,15 +13,11 @@ The blessed public spellings (see ``docs/API.md``) are::
     m.describe()                         # structured (JSON-able) view
 
 plus :func:`make_machine` for assembling custom machines from device
-specs.  Constructing a :class:`MachineDescription` with *positional*
-arguments is deprecated (one-shot :class:`DeprecationWarning`, escalated
-to an error under pytest); use the registry, the factory, or keyword
-arguments.
+specs.  :class:`MachineDescription` itself takes keyword arguments only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import RuntimeSystemError
@@ -29,36 +25,6 @@ from repro.hw.devices import DeviceKind, DeviceSpec
 from repro.hw.interconnect import LinkSpec, pcie2_x16
 
 HOST_NODE = 0
-
-_positional_warned = False
-
-
-def warn_machine_positional(stacklevel: int = 3) -> None:
-    """Emit the positional-construction `DeprecationWarning` at most once.
-
-    Mirrors :func:`repro.runtime.schedulers.warn_scheduler_instance`:
-    module-level one-shot flag, message anchored for the pyproject
-    ``filterwarnings`` escalation, attributed to the caller via
-    ``stacklevel``.
-    """
-    global _positional_warned
-    if _positional_warned:
-        return
-    _positional_warned = True
-    warnings.warn(
-        "positional construction of MachineDescription is deprecated; "
-        "use repro.hw.machine(name) for presets, make_machine(...) for "
-        "custom machines, or keyword arguments "
-        "(MachineDescription(name=..., units=..., links=...))",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_positional_warning() -> None:
-    """Re-arm the one-shot warning (test helper)."""
-    global _positional_warned
-    _positional_warned = False
 
 
 @dataclass(frozen=True)
@@ -92,47 +58,24 @@ class ProcessingUnit:
         return self.device.kind is DeviceKind.CPU
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MachineDescription:
     """A heterogeneous node: ``n`` CPU cores + zero or more GPUs.
 
     Build one with :func:`repro.hw.presets.machine` (preset registry),
     :func:`make_machine` (custom assembly), or — for advanced callers —
-    keyword construction.  Positional construction is deprecated.
+    keyword construction (``MachineDescription(name=..., units=...,
+    links=...)``; positional arguments raise :class:`TypeError`).
     """
 
-    name: str
+    name: str | None = None
     units: list[ProcessingUnit] = field(default_factory=list)
     #: link used to reach each non-host memory node, indexed by node id
     links: dict[int, LinkSpec] = field(default_factory=dict)
 
-    def __init__(
-        self,
-        *args,
-        name: str | None = None,
-        units: list[ProcessingUnit] | None = None,
-        links: dict[int, LinkSpec] | None = None,
-    ) -> None:
-        if args:
-            warn_machine_positional()
-            if len(args) > 3:
-                raise TypeError(
-                    f"MachineDescription takes at most 3 arguments "
-                    f"(name, units, links), got {len(args)}"
-                )
-            values = {"name": name, "units": units, "links": links}
-            for value, fld in zip(args, ("name", "units", "links")):
-                if values[fld] is not None:
-                    raise TypeError(
-                        f"MachineDescription got multiple values for {fld!r}"
-                    )
-                values[fld] = value
-            name, units, links = values["name"], values["units"], values["links"]
-        if name is None:
+    def __post_init__(self) -> None:
+        if self.name is None:
             raise TypeError("MachineDescription requires a name")
-        self.name = name
-        self.units = [] if units is None else units
-        self.links = {} if links is None else links
 
     @property
     def n_memory_nodes(self) -> int:

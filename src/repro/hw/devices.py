@@ -159,8 +159,8 @@ class DeviceSpec:
         """Modeled execution-time estimate in seconds.
 
         Dispatches to the attached :class:`~repro.hw.model.DeviceModel`
-        when one exists; otherwise (and numerically identically under an
-        explicit coarse model) the legacy roofline: ``max`` of the
+        when its tier is not coarse; otherwise (no model, or an explicit
+        coarse one) the roofline: ``max`` of the
         compute-bound and memory-bound times, plus the fixed launch
         overhead.  Either ``flops`` or ``bytes_moved`` may be zero.
         ``profile`` optionally names the kernel's launch shape and
@@ -169,10 +169,11 @@ class DeviceSpec:
         """
         if flops < 0 or bytes_moved < 0:
             raise ValueError("flops and bytes_moved must be non-negative")
-        if self.model is not None:
-            return self.model.kernel_time(
-                self, flops, bytes_moved, pattern, profile
-            )
+        model = self.model
+        if model is not None and model.fidelity != "coarse":
+            return model.kernel_time(self, flops, bytes_moved, pattern, profile)
+        # the coarse tier, model-less or an explicit CoarseDeviceModel:
+        # the one place the roofline is computed
         t_compute = flops / (self.effective_gflops(pattern) * 1e9)
         t_memory = bytes_moved / (self.effective_bandwidth_gbs(pattern) * 1e9)
         return self.launch_overhead_s + max(t_compute, t_memory)

@@ -12,16 +12,18 @@ latencies bound issue throughput.
 This module makes the fidelity an explicit, swappable layer:
 
 :class:`DeviceModel`
-    The abstraction every kernel-time estimate goes through.  A
-    :class:`~repro.hw.devices.DeviceSpec` optionally carries one; specs
-    without a model (the default, and every pre-existing preset) price
-    kernels through the legacy coarse arithmetic, byte for byte.
+    One fidelity tier.  A :class:`~repro.hw.devices.DeviceSpec`
+    optionally carries one; specs without a model (the default, and
+    every pre-existing preset) are priced by the coarse roofline in
+    :meth:`~repro.hw.devices.DeviceSpec.roofline_time`.
 
 :class:`CoarseDeviceModel`
-    The explicit spelling of that legacy tier: launch overhead plus the
+    The explicit spelling of that coarse tier: launch overhead plus the
     roofline max of compute and memory time under pattern efficiencies.
-    Attaching it changes nothing numerically — it exists so the tier is
-    a first-class, fingerprintable object rather than an absence.
+    ``roofline_time`` prices it with the same arithmetic as a model-less
+    spec, so attaching it changes nothing numerically — it exists so
+    the tier is a first-class, fingerprintable object rather than an
+    absence.
 
 :class:`DetailedDeviceModel`
     The PPT-GPU-grade tier.  Kernel time is assembled from
@@ -363,11 +365,11 @@ class DeviceModel(ABC):
 
 
 class CoarseDeviceModel(DeviceModel):
-    """The legacy roofline fit as an explicit, fingerprintable tier.
+    """The roofline fit as an explicit, fingerprintable tier.
 
-    Numerically identical to a spec with no model attached: same
-    operations in the same order, so same-seed traces stay
-    byte-identical whichever spelling a machine uses.
+    Priced by :meth:`DeviceSpec.roofline_time` exactly as a spec with no
+    model attached, so same-seed traces stay byte-identical whichever
+    spelling a machine uses.
     """
 
     fidelity = "coarse"
@@ -380,12 +382,10 @@ class CoarseDeviceModel(DeviceModel):
         pattern: AccessPattern = AccessPattern.REGULAR,
         profile: KernelProfile | None = None,
     ) -> float:
-        # mirror the legacy branch of DeviceSpec.roofline_time exactly
-        # (see devices.py); `profile` is accepted and ignored — the
-        # coarse tier has no use for launch shapes
-        t_compute = flops / (spec.effective_gflops(pattern) * 1e9)
-        t_memory = bytes_moved / (spec.effective_bandwidth_gbs(pattern) * 1e9)
-        return spec.launch_overhead_s + max(t_compute, t_memory)
+        # DeviceSpec.roofline_time computes the coarse roofline itself
+        # and never dispatches here; `profile` is accepted and ignored —
+        # the coarse tier has no use for launch shapes
+        return spec.roofline_time(flops, bytes_moved, pattern)
 
     def knobs(self) -> dict:
         return {}

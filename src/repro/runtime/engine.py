@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.hw.noise import NoiseModel
 from repro.runtime.access import AccessMode
 from repro.runtime.codelet import ImplVariant
 from repro.runtime.data import CopyState, DataHandle
-from repro.runtime.events import EngineEvents, warn_hook_api
+from repro.runtime.events import EngineEvents
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.schedulers.base import Decision, Scheduler
 from repro.runtime.stats import (
@@ -289,24 +289,6 @@ class Engine:
     # ------------------------------------------------------------------
     # load introspection and events (serving front-end support)
     # ------------------------------------------------------------------
-
-    def add_submit_hook(self, fn: Callable[[Task], None]) -> None:
-        """Deprecated: use ``engine.events.subscribe("submit", fn)``.
-
-        Delegates to the typed event stream (``fn`` receives the task,
-        as before) and warns once per process.
-        """
-        warn_hook_api("Engine.add_submit_hook")
-        self.events.subscribe("submit", lambda event: fn(event.task))
-
-    def add_complete_hook(self, fn: Callable[[Task], None]) -> None:
-        """Deprecated: use ``engine.events.subscribe("complete", fn)``.
-
-        Delegates to the typed event stream (``fn`` receives the task,
-        as before) and warns once per process.
-        """
-        warn_hook_api("Engine.add_complete_hook")
-        self.events.subscribe("complete", lambda event: fn(event.task))
 
     def n_inflight(self, at: float | None = None) -> int:
         """Tasks scheduled but not yet finished at virtual time ``at``.

@@ -1,7 +1,6 @@
 """Typed engine event subscription API (`EngineEvents`).
 
-One subscription surface replaces the ad-hoc ``add_submit_hook`` /
-``add_complete_hook`` pair: every layer that needs to observe the engine
+One subscription surface: every layer that needs to observe the engine
 — the serving front-end, :mod:`repro.check`'s decision recorder, the
 :mod:`repro.obs` metrics/tracing stack — subscribes to the same stream
 of typed events:
@@ -42,7 +41,6 @@ engine from a callback.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -343,35 +341,3 @@ class EngineEvents:
             self._enqueue(subs, FlushEvent(time))
         # flush marks "finalize buffered state now" — deliver immediately
         self.drain()
-
-
-#: one-shot guard for the hook-pair deprecation below
-_hook_warned = False
-
-
-def warn_hook_api(entry: str, stacklevel: int = 3) -> None:
-    """Emit the hook-pair `DeprecationWarning` at most once per process.
-
-    Mirrors :func:`repro.runtime.schedulers.warn_scheduler_instance`:
-    the old ``add_submit_hook``/``add_complete_hook`` methods keep
-    working as shims over :class:`EngineEvents`, but internal code paths
-    must use the subscription API (the test suite escalates this warning
-    to an error for them).
-    """
-    global _hook_warned
-    if _hook_warned:
-        return
-    _hook_warned = True
-    warnings.warn(
-        f"the add_submit_hook/add_complete_hook pair is deprecated; "
-        f"subscribe to the typed event stream instead — {entry} delegates "
-        f'to Engine.events.subscribe("submit"/"complete", fn)',
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_hook_warning() -> None:
-    """Re-arm the one-shot deprecation (for tests)."""
-    global _hook_warned
-    _hook_warned = False

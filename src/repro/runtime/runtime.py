@@ -22,11 +22,7 @@ from repro.runtime.codelet import Codelet
 from repro.runtime.data import DataHandle
 from repro.runtime.engine import Engine, RecoveryPolicy
 from repro.runtime.perfmodel import PerfModel
-from repro.runtime.schedulers import (
-    Scheduler,
-    make_scheduler,
-    warn_scheduler_instance,
-)
+from repro.runtime.schedulers import make_scheduler
 from repro.runtime.stats import ExecutionTrace
 from repro.runtime.task import Operand, Task
 
@@ -44,7 +40,7 @@ class Runtime:
         The machine to execute on (see :mod:`repro.hw.presets`).
     scheduler:
         A policy name (``"eager"``, ``"random"``, ``"ws"``, ``"dm"``,
-        ``"dmda"``) or a :class:`Scheduler` instance.  The paper's
+        ``"dmda"``, ...).  The paper's
         performance-aware dynamic composition corresponds to ``"dmda"``.
     seed:
         Seed for timing noise and randomized policies; runs are
@@ -105,7 +101,7 @@ class Runtime:
     def __init__(
         self,
         machine: Machine,
-        scheduler: str | Scheduler = "dmda",
+        scheduler: str = "dmda",
         seed: int = 0,
         noise_sigma: float = 0.03,
         submit_overhead_s: float = 1e-6,
@@ -139,14 +135,7 @@ class Runtime:
             perfmodel = store.warm_model(machine)
         self._perfmodel_path = perfmodel_path
         self._store = store
-        if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler, **dict(scheduler_options or {}))
-        else:
-            warn_scheduler_instance("Runtime")
-            if scheduler_options:
-                raise RuntimeSystemError(
-                    "scheduler_options only apply when scheduler is given by name"
-                )
+        scheduler = make_scheduler(scheduler, **dict(scheduler_options or {}))
         self._check = check
         self._checked = False
         self._recorder = None

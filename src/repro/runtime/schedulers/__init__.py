@@ -11,8 +11,6 @@ serving; placement delegates to an inner policy) and ``lookahead``
 
 from __future__ import annotations
 
-import warnings
-
 from repro.runtime.schedulers.base import Decision, EngineView, Scheduler, enumerate_candidates
 from repro.runtime.schedulers.bulk import BulkScheduler
 from repro.runtime.schedulers.dmda import DmdaScheduler, DmScheduler
@@ -72,40 +70,6 @@ def policy_names() -> list[str]:
     return sorted({*_POLICIES, *_DEFERRED})
 
 
-#: one-shot guard for the scheduler-instance deprecation below
-_instance_warned = False
-
-
-def warn_scheduler_instance(entry: str, stacklevel: int = 3) -> None:
-    """Emit the scheduler-instance `DeprecationWarning` at most once.
-
-    Every entry point (`Runtime`, `CompositionServer`, experiment CLIs)
-    now resolves ``scheduler="dmda"`` strings through
-    :func:`make_scheduler`; passing pre-built instances still works but
-    is deprecated.  The warning fires once per process however many
-    layers re-pass the same instance inward (a server handing its
-    resolved scheduler to `Runtime` must not re-warn — under
-    ``filterwarnings=error`` the inner call would otherwise explode).
-    """
-    global _instance_warned
-    if _instance_warned:
-        return
-    _instance_warned = True
-    warnings.warn(
-        f"passing a Scheduler instance to {entry} is deprecated; pass the "
-        f'policy name (e.g. scheduler="dmda") plus scheduler_options and '
-        "let make_scheduler build it",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_instance_warning() -> None:
-    """Re-arm the one-shot deprecation (for tests)."""
-    global _instance_warned
-    _instance_warned = False
-
-
 __all__ = [
     "BulkScheduler",
     "Decision",
@@ -120,6 +84,4 @@ __all__ = [
     "enumerate_candidates",
     "make_scheduler",
     "policy_names",
-    "reset_instance_warning",
-    "warn_scheduler_instance",
 ]

@@ -1048,16 +1048,6 @@ class ExecutionTrace:
         self.next_seq += 1
         return rec
 
-    def record_task(self, rec: TaskRecord) -> TaskRecord:
-        rec = self._stamp(rec)
-        self._tasks.append_record(rec)
-        return rec
-
-    def record_transfer(self, rec: TransferRecord) -> TransferRecord:
-        rec = self._stamp(rec)
-        self._transfers.append_record(rec)
-        return rec
-
     def record_eviction(self, rec: EvictionRecord) -> EvictionRecord:
         rec = self._stamp(rec)
         self._evictions.append_record(rec)

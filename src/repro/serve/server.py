@@ -35,11 +35,7 @@ from repro.obs.suite import MetricsSuite
 from repro.runtime.engine import RecoveryPolicy
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.runtime import Runtime
-from repro.runtime.schedulers import (
-    FairShareScheduler,
-    Scheduler,
-    warn_scheduler_instance,
-)
+from repro.runtime.schedulers import FairShareScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tuning.store import PerfModelStore
@@ -80,8 +76,7 @@ class CompositionServer:
         dispatch to batch-as-window planning: every coalesced
         (cross-tenant) batch is submitted whole, planned as one DAG
         window, and committed in a single flush — see
-        ``docs/PLANNER.md``.  Passing a pre-built :class:`Scheduler`
-        instance is deprecated (one-shot ``DeprecationWarning``).
+        ``docs/PLANNER.md``.
     scheduler_options:
         Extra keyword arguments for the named policy.
     admission:
@@ -114,7 +109,7 @@ class CompositionServer:
         self,
         machine: Machine,
         tenants: Sequence[TenantSpec],
-        scheduler: str | Scheduler = "fair",
+        scheduler: str = "fair",
         admission: AdmissionPolicy | None = None,
         batching: BatchPolicy | None = None,
         seed: int = 0,
@@ -138,27 +133,14 @@ class CompositionServer:
             raise PeppherError(f"tenant names must be unique, got {names}")
         self.tenants = list(tenants)
         weights = {t.name: t.weight for t in self.tenants}
-        if isinstance(scheduler, str):
-            # resolve by name so the hand-off to Runtime stays on the
-            # unified string + options form
-            opts = dict(scheduler_options or {})
-            if scheduler == "fair":
-                opts.setdefault("weights", weights)
-            self.fair_dispatch = scheduler == "fair"
-            sched_kwargs: dict = {
-                "scheduler": scheduler,
-                "scheduler_options": opts,
-            }
-        else:
-            warn_scheduler_instance("CompositionServer")
-            if scheduler_options:
-                raise PeppherError(
-                    "scheduler_options only apply when scheduler is given by name"
-                )
-            self.fair_dispatch = scheduler.name == "fair"
-            sched_kwargs = {"scheduler": scheduler}
+        opts = dict(scheduler_options or {})
+        if scheduler == "fair":
+            opts.setdefault("weights", weights)
+        self.fair_dispatch = scheduler == "fair"
         self.runtime = Runtime(
             machine,
+            scheduler=scheduler,
+            scheduler_options=opts,
             seed=seed,
             noise_sigma=noise_sigma,
             run_kernels=run_kernels,
@@ -168,7 +150,6 @@ class CompositionServer:
             store=store,
             check=check,
             exec_backend=exec_backend,
-            **sched_kwargs,
         )
         self.engine = self.runtime.engine
         #: bulk (window-planning) policies defer placement until a

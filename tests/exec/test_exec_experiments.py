@@ -6,6 +6,7 @@ import json
 
 from repro.experiments import backends as backends_exp
 from repro.experiments import engine_bench
+from repro.experiments.runner import cli
 
 
 def test_backends_differential_tiny():
@@ -30,7 +31,7 @@ def test_backends_differential_tiny():
 
 
 def test_backends_main_writes_json_and_exits_zero(tmp_path, capsys):
-    rc = backends_exp.main(["--smoke", "--outdir", str(tmp_path)])
+    rc = cli(backends_exp.study, ["--smoke", "--outdir", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "BENCH_backends.json").read_text())
     assert payload["smoke"] is True
@@ -47,7 +48,7 @@ def test_engine_bench_workloads():
 
 
 def test_engine_bench_main_writes_json(tmp_path, capsys):
-    rc = engine_bench.main(["--smoke", "--outdir", str(tmp_path)])
+    rc = cli(engine_bench.study, ["--smoke", "--outdir", str(tmp_path)])
     payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
     assert {w["workload"] for w in payload["workloads"]} == {"fanout", "chain"}
     assert payload["within_budget"] == (rc == 0)

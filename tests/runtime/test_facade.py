@@ -6,29 +6,15 @@ import pytest
 from repro.errors import RuntimeSystemError
 from repro.hw.presets import cpu_only, platform_c2050
 from repro.runtime import AccessMode, Runtime
-from repro.runtime.schedulers import DmdaScheduler, reset_instance_warning
+from repro.runtime.schedulers import DmdaScheduler
 
 from tests.conftest import make_axpy_codelet
 
 
-def test_scheduler_instance_accepted_with_deprecation():
-    sched = DmdaScheduler(calibration_samples=3)
-    reset_instance_warning()
-    with pytest.warns(DeprecationWarning, match="pass the policy name"):
-        rt = Runtime(platform_c2050(), scheduler=sched)
-    assert rt.scheduler is sched
-    rt.shutdown()
-
-
-def test_scheduler_options_require_name():
-    reset_instance_warning()
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(RuntimeSystemError):
-            Runtime(
-                platform_c2050(),
-                scheduler=DmdaScheduler(),
-                scheduler_options={"beta": 2.0},
-            )
+def test_scheduler_instance_is_an_unknown_policy():
+    # schedulers are named; a pre-built instance is not a policy name
+    with pytest.raises(KeyError, match="unknown scheduling policy"):
+        Runtime(platform_c2050(), scheduler=DmdaScheduler())
 
 
 def test_scheduler_options_forwarded_by_name():

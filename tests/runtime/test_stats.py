@@ -20,6 +20,11 @@ def _transfer(src=0, dst=1, nbytes=100, start=0.0, end=0.5, hid=0):
     )
 
 
+def _row(rec):
+    """``rec``'s field values minus the trailing ``seq``: one add_* row."""
+    return tuple(rec.as_dict().values())[:-1]
+
+
 def test_empty_trace():
     trace = ExecutionTrace()
     assert trace.makespan == 0.0
@@ -35,24 +40,24 @@ def test_direction_classification():
 
 def test_counts_and_bytes():
     trace = ExecutionTrace()
-    trace.record_transfer(_transfer(0, 1, 100))
-    trace.record_transfer(_transfer(1, 0, 200))
+    trace.add_transfer(_row(_transfer(0, 1, 100)))
+    trace.add_transfer(_row(_transfer(1, 0, 200)))
     assert trace.n_h2d == 1 and trace.n_d2h == 1
     assert trace.bytes_transferred == 300
 
 
 def test_makespan_includes_transfers():
     trace = ExecutionTrace()
-    trace.record_task(_task(end=1.0))
-    trace.record_transfer(_transfer(end=2.5))
+    trace.add_task(_row(_task(end=1.0)))
+    trace.add_transfer(_row(_transfer(end=2.5)))
     assert trace.makespan == 2.5
 
 
 def test_busy_time_and_utilisation():
     trace = ExecutionTrace()
-    trace.record_task(_task(0, worker=(0,), start=0.0, end=1.0))
-    trace.record_task(_task(1, worker=(0,), start=1.0, end=3.0))
-    trace.record_task(_task(2, worker=(1,), start=0.0, end=1.0))
+    trace.add_task(_row(_task(0, worker=(0,), start=0.0, end=1.0)))
+    trace.add_task(_row(_task(1, worker=(0,), start=1.0, end=3.0)))
+    trace.add_task(_row(_task(2, worker=(1,), start=0.0, end=1.0)))
     assert trace.busy_time(0) == pytest.approx(3.0)
     assert trace.utilisation(0) == pytest.approx(1.0)
     assert trace.utilisation(1) == pytest.approx(1.0 / 3.0)
@@ -60,38 +65,38 @@ def test_busy_time_and_utilisation():
 
 def test_gang_task_counts_for_every_member():
     trace = ExecutionTrace()
-    trace.record_task(_task(0, worker=(0, 1, 2), end=2.0))
+    trace.add_task(_row(_task(0, worker=(0, 1, 2), end=2.0)))
     assert trace.busy_time(2) == pytest.approx(2.0)
 
 
 def test_groupings():
     trace = ExecutionTrace()
-    trace.record_task(_task(0, arch="cpu", variant="a"))
-    trace.record_task(_task(1, arch="cuda", variant="b"))
-    trace.record_task(_task(2, arch="cuda", variant="b"))
+    trace.add_task(_row(_task(0, arch="cpu", variant="a")))
+    trace.add_task(_row(_task(1, arch="cuda", variant="b")))
+    trace.add_task(_row(_task(2, arch="cuda", variant="b")))
     assert trace.tasks_by_arch() == {"cpu": 1, "cuda": 2}
     assert trace.tasks_by_variant() == {"a": 1, "b": 2}
 
 
 def test_transfers_for_handle():
     trace = ExecutionTrace()
-    trace.record_transfer(_transfer(hid=1))
-    trace.record_transfer(_transfer(hid=2))
-    trace.record_transfer(_transfer(hid=1))
+    trace.add_transfer(_row(_transfer(hid=1)))
+    trace.add_transfer(_row(_transfer(hid=2)))
+    trace.add_transfer(_row(_transfer(hid=1)))
     assert len(trace.transfers_for_handle(1)) == 2
 
 
 def test_summary_mentions_key_numbers():
     trace = ExecutionTrace()
-    trace.record_task(_task())
-    trace.record_transfer(_transfer())
+    trace.add_task(_row(_task()))
+    trace.add_transfer(_row(_transfer()))
     text = trace.summary()
     assert "1 tasks" in text and "1 transfers" in text
 
 
 def test_clear():
     trace = ExecutionTrace()
-    trace.record_task(_task())
+    trace.add_task(_row(_task()))
     trace.clear()
     assert trace.n_tasks == 0
 
@@ -99,10 +104,10 @@ def test_clear():
 def test_derived_stats_catch_up_after_reads():
     # the incremental cache must fold in records appended *after* a read
     trace = ExecutionTrace()
-    trace.record_task(_task(0, end=1.0))
+    trace.add_task(_row(_task(0, end=1.0)))
     assert trace.makespan == 1.0  # primes the cache
-    trace.record_task(_task(1, worker=(1,), start=1.0, end=4.0, arch="cuda"))
-    trace.record_transfer(_transfer(0, 1, 64, end=5.0))
+    trace.add_task(_row(_task(1, worker=(1,), start=1.0, end=4.0, arch="cuda")))
+    trace.add_transfer(_row(_transfer(0, 1, 64, end=5.0)))
     assert trace.makespan == 5.0
     assert trace.tasks_by_arch() == {"cpu": 1, "cuda": 1}
     assert trace.busy_time(1) == pytest.approx(3.0)
@@ -111,11 +116,11 @@ def test_derived_stats_catch_up_after_reads():
 
 def test_derived_stats_recompute_after_clear():
     trace = ExecutionTrace()
-    trace.record_task(_task(0, end=2.0))
+    trace.add_task(_row(_task(0, end=2.0)))
     assert trace.makespan == 2.0
     trace.clear()
     assert trace.makespan == 0.0 and trace.tasks_by_arch() == {}
-    trace.record_task(_task(1, end=0.5))
+    trace.add_task(_row(_task(1, end=0.5)))
     assert trace.makespan == 0.5
 
 
@@ -132,7 +137,7 @@ def test_per_codelet_counters_survive_clear_and_canonicalize():
     trace.submitted_by_codelet["c"] = 2
     trace.decisions_by_codelet["c"] = 2
     trace.retries_by_codelet["c"] = 1
-    trace.record_task(_task(0))
+    trace.add_task(_row(_task(0)))
     canon = trace.canonicalized()
     assert canon.submitted_by_codelet == {"c": 2}
     assert canon.decisions_by_codelet == {"c": 2}

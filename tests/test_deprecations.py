@@ -1,34 +1,13 @@
-"""Deprecation shims: old entry points keep working and warn exactly once."""
+"""The one blessed spelling of each entry point warns about nothing."""
 
 import warnings
 
 import pytest
 
-from repro.errors import PeppherError
-from repro.hw.description import (
-    MachineDescription,
-    reset_positional_warning,
-)
+from repro.hw.description import MachineDescription
 from repro.hw.presets import platform_c2050
 from repro.runtime import Runtime
-from repro.runtime.events import reset_hook_warning
-from repro.runtime.schedulers import (
-    DmdaScheduler,
-    EagerScheduler,
-    reset_instance_warning,
-)
 from repro.serve import CompositionServer, TenantSpec
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    reset_instance_warning()
-    reset_hook_warning()
-    reset_positional_warning()
-    yield
-    reset_instance_warning()
-    reset_hook_warning()
-    reset_positional_warning()
 
 
 def _tenants():
@@ -37,56 +16,6 @@ def _tenants():
             "t0", workload="sgemm", size=48, rate_hz=None, n_requests=2
         )
     ]
-
-
-def test_runtime_scheduler_instance_warns_exactly_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rt1 = Runtime(platform_c2050(), scheduler=DmdaScheduler())
-        rt2 = Runtime(platform_c2050(), scheduler=EagerScheduler())
-        rt1.shutdown()
-        rt2.shutdown()
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "Runtime" in message and "make_scheduler" in message
-
-
-def test_old_instance_form_still_works():
-    sched = DmdaScheduler(calibration_samples=3)
-    with pytest.warns(DeprecationWarning):
-        rt = Runtime(platform_c2050(), scheduler=sched)
-    assert rt.scheduler is sched
-    rt.shutdown()
-
-
-def test_server_scheduler_instance_warns_and_works():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        server = CompositionServer(
-            platform_c2050(), tenants=_tenants(), scheduler=EagerScheduler()
-        )
-        server.run()
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    # exactly one warning, attributed to the server entry point — the
-    # server's internal Runtime construction must not warn again
-    assert len(deprecations) == 1
-    assert "CompositionServer" in str(deprecations[0].message)
-
-
-def test_server_instance_rejects_scheduler_options():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(PeppherError):
-            CompositionServer(
-                platform_c2050(),
-                tenants=_tenants(),
-                scheduler=EagerScheduler(),
-                scheduler_options={"beta": 2.0},
-            )
 
 
 def test_string_scheduler_paths_never_warn():
@@ -113,66 +42,7 @@ def test_string_scheduler_paths_never_warn():
     ]
 
 
-def _noop_codelet():
-    import numpy as np
-
-    from repro.runtime import Arch, Codelet, ImplVariant
-
-    return Codelet(
-        "noop",
-        [
-            ImplVariant(
-                "noop_cpu", Arch.CPU, lambda ctx, *a: None, lambda c, d: 1e-5
-            )
-        ],
-    )
-
-
-def test_engine_hook_pair_warns_exactly_once_and_still_delivers():
-    import numpy as np
-
-    rt = Runtime(platform_c2050(), scheduler="eager", seed=0)
-    submitted, completed = [], []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rt.engine.add_submit_hook(submitted.append)
-        rt.engine.add_complete_hook(completed.append)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    # one warning for the pair, no matter how many times either is called
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "add_submit_hook" in message
-    assert "Engine.events.subscribe" in message
-    h = rt.register(np.zeros(8, dtype=np.float32), "d")
-    task = rt.submit(_noop_codelet(), [(h, "r")], name="t0")
-    rt.wait_for_all()
-    rt.shutdown()
-    # the shims still deliver Task objects, like the old hooks did
-    assert submitted == [task]
-    assert completed == [task]
-
-
-# -- positional MachineDescription construction -----------------------------
-
-def test_machine_positional_warns_exactly_once():
-    m = platform_c2050()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        m1 = MachineDescription("a", list(m.units), dict(m.links))
-        m2 = MachineDescription("b", list(m.units))
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "positional construction" in message
-    assert "repro.hw.machine(name)" in message
-    # the shim still builds a working machine
-    assert m1.name == "a" and m1.n_memory_nodes == m.n_memory_nodes
-    assert m2.name == "b" and m2.links == {}
-
+# -- MachineDescription construction ----------------------------------------
 
 def test_machine_keyword_form_never_warns():
     m = platform_c2050()
@@ -188,16 +58,10 @@ def test_machine_keyword_form_never_warns():
     assert fresh.name == "kw"
 
 
-def test_machine_positional_duplicate_value_rejected():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError, match="multiple values"):
-            MachineDescription("dup", name="dup")
-
-
-def test_machine_positional_too_many_args_rejected():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError, match="at most 3"):
-            MachineDescription("m", [], {}, 42)
+def test_machine_positional_construction_raises():
+    m = platform_c2050()
+    with pytest.raises(TypeError, match="positional"):
+        MachineDescription("a", list(m.units), dict(m.links))
 
 
 def test_machine_requires_name():
