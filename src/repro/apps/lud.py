@@ -6,15 +6,11 @@ update).  Compute-bound like SGEMM but with a serial dependency chain
 along the diagonal, which taxes the GPU's launch overhead — the CPU
 variants stay closer than for pure GEMM (Figure 6).
 
-The panel solves use SciPy, which is imported on the first
-factorisation that needs them rather than with this module: importing
-:mod:`repro.apps` (which registers every app) costs no SciPy start-up
-for programs that never factor a matrix.
+Like every app, it needs NumPy alone: the two triangular panel solves
+are ``np.linalg.solve`` calls against the just-factored diagonal block.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -36,20 +32,22 @@ INTERFACE = interface_from_decl(
 BLOCK = 64
 
 
-@functools.cache
-def _solve_triangular():
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular
+def _panels(d, a21, a12):
+    """``(A21·U11⁻¹, L11⁻¹·A12)`` for the factored diagonal block ``d``."""
+    l21 = np.linalg.solve(np.triu(d).T, a21.T).T
+    u12 = np.linalg.solve(np.tril(d, -1) + np.eye(len(d), dtype=d.dtype), a12)
+    return l21, u12
 
 
 def _lud(A, n):
     a = A.reshape(n, n)
     for k0 in range(0, n, BLOCK):
         k1 = min(k0 + BLOCK, n)
-        # unblocked factorisation of the diagonal block
+        # unblocked factorisation of the diagonal block; every pivot but
+        # the matrix's last one is a divisor (the last of a non-final
+        # block divides in the L21 panel solve)
         d = a[k0:k1, k0:k1]
-        for j in range(k1 - k0 - 1):
+        for j in range(k1 - k0 - (k1 == n)):
             pivot = d[j, j]
             if pivot == 0.0:
                 raise ZeroDivisionError("LU without pivoting hit a zero pivot")
@@ -57,14 +55,8 @@ def _lud(A, n):
             d[j + 1:, j + 1:] -= np.outer(d[j + 1:, j], d[j, j + 1:])
         if k1 == n:
             break
-        solve_triangular = _solve_triangular()
         # panel solves: L21 = A21 * U11^-1, U12 = L11^-1 * A12
-        a[k1:, k0:k1] = solve_triangular(
-            d, a[k1:, k0:k1].T, lower=False, trans="T"
-        ).T
-        a[k0:k1, k1:] = solve_triangular(
-            d, a[k0:k1, k1:], lower=True, unit_diagonal=True
-        )
+        a[k1:, k0:k1], a[k0:k1, k1:] = _panels(d, a[k1:, k0:k1], a[k0:k1, k1:])
         # trailing update
         a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
 

@@ -200,12 +200,6 @@ def load_component_dir(component_dir: str | Path) -> tuple[
     return interface, impls
 
 
-def build_codelet_from_dir(component_dir: str | Path) -> Codelet:
-    """Descriptor directory -> codelet (used by generated ``_registry``)."""
-    interface, impls = load_component_dir(component_dir)
-    return lower_component(interface, impls)
-
-
 # ---------------------------------------------------------------------------
 # operand coercion in entry wrappers
 # ---------------------------------------------------------------------------

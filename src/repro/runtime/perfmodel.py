@@ -138,6 +138,8 @@ class RegressionModel:
         self.min_size_ratio = min_size_ratio
         #: variant -> (sizes, durations)
         self._samples: dict[str, tuple[array, array]] = {}
+        #: variant -> (smallest, largest) sampled size
+        self._bounds: dict[str, tuple[float, float]] = {}
         self._fits: dict[str, tuple[float, float] | None] = {}
 
     def record(self, variant_name: str, size: float, duration: float) -> None:
@@ -146,6 +148,9 @@ class RegressionModel:
         cols = self._samples.get(variant_name)
         if cols is None:
             cols = self._samples[variant_name] = (array("d"), array("d"))
+        lo, hi = self._bounds.get(variant_name, (math.inf, -math.inf))
+        if size < lo or size > hi:
+            self._bounds[variant_name] = (min(lo, size), max(hi, size))
         cols[0].append(size)
         cols[1].append(duration)
         if self._fits:  # invalidate cached fit (skipped while unfit)
@@ -183,6 +188,23 @@ class RegressionModel:
                     fit = (log_a, b)
         return fit
 
+    def has_fit(self, variant_name: str) -> bool:
+        """Whether :meth:`predict` answers for this variant, in O(1).
+
+        Applies :meth:`_fit_samples`' sample-count and size-range rules
+        to the tracked size range instead of fitting.  Sizes a ratio r
+        apart give ``sxx >= ln(r)^2 / 2``, so the fit's 1e-12 ``sxx``
+        floor can refuse only when ``min_size_ratio`` is below 1 + 2e-6.
+        """
+        if self.min_size_ratio < 1.0 + 2e-6:
+            return self._fit(variant_name) is not None
+        lo, hi = self._bounds.get(variant_name, (1.0, 1.0))
+        return (
+            hi > lo
+            and hi / lo >= self.min_size_ratio
+            and self.n_samples(variant_name) >= self.min_samples
+        )
+
     def predict(self, variant_name: str, size: float) -> float | None:
         if size <= 0:
             return None
@@ -218,10 +240,9 @@ class RegressionModel:
 
     def put_samples(self, variant_name: str, samples) -> None:
         """Replace a variant's samples with ``(size, duration)`` pairs."""
-        self._samples[variant_name] = (
-            array("d", [s for s, _ in samples]),
-            array("d", [t for _, t in samples]),
-        )
+        sizes = array("d", [s for s, _ in samples])
+        self._samples[variant_name] = (sizes, array("d", [t for _, t in samples]))
+        self._bounds[variant_name] = (min(sizes, default=1.0), max(sizes, default=1.0))
         self._fits.pop(variant_name, None)
 
 
@@ -333,7 +354,7 @@ class PerfModel:
         """
         if self.history.n_samples(footprint, variant_name) >= min_history:
             return True
-        return self.regression.predict(variant_name, size) is not None
+        return size > 0 and self.regression.has_fit(variant_name)
 
     def codelet_of(self, variant_name: str) -> str:
         """Codelet a variant's observations belong to ('' if unknown)."""
@@ -394,18 +415,16 @@ class PerfModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "PerfModel":
         model = cls()
-        for entry in raw.get("history", []):
-            st = RunningStats(n=entry["n"], mean=entry["mean"], m2=entry["m2"])
-            model.history._table[(entry["footprint"], entry["variant"])] = st
-        for var, samples in raw.get("regression", {}).items():
-            model.regression.put_samples(var, samples)
-        for entry in raw.get("measured_history", []):
-            st = RunningStats(n=entry["n"], mean=entry["mean"], m2=entry["m2"])
-            model.measured_history._table[
-                (entry["footprint"], entry["variant"])
-            ] = st
-        for var, samples in raw.get("measured_regression", {}).items():
-            model.measured_regression.put_samples(var, samples)
+        for prefix, (hist, reg) in (
+            ("", model._tables("analytical")),
+            ("measured_", model._tables("measured")),
+        ):
+            for entry in raw.get(prefix + "history", []):
+                hist._table[(entry["footprint"], entry["variant"])] = RunningStats(
+                    n=entry["n"], mean=entry["mean"], m2=entry["m2"]
+                )
+            for var, samples in raw.get(prefix + "regression", {}).items():
+                reg.put_samples(var, samples)
         model._variant_codelet = dict(raw.get("codelets", {}))
         return model
 

@@ -148,7 +148,12 @@ def test_hotspot_converges_toward_ambient_without_power():
 
 # -- lud -------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [16, 64, 150])  # below, at, above one block
+#: one below, at and one above each 64-wide block boundary, and two
+#: sizes whose last block is partial
+LUD_BLOCK_EDGES = (63, 64, 65, 127, 128, 129, 150, 257)
+
+
+@pytest.mark.parametrize("n", [16, *LUD_BLOCK_EDGES])
 def test_lud_variants_agree(n):
     A0 = lud.make_spd_matrix(n, seed=9)
     ref = lud.reference(A0, n)
@@ -158,9 +163,8 @@ def test_lud_variants_agree(n):
         assert np.allclose(A, ref, rtol=2e-2, atol=2e-2)
 
 
-def test_lud_factors_reconstruct_matrix():
-    n = 80
-    A0 = lud.make_spd_matrix(n, seed=10)
+def _assert_lu_reconstructs(n, seed):
+    A0 = lud.make_spd_matrix(n, seed=seed)
     A = A0.copy()
     lud.lud_cpu(A, n)
     lu = A.reshape(n, n).astype(np.float64)
@@ -169,10 +173,64 @@ def test_lud_factors_reconstruct_matrix():
     assert np.allclose(L @ U, A0.reshape(n, n), rtol=1e-3, atol=1e-3)
 
 
+def test_lud_factors_reconstruct_matrix():
+    _assert_lu_reconstructs(80, seed=10)
+
+
+@pytest.mark.parametrize("n", LUD_BLOCK_EDGES)
+def test_lud_factors_reconstruct_matrix_at_block_edges(n):
+    _assert_lu_reconstructs(n, seed=n)
+
+
+@pytest.mark.parametrize("n", LUD_BLOCK_EDGES)
+def test_lud_panels_match_scipy_solve_triangular(n, monkeypatch):
+    # SciPy is a test-only oracle: the app solves its panels with NumPy
+    linalg = pytest.importorskip("scipy.linalg")
+    solve_panels = lud._panels
+    steps = []
+
+    def recording(d, a21, a12):
+        inputs = (d.copy(), a21.copy(), a12.copy())
+        out = solve_panels(d, a21, a12)
+        steps.append((inputs, out))
+        return out
+
+    monkeypatch.setattr(lud, "_panels", recording)
+    lud.lud_cpu(lud.make_spd_matrix(n, seed=n), n)
+    assert len(steps) == -(-n // lud.BLOCK) - 1  # every block but the last
+    for (d, a21, a12), (l21, u12) in steps:
+        expected = (
+            linalg.solve_triangular(d, a21.T, lower=False, trans="T").T,
+            linalg.solve_triangular(d, a12, lower=True, unit_diagonal=True),
+        )
+        for got, want in zip((l21, u12), expected):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+
 def test_lud_zero_pivot_raises():
     A = np.zeros(4 * 4, dtype=np.float32)
     with pytest.raises(ZeroDivisionError):
         lud.lud_cpu(A, 4)
+
+
+@pytest.mark.parametrize("n, k", [(128, 63), (150, 127)])
+def test_lud_zero_pivot_at_block_edge_raises(n, k):
+    # the last pivot of a non-final block divides in the L21 panel solve
+    A = np.eye(n, dtype=np.float32)
+    A[k, k] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        lud.lud_cpu(A.reshape(-1), n)
+
+
+def test_lud_zero_final_pivot_is_kept():
+    # the matrix's last pivot never divides: U simply ends in a zero
+    n = 128
+    A0 = np.eye(n, dtype=np.float32)
+    A0[-1, -1] = 0.0
+    A = A0.reshape(-1).copy()
+    lud.lud_cpu(A, n)
+    assert np.array_equal(A, A0.reshape(-1))
 
 
 # -- nw --------------------------------------------------------------------

@@ -232,6 +232,39 @@ def test_regression_predict_from_is_out_of_sample():
     assert model.n_samples("v") == 0  # recorded state untouched
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.5, 2.0, 8.0])
+def test_has_fit_answers_exactly_when_predict_does(ratio):
+    # sizes from equal to far apart, including pairs at the ratio edge
+    rng = np.random.default_rng(int(ratio * 1e6))
+    model = RegressionModel(min_samples=3, min_size_ratio=ratio)
+    sizes = {
+        "one_size": [7.0] * 5,
+        "at_ratio": [1e3, 1e3 * ratio, 1e3],
+        "below_ratio": [1e3, 1e3 * ratio * (1 - 1e-9), 1e3, 1e3],
+        "too_few": [1e3, 1e6],
+        "spread": list(rng.uniform(1e2, 1e6, 12)),
+        "near": [1e3, 1e3 * (1 + 1e-7), 1e3 * (1 + 2e-7)],
+    }
+    for var, column in sizes.items():
+        for i, size in enumerate(column):
+            model.record(var, size, 1e-6 * (i + 1))
+            assert model.has_fit(var) == (model.predict(var, 1.0) is not None), var
+        model.put_samples(var + "_loaded", model.samples(var))
+        clone = var + "_loaded"
+        assert model.has_fit(clone) == (model.predict(clone, 1.0) is not None), var
+    model.put_samples("emptied", [])
+    assert not model.has_fit("emptied") and not model.has_fit("unknown")
+
+
+def test_calibrated_by_regression_never_fits():
+    model = PerfModel()
+    for size in (1e3, 1e4, 1e5, 1e6):
+        model.record(("c", (int(size),)), "w", size, 1e-9 * size)
+    assert model.calibrated(("c", (777,)), "w", 5e7)
+    assert not model.calibrated(("c", (777,)), "w", 0.0)  # predict needs size > 0
+    assert not model.regression._fits  # decided from the size range alone
+
+
 def _noisy_model() -> PerfModel:
     """Analytical and measured power laws, noisy, over scattered sizes."""
     rng = np.random.default_rng(3)

@@ -71,28 +71,30 @@ def test_serving_without_async_client_leaves_asyncio_out():
     assert not _loaded(modules, "asyncio")
 
 
-def test_bare_import_loads_no_subpackage_and_lud_imports_scipy_on_use():
+def test_bare_import_loads_no_subpackage_and_lud_runs_without_scipy():
     result = _fresh(
         """
 import json, sys
+sys.modules["scipy"] = None  # any SciPy import now raises ImportError
 import repro
 bare = sorted(m for m in sys.modules if m.startswith("repro."))
 import numpy as np
 from repro.apps import lud
-before = "scipy.linalg" in sys.modules
+from repro.check.differential import run_differential
 n = 150  # more than one 64-wide block: the panel solves run
 A0 = lud.make_spd_matrix(n, seed=9)
 A = A0.copy()
 lud.lud_cpu(A, n)
 print(json.dumps({
     "bare": bare,
-    "before": before,
-    "after": "scipy.linalg" in sys.modules,
     "close": bool(np.allclose(A, lud.reference(A0, n), rtol=2e-2, atol=2e-2)),
+    "differential": [r.ok for r in run_differential(apps=["lud"])],
+    "scipy": [m for m, mod in sys.modules.items()
+              if m.partition(".")[0] == "scipy" and mod is not None],
 }))
 """
     )
     assert result["bare"] == ["repro._lazy", "repro._version"]
-    assert not result["before"]
-    assert result["after"]
     assert result["close"]
+    assert result["differential"] and all(result["differential"])
+    assert result["scipy"] == []
