@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from repro.cluster.records import ClusterTrace, completed_latencies
-from repro.serve.slo import SloReport, percentile, tenant_slo
+from repro.serve.slo import SloReport, offered_window, percentile, tenant_slo
 
 
 def cluster_slo_report(
@@ -30,20 +30,11 @@ def cluster_slo_report(
 ) -> SloReport:
     """Per-tenant SLO report across all nodes of a cluster run.
 
-    ``window_s`` defaults to the offered-load window (first arrival to
-    the later of last arrival and last completion), matching
-    :func:`repro.serve.slo.slo_report`.
+    ``window_s`` defaults to the :func:`~repro.serve.slo.offered_window`
+    of its requests, as in :func:`repro.serve.slo.slo_report`.
     """
     if window_s is None:
-        if trace.requests:
-            t0 = min(r.arrival_time for r in trace.requests)
-            t1 = max(
-                [r.arrival_time for r in trace.requests]
-                + [r.end_time for r in trace.requests if r.completed]
-            )
-            window_s = max(t1 - t0, 0.0)
-        else:
-            window_s = 0.0
+        window_s = offered_window(trace.requests)
     report = SloReport(window_s=window_s)
     for tenant in trace.tenants():
         records = [r.as_request_record() for r in trace.requests_for(tenant)]

@@ -1,15 +1,16 @@
 """Periodic engine samplers driven by the discrete-event clock.
 
 Real runtimes poll queue depths and utilisation on a wall-clock timer;
-here everything runs in virtual time and the engine's load queries are
-all time-parameterized, so the samplers are fully *lazy*: whenever the
-suite is read (and at the shutdown ``flush`` event) they record one
-:class:`SamplePoint` per sampling-period boundary crossed since the
-last catch-up, each computed with the exact committed state at that
-boundary (the engine state between events is piecewise-constant, so
-nothing is lost and the per-task hot path pays nothing).  The ``flush``
-event closes the tail window, so the last partial period is observed
-before any shutdown consumer runs.
+here everything runs in virtual time, so the samplers are fully
+*lazy*: whenever the suite is read (and at the shutdown ``flush``
+event) they record one :class:`SamplePoint` per sampling-period
+boundary crossed since the last catch-up.  The task signals of those
+points come from one fold over the recorded task columns,
+:func:`repro.runtime.trace_export.task_load` (which also renders the
+Chrome trace's counter tracks), evaluated at the boundaries, so each
+boundary sees the trace's state *at that instant* and the per-task hot
+path pays nothing.  The ``flush`` event closes the tail window, so the
+last partial period is observed before any shutdown consumer runs.
 
 Sampled signals, each mirrored into gauges of the shared
 :class:`~repro.obs.metrics.MetricsRegistry` when one is given:
@@ -20,20 +21,31 @@ signal                          gauge (labels)
 queue depth                     ``repro_queue_depth``
 per-worker busy flag            ``repro_worker_busy{worker=}``
 container residency per node    ``repro_node_resident_bytes{node=}``
-perf-model / worker backlog     ``repro_backlog_seconds``
+backlog of submitted work       ``repro_backlog_seconds``
 ==============================  =========================================
+
+At boundary ``t``: queue depth counts tasks submitted but not yet
+finished (``submit <= t < end``); a worker is busy when a task occupies
+it (``start <= t < end``); backlog is the latest end among tasks
+submitted by ``t``, minus ``t``, floored at 0.  Residency is not in the
+task columns: it is the engine's reading at catch-up time, shared by
+every boundary of that catch-up.  Tasks held in a bulk policy's
+lookahead window are not in the trace until the window flushes, so a
+boundary sampled before the flush does not count them.
 
 Guidance on the period: the default (1 ms virtual) resolves individual
 kernel executions on the paper's machines; for long closed-loop serving
-runs 10-100 ms keeps sample counts small.  Sampling cost is O(workers +
-memory nodes) per period *actually crossed*, so a coarse period on a
-short run costs almost nothing.
+runs 10-100 ms keeps sample counts small.  A catch-up costs
+O((n + s) log n) for ``n`` recorded tasks and ``s`` boundaries crossed,
+and nothing when no boundary was crossed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.runtime.trace_export import task_load
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -45,7 +57,7 @@ DEFAULT_PERIOD_S = 1e-3
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """Engine state observed at one sampling-period boundary."""
+    """Load observed at one sampling-period boundary (or the flush tail)."""
 
     time: float
     queue_depth: int
@@ -98,7 +110,7 @@ class EngineSamplers:
         if registry is not None:
             self._g_queue = registry.gauge(
                 "repro_queue_depth",
-                help="Tasks scheduled but not yet finished in virtual time",
+                help="Tasks submitted but not yet finished in virtual time",
             )
             self._g_busy = registry.gauge(
                 "repro_worker_busy",
@@ -113,7 +125,7 @@ class EngineSamplers:
             )
             self._g_backlog = registry.gauge(
                 "repro_backlog_seconds",
-                help="Committed virtual seconds ahead of the most loaded worker",
+                help="Latest end of the submitted tasks, minus the sample time",
                 unit="seconds",
             )
         else:
@@ -121,31 +133,21 @@ class EngineSamplers:
 
     # -- catch-up points -----------------------------------------------------
 
-    # Sampling is lazy: nothing runs per engine event.  Every engine
-    # state query below is parameterized by the boundary time ``t``, so
-    # boundaries can be recorded retrospectively with the exact state
-    # *at the boundary* — :meth:`catch_up` (called by ``MetricsSuite
-    # .collect`` on every exposition) advances to the engine clock, and
-    # the shutdown ``flush`` event closes the tail window.  Post-run
-    # samples are therefore computed against the fully committed
-    # timeline, and the hot path pays nothing.
-
     def catch_up(self) -> None:
-        """Record samples for boundaries crossed up to the engine clock."""
-        self._advance(self.engine.clock.now)
+        """Record samples for boundaries crossed up to the engine clock
+        (``MetricsSuite.collect`` calls this on every exposition)."""
+        self._sample(self._boundaries(self.engine.clock.now))
 
     def on_flush(self, event) -> None:
         """Close the tail window: sample boundaries up to the flush time,
         plus one final off-boundary sample of the drained state."""
-        self._advance(event.time)
-        self._record(event.time)
+        self._sample(self._boundaries(event.time) + [event.time])
 
     # -- sampling ------------------------------------------------------------
 
-    def _advance(self, now: float) -> None:
-        """Record one sample per period boundary crossed before ``now``."""
-        if now < self._next_boundary:
-            return
+    def _boundaries(self, now: float) -> list[float]:
+        """The period boundaries crossed up to ``now``, consumed."""
+        times: list[float] = []
         # cap the number of catch-up samples so one huge idle gap cannot
         # produce millions of identical points
         while self._next_boundary <= now:
@@ -154,33 +156,43 @@ class EngineSamplers:
                 # skip ahead: the state is constant over the gap anyway
                 skip = int(remaining) - self.max_samples
                 self._next_boundary += skip * self.period_s
-            self._record(self._next_boundary)
+            times.append(self._next_boundary)
             self._next_boundary += self.period_s
+        return times
 
-    def _record(self, t: float) -> None:
+    def _sample(self, times: list[float]) -> None:
+        if not times:
+            return
         engine = self.engine
-        busy = tuple(
-            1.0 if engine.worker_available_at(u.unit_id) > t else 0.0
-            for u in engine.machine.units
+        load = task_load(engine.trace, times)
+        units = [u.unit_id for u in engine.machine.units]
+        idle = [0.0] * len(times)
+        busy = zip(
+            *(
+                (load.busy[w] > 0).astype(float).tolist() if w in load.busy else idle
+                for w in units
+            )
         )
         resident = tuple(
             engine.resident_bytes(node)
             for node in range(1, engine.machine.n_memory_nodes)
         )
-        point = SamplePoint(
-            time=t,
-            queue_depth=engine.n_inflight(t),
-            worker_busy=busy,
-            resident_bytes=resident,
-            backlog_s=engine.backlog_seconds(t),
+        self.samples.extend(
+            SamplePoint(t, depth, flags, resident, backlog)
+            for t, depth, flags, backlog in zip(
+                times,
+                (load.pending + load.running).tolist(),
+                busy,
+                load.backlog.tolist(),
+            )
         )
-        self.samples.append(point)
         if self.max_samples is not None and len(self.samples) > self.max_samples:
             del self.samples[: len(self.samples) - self.max_samples]
         if self._g_queue is not None:
+            point = self.samples[-1]
             self._g_queue.set(point.queue_depth)
-            for u, b in zip(engine.machine.units, busy):
-                self._g_busy.set(b, worker=u.unit_id)
+            for w, b in zip(units, point.worker_busy):
+                self._g_busy.set(b, worker=w)
             for node, nbytes in enumerate(resident, start=1):
                 self._g_resident.set(nbytes, node=node)
             self._g_backlog.set(point.backlog_s)

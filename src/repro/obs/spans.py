@@ -208,11 +208,6 @@ class SpanTracer:
         return None
 
     @property
-    def n_spans(self) -> int:
-        """Total spans recorded (all kinds, finished trees only)."""
-        return sum(1 for root in self.finished for _ in root.walk())
-
-    @property
     def n_finished(self) -> int:
         """Invocation roots completed over the tracer's lifetime
         (unaffected by ``max_finished`` trimming)."""

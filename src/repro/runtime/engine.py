@@ -252,11 +252,6 @@ class Engine:
         #: stable per-engine key stream for committed-transfer fault draws
         self._transfer_draws = count()
         # observability for layers above the engine (the serving front-end)
-        #: end times of scheduled tasks still running in the virtual
-        #: future; appended plain on the hot path and heapified on
-        #: demand by n_inflight (which lazily prunes past end times)
-        self._inflight_ends: list[float] = []
-        self._inflight_dirty = False
         #: typed event stream every observing layer subscribes to
         #: (serving front-end, decision recorder, obs metrics/tracing)
         self.events = EngineEvents()
@@ -289,23 +284,6 @@ class Engine:
     # ------------------------------------------------------------------
     # load introspection and events (serving front-end support)
     # ------------------------------------------------------------------
-
-    def n_inflight(self, at: float | None = None) -> int:
-        """Tasks scheduled but not yet finished at virtual time ``at``.
-
-        The engine computes task timelines eagerly, so bookkeeping-wise
-        tasks complete immediately; *virtually* they occupy workers until
-        their modeled end time.  This is the queue depth an admission
-        controller sees.
-        """
-        t = self.clock.now if at is None else at
-        ends = self._inflight_ends
-        if self._inflight_dirty:
-            heapq.heapify(ends)
-            self._inflight_dirty = False
-        while ends and ends[0] <= t:
-            heapq.heappop(ends)
-        return len(ends)
 
     def resident_bytes(self, node: int | None = None) -> int:
         """Container bytes resident at one device memory node (or the
@@ -1055,8 +1033,6 @@ class Engine:
         task.start_time = start
         task.end_time = end
         heapq.heappush(self._events, (end, next(self._event_seq), task))
-        self._inflight_ends.append(end)
-        self._inflight_dirty = True
         ev = self.events
         if ev.want_start:
             ev.emit_start(start, task)

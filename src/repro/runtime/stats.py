@@ -1133,9 +1133,6 @@ class ExecutionTrace:
         """Transient faults attributed to each worker (blacklist basis)."""
         return dict(self._derived().faults_by_worker)
 
-    def faults_for_task(self, task_id: int) -> list[FaultRecord]:
-        return [f for f in self.faults if f.task_id == task_id]
-
     # -- aggregate views ----------------------------------------------------
 
     @property

@@ -10,13 +10,22 @@ This module exports an :class:`~repro.runtime.stats.ExecutionTrace` as:
   tracks, and (for serving runs) one row per tenant with request
   lifecycle spans and shed/failure instants;
 - **text Gantt** — a quick terminal rendering for examples and debugging.
+
+:func:`task_load` is the one derivation of pending, running and
+per-worker busy task counts: the Chrome counter tracks render it, and
+:class:`~repro.obs.samplers.EngineSamplers` evaluates it at their
+period boundaries.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.errors import RuntimeSystemError
 from repro.hw.description import HOST_NODE, Machine
@@ -326,41 +335,95 @@ def to_chrome_trace(trace: ExecutionTrace, machine: Machine) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
+class TaskLoad(NamedTuple):
+    """Recorded task occupancy at ascending instants (:func:`task_load`)."""
+
+    times: np.ndarray
+    #: tasks submitted but not started (submit <= t < start)
+    pending: np.ndarray
+    #: tasks started but not ended (start <= t < end)
+    running: np.ndarray
+    #: per worker id that ran a task: tasks occupying it (start <= t < end)
+    busy: dict[int, np.ndarray]
+    #: latest end among tasks submitted by t, minus t, floored at 0
+    backlog: np.ndarray
+
+
+def task_load(trace: ExecutionTrace, at=None) -> TaskLoad:
+    """Pending, running and per-worker busy task counts at instants ``at``.
+
+    One NumPy fold over the task columns (``submit_time``, ``start_time``,
+    ``end_time``, ``worker_ids``): each count is a difference of two
+    ``searchsorted`` ranks into a sorted time column, so ``n`` tasks at
+    ``s`` instants cost O((n + s) log n).  A count at ``t`` includes every
+    change at ``t``.  ``at`` (ascending) defaults to every distinct
+    submit, start and end time, the instants where a count can change.
+
+    Only recorded tasks count: a task held in a bulk policy's lookahead
+    window enters the trace when the window flushes.
+    """
+    # copies, not views: a live view would stop the columns from growing
+    submit, start, end = (
+        np.array(trace.columns(field), dtype=np.float64)
+        for field in ("submit_time", "start_time", "end_time")
+    )
+    times = np.asarray(
+        np.unique(np.concatenate((submit, start, end))) if at is None else at,
+        dtype=np.float64,
+    )
+
+    def upto(col: np.ndarray) -> np.ndarray:
+        return np.searchsorted(np.sort(col), times, side="right")
+
+    # one slot per (task, occupied worker): a gang task occupies several
+    wids = trace.columns("worker_ids")
+    rows = np.repeat(np.arange(len(wids)), [len(w) for w in wids])
+    slots = np.fromiter(chain.from_iterable(wids), np.int64, len(rows))
+    by_submit = np.argsort(submit, kind="stable")
+    latest = np.concatenate(([-np.inf], np.maximum.accumulate(end[by_submit])))
+    n_submitted = np.searchsorted(submit[by_submit], times, side="right")
+    n_started = upto(start)
+    return TaskLoad(
+        times=times,
+        pending=n_submitted - n_started,
+        running=n_started - upto(end),
+        busy={
+            w: upto(start[rows[slots == w]]) - upto(end[rows[slots == w]])
+            for w in np.unique(slots).tolist()
+        },
+        backlog=np.maximum(latest[n_submitted] - times, 0.0),
+    )
+
+
 def _counter_events(trace: ExecutionTrace, machine: Machine) -> list[dict]:
     """Queue-depth and per-worker utilization counter tracks.
 
-    Derived from the task records: at every task boundary we emit the
-    number of submitted-but-not-started (pending) and running tasks, the
-    count of busy workers, and each worker's own 0/1 busy state.
+    Rendered from :func:`task_load` at every task boundary: the number of
+    submitted-but-not-started (pending) and running tasks and the count
+    of busy workers, plus each worker's own busy count wherever a task
+    starts or ends on it.
     """
-    deltas: dict[float, dict] = {}
-
-    def at(t: float) -> dict:
-        return deltas.setdefault(
-            t, {"pending": 0, "running": 0, "busy": 0, "workers": {}}
-        )
-
-    for rec in trace.tasks:
-        at(rec.submit_time)["pending"] += 1
-        start = at(rec.start_time)
-        start["pending"] -= 1
-        start["running"] += 1
-        end = at(rec.end_time)
-        end["running"] -= 1
-        for wid in rec.worker_ids:
-            start["busy"] += 1
-            start["workers"][wid] = start["workers"].get(wid, 0) + 1
-            end["busy"] -= 1
-            end["workers"][wid] = end["workers"].get(wid, 0) - 1
-
+    load = task_load(trace)
+    busy = {w: counts.tolist() for w, counts in load.busy.items()}
+    # the workers each instant touches, in record order
+    touched: dict[float, dict[int, None]] = {}
+    for wids, start, end in zip(
+        trace.columns("worker_ids"),
+        trace.columns("start_time"),
+        trace.columns("end_time"),
+    ):
+        for w in wids:
+            touched.setdefault(start, {})[w] = None
+            touched.setdefault(end, {})[w] = None
     events: list[dict] = []
-    pending = running = busy = 0
-    worker_busy = {u.unit_id: 0 for u in machine.units}
-    for t in sorted(deltas):
-        d = deltas[t]
-        pending += d["pending"]
-        running += d["running"]
-        busy += d["busy"]
+    for i, (t, pending, running, n_busy) in enumerate(
+        zip(
+            load.times.tolist(),
+            load.pending.tolist(),
+            load.running.tolist(),
+            sum(load.busy.values(), np.zeros(len(load.times), np.int64)).tolist(),
+        )
+    ):
         events.append(
             {
                 "name": "queue depth",
@@ -380,20 +443,19 @@ def _counter_events(trace: ExecutionTrace, machine: Machine) -> list[dict]:
                 "pid": 0,
                 "tid": 0,
                 "ts": t * _US,
-                "args": {"busy": busy},
+                "args": {"busy": n_busy},
             }
         )
-        for wid, delta in d["workers"].items():
-            worker_busy[wid] = worker_busy.get(wid, 0) + delta
+        for w in touched.get(t, ()):
             events.append(
                 {
-                    "name": f"util u{wid}",
+                    "name": f"util u{w}",
                     "cat": "counter",
                     "ph": "C",
                     "pid": 0,
-                    "tid": wid,
+                    "tid": w,
                     "ts": t * _US,
-                    "args": {"busy": worker_busy[wid]},
+                    "args": {"busy": busy[w][i]},
                 }
             )
     return events

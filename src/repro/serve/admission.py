@@ -6,9 +6,9 @@ admitted request's waiting time, grows without bound (queueing collapse).
 The controller bounds two quantities at arrival time:
 
 - **queue depth** — requests admitted but not yet finished (dispatch
-  queue plus the engine's in-flight tasks, via the engine's
-  ``n_inflight`` introspection), optionally also per tenant so one
-  flooding tenant exhausts only its own quota;
+  queue plus the engine's in-flight tasks, counted by the controller
+  as requests are admitted and finish), optionally also per tenant so
+  one flooding tenant exhausts only its own quota;
 - **predicted backlog seconds** — the committed work ahead of the
   busiest worker (``backlog_seconds``) plus a
   :class:`~repro.runtime.perfmodel.PerfModel` estimate of the queued,

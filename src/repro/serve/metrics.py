@@ -128,9 +128,5 @@ class ServingMetrics:
 
     # -- views ---------------------------------------------------------------
 
-    def latency_quantile(self, tenant: str, q: float) -> float:
-        """Current exact latency quantile for one tenant (seconds)."""
-        return percentile(self._latencies.get(tenant, []), q)
-
     def n_completed(self, tenant: str) -> int:
         return len(self._latencies.get(tenant, []))

@@ -154,14 +154,11 @@ class CompositionServer:
         self.engine = self.runtime.engine
         #: bulk (window-planning) policies defer placement until a
         #: window flush, so dispatch submits whole batches and settles
-        #: request accounting after one flush per batch; per-request
-        #: transfer attribution then comes from transfer events (the
-        #: eager path's "transfers appended during this submit" slicing
-        #: no longer applies once staging is deferred)
+        #: request accounting after one flush per batch
         self._bulk = bool(getattr(self.engine.scheduler, "is_bulk", False))
+        #: task id -> seconds of its staging transfers, from transfer events
         self._task_transfer_s: dict[int, float] = {}
-        if self._bulk:
-            self.engine.events.subscribe("transfer", self._note_transfer)
+        self.engine.events.subscribe("transfer", self._note_transfer)
         self.metrics = MetricsSuite.create(metrics)
         self.serving_metrics: ServingMetrics | None = None
         if self.metrics is not None:
@@ -329,11 +326,7 @@ class CompositionServer:
             # host clock, which is exactly what coalescing amortizes
             self.engine.clock.advance_to(t)
             self.engine.clock.advance(self.dispatch_overhead_s)
-            if self._bulk:
-                self._submit_batch_bulk(batch)
-            else:
-                for req in batch:
-                    self._submit_one(req, len(batch))
+            self._submit_batch(batch)
 
     def _note_transfer(self, ev) -> None:
         task = ev.task
@@ -344,28 +337,35 @@ class CompositionServer:
                 rec.end_time - rec.start_time
             )
 
-    def _submit_batch_bulk(self, batch: Sequence[Request]) -> None:
-        """Plan one coalesced (cross-tenant) batch as one DAG window.
+    def _submit_batch(self, batch: Sequence[Request]) -> None:
+        """Submit one coalesced batch and settle each request.
 
-        Every request's task is submitted deferred, then a single
+        An eager policy places each task at submit, so each request
+        settles before the next submit (the fair queue's and the fair
+        policy's service charges must see it), with its own dispatch
+        time.  A bulk policy gets every task deferred, then a single
         :meth:`~repro.runtime.engine.Engine.flush_window` plans and
-        commits the whole batch jointly, so the planner sees all
-        cross-tenant work at once.  Accounting runs afterwards, when
-        each task's timeline is known; a task whose recovery budget was
-        exhausted during the flush surfaces as a failed request exactly
-        like on the eager path.
+        commits the batch as one DAG window, so the planner sees all
+        cross-tenant work at once; its requests settle after the flush,
+        all dispatched at the batch start.
         """
-        dispatch_time = self.engine.clock.now
+        batch_start = self.engine.clock.now
         staged: list[tuple[Request, object]] = []
         for req in batch:
+            dispatch_time = self.engine.clock.now
             try:
-                staged.append((req, req.submit(self.runtime)))
+                task = req.submit(self.runtime)
             except UnrecoverableTaskError:
-                # the window auto-flushed mid-batch and a task exhausted
-                # its recovery budget; the raising submit loses its task
-                # reference, so settle this request as failed directly
-                # (same attribution the eager path makes)
-                staged.append((req, None))
+                # fault recovery exhausted (on a bulk policy, in a window
+                # that auto-flushed mid-batch): the raising submit loses
+                # its task reference, so the request settles as failed
+                task = None
+            if self._bulk:
+                staged.append((req, task))
+            else:
+                self._finalize_one(req, task, dispatch_time, len(batch))
+        if not staged:
+            return
         try:
             self.engine.flush_window()
         except UnrecoverableTaskError:
@@ -374,63 +374,11 @@ class CompositionServer:
             # below from each task's own outcome
             pass
         for req, task in staged:
-            self._finalize_one(req, task, dispatch_time, len(batch))
+            self._finalize_one(req, task, batch_start, len(batch))
 
     def _finalize_one(self, req: Request, task, dispatch_time: float,
                       batch_size: int) -> None:
         if task is None or task.chosen_variant is None:
-            # fault recovery exhausted during the window flush
-            self._inflight += 1
-            rec = RequestRecord.make(
-                tenant=req.tenant,
-                req_id=req.req_id,
-                codelet=req.codelet_name,
-                arrival_time=req.arrival_s,
-                failed=True,
-                delayed=req.delayed,
-                dispatch_time=dispatch_time,
-                batch_size=batch_size,
-            )
-            self._record_request(rec)
-            self._push(self.engine.clock.now, _COMPLETION, (req, rec))
-            return
-        transfer_s = self._task_transfer_s.pop(task.task_id, 0.0)
-        service = task.end_time - task.start_time
-        self.wfq.charge(req.tenant, service)
-        sched = self.engine.scheduler
-        if isinstance(sched, FairShareScheduler):
-            sched.note_service(req.tenant, service)
-        size = float(sum(h.nbytes for h in task.handles))
-        self._shape_info[req.shape_key] = (
-            task.footprint(),
-            task.chosen_variant.name,
-            size,
-        )
-        n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
-        self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
-        rec = RequestRecord.make(
-            tenant=req.tenant,
-            req_id=req.req_id,
-            codelet=req.codelet_name,
-            arrival_time=req.arrival_s,
-            delayed=req.delayed,
-            dispatch_time=dispatch_time,
-            start_time=task.start_time,
-            end_time=task.end_time,
-            transfer_s=transfer_s,
-            batch_size=batch_size,
-            task_id=task.task_id,
-        )
-        self._record_request(rec)
-        self._inflight += 1
-        self._push(task.end_time, _COMPLETION, (req, rec))
-
-    def _submit_one(self, req: Request, batch_size: int) -> None:
-        dispatch_time = self.engine.clock.now
-        n_transfers = len(self.trace.transfers)
-        try:
-            task = req.submit(self.runtime)
-        except UnrecoverableTaskError:
             # fault recovery exhausted: a per-tenant SLO miss, not a crash
             self._inflight += 1
             rec = RequestRecord.make(
@@ -446,22 +394,18 @@ class CompositionServer:
             self._record_request(rec)
             self._push(self.engine.clock.now, _COMPLETION, (req, rec))
             return
-        transfer_s = sum(
-            tr.end_time - tr.start_time
-            for tr in self.trace.transfers[n_transfers:]
-        )
+        transfer_s = self._task_transfer_s.pop(task.task_id, 0)
         service = task.end_time - task.start_time
         self.wfq.charge(req.tenant, service)
         sched = self.engine.scheduler
         if isinstance(sched, FairShareScheduler):
             sched.note_service(req.tenant, service)
-        if task.chosen_variant is not None:
-            size = float(sum(h.nbytes for h in task.handles))
-            self._shape_info[req.shape_key] = (
-                task.footprint(),
-                task.chosen_variant.name,
-                size,
-            )
+        size = float(sum(h.nbytes for h in task.handles))
+        self._shape_info[req.shape_key] = (
+            task.footprint(),
+            task.chosen_variant.name,
+            size,
+        )
         n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
         self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
         rec = RequestRecord.make(

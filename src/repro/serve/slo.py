@@ -153,22 +153,27 @@ def tenant_slo(
     )
 
 
+def offered_window(requests) -> float:
+    """The offered-load window of request records (anything with
+    ``arrival_time``, ``end_time`` and ``completed``): first arrival to
+    the later of last arrival and last completion; 0 with no requests."""
+    if not requests:
+        return 0.0
+    t0 = min(r.arrival_time for r in requests)
+    t1 = max(
+        [r.arrival_time for r in requests]
+        + [r.end_time for r in requests if r.completed]
+    )
+    return max(t1 - t0, 0.0)
+
+
 def slo_report(trace: ExecutionTrace, window_s: float | None = None) -> SloReport:
     """Build the per-tenant report from a serving run's trace.
 
-    ``window_s`` defaults to the offered-load window: first arrival to
-    the later of last arrival and last completion.
+    ``window_s`` defaults to the :func:`offered_window` of its requests.
     """
     if window_s is None:
-        if trace.requests:
-            t0 = min(r.arrival_time for r in trace.requests)
-            t1 = max(
-                [r.arrival_time for r in trace.requests]
-                + [r.end_time for r in trace.requests if r.completed]
-            )
-            window_s = max(t1 - t0, 0.0)
-        else:
-            window_s = 0.0
+        window_s = offered_window(trace.requests)
     report = SloReport(window_s=window_s)
     for tenant in trace.tenants():
         report.tenants.append(

@@ -1,5 +1,7 @@
 """Lazy virtual-time engine samplers and their registry gauges."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.hw.presets import platform_c2050
 from repro.obs import MetricsSuite
 from repro.obs.samplers import EngineSamplers
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
+from repro.runtime.trace_export import _US, _counter_events
 
 
 def _codelet(cost):
@@ -120,3 +123,75 @@ def test_sample_points_serialize():
         "resident_bytes",
         "backlog_s",
     }
+
+
+def test_idle_gap_samples_read_the_trace_at_the_boundary():
+    """Boundaries inside a host idle gap see nothing submitted or running,
+    even though the catch-up runs after later work was committed."""
+    rt = _runtime()
+    suite = MetricsSuite(period_s=1e-3).attach(rt.engine)
+    cod = _codelet(1e-3)
+    handles = [rt.register(np.zeros(8, dtype=np.float32), f"h{i}") for i in range(8)]
+    for h in handles[:4]:
+        rt.submit(cod, [(h, "r")])
+    rt.wait_for_all()
+    gap_start = rt.engine.clock.now
+    rt.engine.clock.advance(10e-3)
+    gap_end = rt.engine.clock.now
+    for h in handles[4:]:
+        rt.submit(cod, [(h, "r")])
+    rt.shutdown()
+    inside = [
+        s for s in suite.samplers.samples if gap_start < s.time < gap_end - 1e-9
+    ]
+    assert len(inside) >= 8
+    for s in inside:
+        assert s.queue_depth == 0, s
+        assert not any(s.worker_busy), s
+        assert s.backlog_s == 0.0, s
+    # the work on either side of the gap is still seen
+    assert suite.samplers.samples[0].queue_depth == 4
+    assert suite.samplers.peak_queue_depth() == 4
+
+
+def test_samples_agree_with_chrome_counters_on_a_multi_worker_run():
+    rt = Runtime(platform_c2050(), scheduler="dmda", seed=3, noise_sigma=0.03)
+    suite = MetricsSuite(period_s=2e-4).attach(rt.engine)
+    cod = Codelet(
+        "work",
+        [
+            ImplVariant("w_cpu", Arch.CPU, lambda ctx, *a: None, lambda c, d: 1e-3),
+            ImplVariant("w_cuda", Arch.CUDA, lambda ctx, *a: None, lambda c, d: 3e-4),
+        ],
+    )
+    rng = np.random.default_rng(0)
+    handles = [
+        rt.register(np.zeros(256, dtype=np.float32), f"h{i}") for i in range(6)
+    ]
+    for i in range(60):
+        rt.submit(cod, [(handles[int(rng.integers(6))], "rw" if i % 3 else "r")])
+    rt.shutdown()
+    counters = _counter_events(rt.trace, rt.machine)
+    tracks: dict[str, tuple[list, list]] = {}
+    for e in counters:
+        ts, args = tracks.setdefault(e["name"], ([], []))
+        ts.append(e["ts"])
+        args.append(e["args"])
+
+    def in_effect(name: str, t: float):
+        ts, args = tracks.get(name, ([], []))
+        i = bisect_right(ts, t * _US)
+        return args[i - 1] if i else None
+
+    units = [u.unit_id for u in rt.machine.units]
+    assert len({w for rec in rt.trace.tasks for w in rec.worker_ids}) > 1
+    samples = suite.samplers.samples
+    assert len(samples) > 20
+    assert max(s.busy_fraction for s in samples) > 1 / len(units)
+    for s in samples:
+        queue = in_effect("queue depth", s.time)
+        depth = queue["pending"] + queue["running"] if queue else 0
+        assert s.queue_depth == depth, s.time
+        for w, flag in zip(units, s.worker_busy):
+            util = in_effect(f"util u{w}", s.time)
+            assert flag == (1.0 if util and util["busy"] else 0.0), (s.time, w)

@@ -18,9 +18,9 @@ from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 N_TASKS = 20_000
 N_HANDLES = 256
-#: retained bytes per completed task (typed columns measure ~370 B;
+#: retained bytes per completed task (typed columns measure ~377 B;
 #: boxed ints and per-task tuples measured ~720 B)
-GATE_BYTES_PER_TASK = 450
+GATE_BYTES_PER_TASK = 420
 
 
 def _stream(seed: int, n_tasks: int) -> list:

@@ -78,13 +78,13 @@ def test_backlog_estimate_never_prices_dispatched_work(monkeypatch):
     must never reappear in the coalescer term of the backlog estimate —
     that would count its retries twice in shed/delay decisions."""
     dispatched: set[tuple[str, int]] = set()
-    orig_submit = CompositionServer._submit_one
+    orig_submit = CompositionServer._submit_batch
     orig_backlog = CompositionServer._predicted_backlog
     checks = []
 
-    def spy_submit(self, req, batch_size):
-        dispatched.add((req.tenant, req.req_id))
-        return orig_submit(self, req, batch_size)
+    def spy_submit(self, batch):
+        dispatched.update((req.tenant, req.req_id) for req in batch)
+        return orig_submit(self, batch)
 
     def spy_backlog(self, t):
         queued = {(r.tenant, r.req_id) for r in self.coalescer.iter_requests()}
@@ -94,7 +94,7 @@ def test_backlog_estimate_never_prices_dispatched_work(monkeypatch):
         checks.append(t)
         return orig_backlog(self, t)
 
-    monkeypatch.setattr(CompositionServer, "_submit_one", spy_submit)
+    monkeypatch.setattr(CompositionServer, "_submit_batch", spy_submit)
     monkeypatch.setattr(CompositionServer, "_predicted_backlog", spy_backlog)
     server = make_server(
         admission=AdmissionPolicy(max_backlog_s=5e-4),
