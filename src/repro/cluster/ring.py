@@ -35,6 +35,15 @@ def _points(node: int, vnodes: int) -> tuple[int, ...]:
     return tuple(_h(f"node-{node}#{v}") for v in range(vnodes))
 
 
+@functools.lru_cache(maxsize=128)
+def _layout(
+    members: tuple[int, ...], vnodes: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A member set's sorted ring, ``(hashes, owners)``: built once per process."""
+    points = sorted((p, node) for node in members for p in _points(node, vnodes))
+    return tuple(p for p, _ in points), tuple(node for _, node in points)
+
+
 class HashRing:
     """Consistent-hash ring over integer node ids."""
 
@@ -42,12 +51,12 @@ class HashRing:
         if vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.vnodes = int(vnodes)
-        self._members: set[int] = set()
-        #: sorted virtual points: parallel arrays (hash, owner)
-        self._hashes: list[int] = []
-        self._owners: list[int] = []
-        for n in nodes:
-            self.add(n)
+        self._members: set[int] = set(nodes)
+        hashes, owners = _layout(tuple(sorted(self._members)), self.vnodes)
+        #: sorted virtual points: parallel arrays (hash, owner), copied
+        #: from the shared layout because add and remove change them
+        self._hashes: list[int] = list(hashes)
+        self._owners: list[int] = list(owners)
 
     def __len__(self) -> int:
         return len(self._members)

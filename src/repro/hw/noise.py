@@ -9,6 +9,8 @@ bit-reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -21,14 +23,19 @@ class NoiseModel:
         Standard deviation of the underlying normal distribution.  The
         default 3% matches typical run-to-run variation of GPU kernels.
     seed:
-        Seed for the private :class:`numpy.random.Generator`.
+        Seed for the private :class:`numpy.random.Generator`, which is
+        built at the first draw (``sigma == 0`` never builds one).
     """
 
     def __init__(self, sigma: float = 0.03, seed: int = 0) -> None:
         if sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
         self.sigma = float(sigma)
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng(self._seed)
 
     def perturb(self, duration: float) -> float:
         """Return ``duration`` scaled by one lognormal sample.

@@ -22,6 +22,7 @@ are checkable), in dependency order; only the *durations* are modeled.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from itertools import count
@@ -197,7 +198,6 @@ class Engine:
         self.submit_overhead_s = float(submit_overhead_s)
         self.run_kernels = run_kernels
         self._seed = int(seed)
-        self._rng = np.random.default_rng(seed + 0x5EED)
         self._workers = [_WorkerState(u) for u in machine.units]
         #: mirror of each worker's available_at, indexed by unit id;
         #: exposed through worker_available_times() so schedulers can
@@ -427,6 +427,11 @@ class Engine:
             return self._gang
         # graceful degradation: the gang shrinks around unusable cores
         return tuple(u for u in self._gang if self.worker_usable(u.unit_id))
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        # built at the first draw: only the random policy draws
+        return np.random.default_rng(self._seed + 0x5EED)
 
     def random(self) -> float:
         return float(self._rng.random())

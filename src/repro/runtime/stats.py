@@ -26,6 +26,11 @@ and small tuples, which cuts the bytes each completed task leaves
 behind by about two fifths.  The engine appends raw field rows
 (:meth:`ExecutionTrace.add_task`, :meth:`ExecutionTrace.add_transfer`)
 and never builds a record object on the no-subscriber fast path.
+Those two stores are built with the trace; the eviction, fault,
+request and access stores, which most runs never write, are built with
+their views on first access, and the trace's own readers (counts,
+derived stats, ``columns``, ``state_dict``, the canonical form) read an
+unwritten kind as empty without building it.
 
 The blessed access API (stable across future layout changes):
 
@@ -527,6 +532,25 @@ def _stamped_appender(cls: type) -> FunctionType:
     return ns["append_stamped"]
 
 
+@functools.cache
+def _column_layout(cls: type) -> tuple:
+    """One column factory per field of ``cls``, in field order.
+
+    The typing rule of the module docstring, applied once per record
+    class instead of once per field of every store built.
+    """
+    return tuple(
+        functools.partial(array, "d")
+        if name in cls._float_fields
+        else functools.partial(array, "q")
+        if name in cls._int_fields
+        else RaggedColumn
+        if name in cls._ragged_fields
+        else list
+        for name in cls._fields
+    )
+
+
 class _ColumnStore:
     """Struct-of-arrays backing for one record kind.
 
@@ -553,17 +577,8 @@ class _ColumnStore:
     def __init__(self, cls: type, stamped: bool = False) -> None:
         self.cls = cls
         self._fields = cls._fields
-        self.columns: dict = {
-            name: array("d")
-            if name in cls._float_fields
-            else array("q")
-            if name in cls._int_fields
-            else RaggedColumn()
-            if name in cls._ragged_fields
-            else []
-            for name in cls._fields
-        }
-        self._cols = tuple(self.columns[name] for name in cls._fields)
+        self._cols = tuple([make() for make in _column_layout(cls)])
+        self.columns: dict = dict(zip(cls._fields, self._cols))
         self._cache: list = []
         # only the engine's hot-path stores (tasks, transfers) get one
         if stamped:
@@ -703,6 +718,12 @@ class RecordsView(Sequence):
         return repr(list(self))
 
 
+@functools.cache
+def _empty_view(cls: type) -> RecordsView:
+    """What a trace reads for a kind it never wrote; nothing appends to it."""
+    return RecordsView(_ColumnStore(cls))
+
+
 # ---------------------------------------------------------------------------
 # derived-statistics cache
 # ---------------------------------------------------------------------------
@@ -768,8 +789,8 @@ class _DerivedStats:
     def catch_up(self, trace: "ExecutionTrace") -> "_DerivedStats":
         tasks = trace._tasks
         transfers = trace._transfers
-        faults = trace._faults
-        requests = trace._requests
+        faults = trace._view("faults")._store
+        requests = trace._view("requests")._store
         if (
             len(tasks) < self._seen_tasks
             or len(transfers) < self._seen_transfers
@@ -868,15 +889,19 @@ class ExecutionTrace:
     introspect ``dataclasses.fields`` (trace export, replay comparison).
     """
 
-    #: record list attributes, in the order the old dataclass declared
-    RECORD_KINDS = (
-        "tasks",
-        "transfers",
-        "evictions",
-        "faults",
-        "requests",
-        "accesses",
-    )
+    #: each record list attribute's record class, in the order the old
+    #: dataclass declared them.  The task and transfer stores, which the
+    #: engine appends to per task, are built with the trace; the others
+    #: at first use, since most runs write none of them.
+    RECORD_CLASSES = {
+        "tasks": TaskRecord,
+        "transfers": TransferRecord,
+        "evictions": EvictionRecord,
+        "faults": FaultRecord,
+        "requests": RequestRecord,
+        "accesses": AccessRecord,
+    }
+    RECORD_KINDS = tuple(RECORD_CLASSES)
     #: scalar/dict/set bookkeeping attributes (engine counters)
     COUNTER_FIELDS = (
         "n_submitted",
@@ -895,15 +920,6 @@ class ExecutionTrace:
     )
     #: the full comparable state, in old dataclass field order
     STATE_FIELDS = RECORD_KINDS + COUNTER_FIELDS
-
-    _RECORD_CLASSES = {
-        "tasks": TaskRecord,
-        "transfers": TransferRecord,
-        "evictions": EvictionRecord,
-        "faults": FaultRecord,
-        "requests": RequestRecord,
-        "accesses": AccessRecord,
-    }
 
     def __init__(
         self,
@@ -924,16 +940,8 @@ class ExecutionTrace:
     ) -> None:
         self._tasks = _ColumnStore(TaskRecord, stamped=True)
         self._transfers = _ColumnStore(TransferRecord, stamped=True)
-        self._evictions = _ColumnStore(EvictionRecord)
-        self._faults = _ColumnStore(FaultRecord)
-        self._requests = _ColumnStore(RequestRecord)
-        self._accesses = _ColumnStore(AccessRecord)
         self.tasks = RecordsView(self._tasks)
         self.transfers = RecordsView(self._transfers)
-        self.evictions = RecordsView(self._evictions)
-        self.faults = RecordsView(self._faults)
-        self.requests = RecordsView(self._requests)
-        self.accesses = RecordsView(self._accesses)
         #: tasks accepted by ``Engine.submit`` (conservation basis:
         #: ``n_submitted == n_tasks + n_tasks_aborted``)
         self.n_submitted = n_submitted
@@ -972,6 +980,26 @@ class ExecutionTrace:
         # derived-stat cache (invisible to STATE_FIELDS comparisons)
         self._stats = _DerivedStats()
 
+    def __getattr__(self, name: str):
+        """Build a lazy kind's store (``_faults``) and view (``faults``)."""
+        kind = name[1:] if name[:1] == "_" else name
+        cls = self.RECORD_CLASSES.get(kind)
+        if cls is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        store = _ColumnStore(cls)
+        setattr(self, "_" + kind, store)
+        setattr(self, kind, RecordsView(store))
+        return getattr(self, name)
+
+    def _view(self, kind: str) -> RecordsView:
+        """``kind``'s records to read, building no store for an unwritten kind."""
+        view = self.__dict__.get(kind)
+        if view is None:
+            return _empty_view(self.RECORD_CLASSES[kind])
+        return view
+
     def _derived(self) -> _DerivedStats:
         return self._stats.catch_up(self)
 
@@ -992,7 +1020,7 @@ class ExecutionTrace:
             raise KeyError(
                 f"unknown record kind {kind!r}; one of {self.RECORD_KINDS}"
             )
-        store: _ColumnStore = getattr(self, "_" + kind)
+        store: _ColumnStore = self._view(kind)._store
         try:
             return store.columns[field]
         except KeyError:
@@ -1009,7 +1037,7 @@ class ExecutionTrace:
         """
         doc: dict = {}
         for kind in self.RECORD_KINDS:
-            doc[kind] = [rec.as_dict() for rec in getattr(self, kind)]
+            doc[kind] = [rec.as_dict() for rec in self._view(kind)]
         for name in self.COUNTER_FIELDS:
             value = getattr(self, name)
             doc[name] = sorted(value) if isinstance(value, set) else value
@@ -1072,9 +1100,9 @@ class ExecutionTrace:
         out = [
             *self.tasks,
             *self.transfers,
-            *self.evictions,
-            *self.accesses,
-            *self.faults,
+            *self._view("evictions"),
+            *self._view("accesses"),
+            *self._view("faults"),
         ]
         out.sort(key=lambda r: r.seq)
         return out
@@ -1083,7 +1111,7 @@ class ExecutionTrace:
 
     @property
     def n_requests(self) -> int:
-        return len(self._requests)
+        return len(self._view("requests"))
 
     @property
     def n_shed(self) -> int:
@@ -1098,17 +1126,17 @@ class ExecutionTrace:
         return list(self._derived().tenants)
 
     def requests_for(self, tenant: str) -> list[RequestRecord]:
-        return [r for r in self.requests if r.tenant == tenant]
+        return [r for r in self._view("requests") if r.tenant == tenant]
 
     @property
     def n_evictions(self) -> int:
-        return len(self._evictions)
+        return len(self._view("evictions"))
 
     # -- fault views --------------------------------------------------------
 
     @property
     def n_faults(self) -> int:
-        return len(self._faults)
+        return len(self._view("faults"))
 
     @property
     def n_kernel_faults(self) -> int:
@@ -1200,7 +1228,7 @@ class ExecutionTrace:
             f"{self.bytes_transferred / 1e6:.2f} MB), "
             f"makespan {self.makespan * 1e3:.3f} ms"
         )
-        if len(self._faults):
+        if self.n_faults:
             by_kind = ", ".join(
                 f"{kind}: {n}" for kind, n in sorted(self.faults_by_kind().items())
             )
@@ -1209,7 +1237,7 @@ class ExecutionTrace:
                 f"{self.n_task_retries} retries, "
                 f"{self.n_tasks_recovered} recovered / {self.n_tasks_lost} lost"
             )
-        if len(self._requests):
+        if self.n_requests:
             text += (
                 f"; {self.n_requests} requests over {len(self.tenants())} "
                 f"tenants ({self.n_shed} shed, {self.n_failed_requests} failed)"
@@ -1259,7 +1287,7 @@ class ExecutionTrace:
         for trec in self.tasks:
             for d in trec.deps:
                 tid(d)
-        for rrec in self.requests:
+        for rrec in self._view("requests"):
             if rrec.task_id is not None:
                 tid(rrec.task_id)
 
@@ -1304,14 +1332,14 @@ class ExecutionTrace:
                     handle_name=handle_name(xrec.handle_name, xrec.handle_id),
                 )
             )
-        for erec in self.evictions:
+        for erec in self._view("evictions"):
             out.evictions.append(
                 erec.replace(
                     handle_id=handle_map[erec.handle_id],
                     handle_name=handle_name(erec.handle_name, erec.handle_id),
                 )
             )
-        for arec in self.accesses:
+        for arec in self._view("accesses"):
             out.accesses.append(
                 arec.replace(
                     handle_id=handle_map[arec.handle_id],
@@ -1319,7 +1347,7 @@ class ExecutionTrace:
                     related=tuple(handle_map[h] for h in arec.related),
                 )
             )
-        for frec in self.faults:
+        for frec in self._view("faults"):
             out.faults.append(
                 frec.replace(
                     task_id=(
@@ -1342,7 +1370,7 @@ class ExecutionTrace:
                     ),
                 )
             )
-        for rrec in self.requests:
+        for rrec in self._view("requests"):
             out.requests.append(
                 rrec.replace(
                     task_id=(
@@ -1353,12 +1381,9 @@ class ExecutionTrace:
         return out
 
     def clear(self) -> None:
-        self._tasks.clear()
-        self._transfers.clear()
-        self._evictions.clear()
-        self._faults.clear()
-        self._requests.clear()
-        self._accesses.clear()
+        for kind in self.RECORD_KINDS:
+            # an unwritten kind's stand-in is empty: clearing it is a no-op
+            self._view(kind).clear()
         self.n_submitted = 0
         self.submitted_by_codelet.clear()
         self.decisions_by_codelet.clear()

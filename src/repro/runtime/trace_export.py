@@ -29,15 +29,7 @@ import numpy as np
 
 from repro.errors import RuntimeSystemError
 from repro.hw.description import HOST_NODE, Machine
-from repro.runtime.stats import (
-    AccessRecord,
-    EvictionRecord,
-    ExecutionTrace,
-    FaultRecord,
-    RequestRecord,
-    TaskRecord,
-    TransferRecord,
-)
+from repro.runtime.stats import ExecutionTrace
 
 #: microseconds per virtual second in the exported timestamps
 _US = 1e6
@@ -95,15 +87,6 @@ class MachineInfo:
 # lossless trace JSON (the ``python -m repro.check`` input format)
 # ---------------------------------------------------------------------------
 
-_RECORD_TYPES = {
-    "tasks": TaskRecord,
-    "transfers": TransferRecord,
-    "evictions": EvictionRecord,
-    "faults": FaultRecord,
-    "requests": RequestRecord,
-    "accesses": AccessRecord,
-}
-
 _COUNTER_FIELDS = (
     "n_submitted",
     "n_tasks_aborted",
@@ -129,12 +112,14 @@ def trace_to_dict(trace: ExecutionTrace, machine: Machine | MachineInfo) -> dict
             "duplex": {str(k): v for k, v in info.duplex.items()},
         },
     }
-    for key, _cls in _RECORD_TYPES.items():
-        doc[key] = [rec.as_dict() for rec in getattr(trace, key)]
-    for key in _COUNTER_FIELDS:
-        doc[key] = getattr(trace, key)
-    doc["blacklisted_workers"] = sorted(trace.blacklisted_workers)
-    doc["lost_workers"] = sorted(trace.lost_workers)
+    state = trace.state_dict()
+    for key in (
+        *ExecutionTrace.RECORD_KINDS,
+        *_COUNTER_FIELDS,
+        "blacklisted_workers",
+        "lost_workers",
+    ):
+        doc[key] = state[key]
     return doc
 
 
@@ -158,7 +143,7 @@ def trace_from_dict(doc: dict) -> tuple[ExecutionTrace, MachineInfo]:
         duplex={int(k): bool(v) for k, v in m.get("duplex", {}).items()},
     )
     trace = ExecutionTrace()
-    for key, cls in _RECORD_TYPES.items():
+    for key, cls in ExecutionTrace.RECORD_CLASSES.items():
         names = set(cls._fields)
         for raw in doc.get(key, []):
             kwargs = {k: v for k, v in raw.items() if k in names}

@@ -24,6 +24,7 @@ deterministic per seed.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +160,8 @@ def make_matrix(name: str, seed: int = 0, scale: float = 1.0) -> CSRMatrix:
             max(int(spec.nrows * scale), 16),
             max(int(spec.nnz * scale), 64),
         )
-    rng = np.random.default_rng(seed + hash(name) % (1 << 16))
+    # a stable digest of the name: ``hash()`` of a str is salted per process
+    rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % (1 << 16))
     degrees = _row_degrees(spec, rng)
     cols = _column_indices(spec, degrees, rng)
     values = rng.standard_normal(len(cols)).astype(np.float32)

@@ -1,6 +1,7 @@
 """Consistent-hash ring: stability, preference order, minimal remap."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import HashRing
 
@@ -72,3 +73,35 @@ def test_removed_node_leaves_every_preference_list():
     ring.remove(3)
     for key in ("a", "b", "c", "d"):
         assert 3 not in ring.preference(key)
+
+
+def _grown(nodes, vnodes: int) -> HashRing:
+    """The ring built one ``add`` at a time, in the given order."""
+    ring = HashRing(vnodes=vnodes)
+    for n in nodes:
+        ring.add(n)
+    return ring
+
+
+@given(
+    nodes=st.lists(st.integers(0, 40), max_size=12),
+    vnodes=st.integers(1, 16),
+    other=st.integers(0, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoized_layout_is_the_incremental_one_and_never_shared(
+    nodes, vnodes, other
+):
+    a = HashRing(nodes, vnodes=vnodes)
+    b = HashRing(reversed(nodes), vnodes=vnodes)  # same member set
+    grown = _grown(nodes, vnodes)
+    layout = (list(grown._hashes), list(grown._owners))
+    assert (a._hashes, a._owners) == (b._hashes, b._owners) == layout
+    # editing one ring leaves the other, and the next ring built, alone
+    a.add(other)
+    if nodes:
+        a.remove(nodes[0])
+    assert (b._hashes, b._owners) == layout
+    c = HashRing(nodes, vnodes=vnodes)
+    assert (c._hashes, c._owners) == layout
+    assert c.members == b.members == frozenset(nodes)

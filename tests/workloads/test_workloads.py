@@ -1,5 +1,10 @@
 """Workload generators: sizes, structure and determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,32 @@ def test_matrix_deterministic():
     a = make_matrix("Convex", seed=5, scale=0.05)
     b = make_matrix("Convex", seed=5, scale=0.05)
     assert (a.values == b.values).all() and (a.colidxs == b.colidxs).all()
+
+
+#: prints the hex bytes of one Figure-5 matrix's three CSR arrays
+_MATRIX_HEX = (
+    "from repro.workloads.sparse import make_matrix\n"
+    "m = make_matrix('Chemistry', seed=0, scale=0.01)\n"
+    "print((m.values.tobytes() + m.colidxs.tobytes() + m.rowptr.tobytes()).hex())"
+)
+
+
+def test_matrix_independent_of_hash_seed():
+    """``str`` hashing is salted per process; the matrices must not be."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    out = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MATRIX_HEX],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out.append(proc.stdout)
+    assert out[0] and out[0] == out[1]
 
 
 def test_matrix_unknown_name():
