@@ -31,20 +31,27 @@ See ``docs/BACKENDS.md`` for the full matrix and the calibration
 workflow.
 """
 
-from repro.exec.base import (
-    ExecFuture,
-    ExecutionBackend,
-    Measurement,
-    make_backend,
-    timed_call,
-)
-from repro.exec.process import ProcessPoolBackend
-from repro.exec.simulated import SimulatedBackend
-from repro.exec.thread import ThreadPoolBackend
-from repro.exec.validate import (
-    picklability_problem,
-    validate_codelet_picklable,
-    validate_variant_picklable,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.exec.base": (
+            "ExecFuture",
+            "ExecutionBackend",
+            "Measurement",
+            "make_backend",
+            "timed_call",
+        ),
+        "repro.exec.process": ("ProcessPoolBackend",),
+        "repro.exec.simulated": ("SimulatedBackend",),
+        "repro.exec.thread": ("ThreadPoolBackend",),
+        "repro.exec.validate": (
+            "picklability_problem",
+            "validate_codelet_picklable",
+            "validate_variant_picklable",
+        ),
+    },
 )
 
 __all__ = [

@@ -24,13 +24,15 @@ directly.
 
 from __future__ import annotations
 
-import concurrent.futures
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.errors import ExecBackendError
 from repro.exec.timing import Measurement, timed_call
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import concurrent.futures
+
     from repro.runtime.codelet import Codelet
     from repro.runtime.task import Task
 
@@ -74,9 +76,12 @@ def _run_inline(thunk: "Callable[[], Measurement]") -> ExecFuture:
 
     Kernel exceptions are captured into the future (not raised here) so
     inline backends surface errors exactly where pool backends do — at
-    ``result()``.
+    ``result()``.  ``concurrent.futures`` (and the ``logging`` it pulls
+    in) loads here, at the first future, not with the engine.
     """
-    fut: "concurrent.futures.Future[Measurement]" = concurrent.futures.Future()
+    from concurrent.futures import Future
+
+    fut: "concurrent.futures.Future[Measurement]" = Future()
     try:
         measurement = thunk()
     except BaseException as exc:
@@ -195,22 +200,23 @@ def make_backend(spec: "str | ExecutionBackend", **options) -> ExecutionBackend:
                 "backend options only apply when the backend is given by name"
             )
         return spec
-    from repro.exec.process import ProcessPoolBackend
-    from repro.exec.simulated import SimulatedBackend
-    from repro.exec.thread import ThreadPoolBackend
-
-    factories = {
-        "simulated": SimulatedBackend,
-        "thread": ThreadPoolBackend,
-        "process": ProcessPoolBackend,
-    }
     try:
-        factory = factories[spec]
+        module, cls = _BACKENDS[spec]
     except KeyError:
         raise ExecBackendError(
-            f"unknown execution backend {spec!r}; known: {sorted(factories)}"
+            f"unknown execution backend {spec!r}; known: {sorted(_BACKENDS)}"
         ) from None
-    return factory(**options)
+    # only the backend asked for loads (the pools pull in
+    # concurrent.futures, and the process pool multiprocessing)
+    return getattr(import_module(module), cls)(**options)
+
+
+#: backend name -> (module, class)
+_BACKENDS = {
+    "simulated": ("repro.exec.simulated", "SimulatedBackend"),
+    "thread": ("repro.exec.thread", "ThreadPoolBackend"),
+    "process": ("repro.exec.process", "ProcessPoolBackend"),
+}
 
 
 __all__ = [

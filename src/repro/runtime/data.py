@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import DataConsistencyError
 from repro.hw.description import HOST_NODE
+from repro.runtime.stats import GeneratedName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.task import DoneTask, Task
@@ -56,7 +57,9 @@ class DataHandle:
     n_nodes:
         Number of memory nodes in the machine.
     name:
-        Debugging / tracing label.
+        Debugging / tracing label.  Without one the handle is named
+        ``data<handle_id>``, a :class:`~repro.runtime.stats.GeneratedName`
+        (which the trace's canonical form renumbers, unlike a given name).
 
     ``last_writer`` and ``readers_since_write`` hold the tasks a new
     access must order after.  Once a task completes, the engine replaces
@@ -74,7 +77,7 @@ class DataHandle:
         #: payload size in bytes (cached: the array is never reassigned,
         #: and schedulers query this on the per-candidate hot path)
         self.nbytes: int = int(self.array.nbytes)
-        self.name = name or f"data{self.handle_id}"
+        self.name = name or GeneratedName(f"data{self.handle_id}")
         self._states: list[CopyState] = [CopyState.INVALID] * n_nodes
         self._states[HOST_NODE] = CopyState.MODIFIED
         #: node of the sole MODIFIED copy, or None when copies are
@@ -279,9 +282,7 @@ class DataHandle:
             self.last_writer = task
             self.readers_since_write = []
         else:
-            from repro.runtime.task import append_reader  # import cycle
-
-            append_reader(self.readers_since_write, task)
+            self.readers_since_write.append(task)
 
     def reset_host_access(self) -> None:
         """The host program wrote the data (acquire-RW): task-level

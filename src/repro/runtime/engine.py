@@ -59,7 +59,7 @@ from repro.runtime.stats import (
     ExecutionTrace,
     FaultRecord,
 )
-from repro.runtime.task import DoneTask, Task, TaskState, append_reader
+from repro.runtime.task import DoneTask, Task, TaskState
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ class Engine:
         #: one-entry (task, footprint, size) cache: schedulers query the
         #: performance model several times per choose() for the same
         #: task, and the footprint cannot change within one choice
-        self._fp_cache: tuple[Task, tuple, float] | None = None
+        self._fp_cache: tuple[int, tuple, float] | None = None
         #: (src, dst, nbytes) -> seconds memo for Machine.transfer_time
         #: (pure function of the link specs; distinct keys are few)
         self._tt_cache: dict[tuple[int, int, int], float] = {}
@@ -393,13 +393,14 @@ class Engine:
     def _footprint_size(self, task: Task) -> tuple[tuple, float]:
         """The task's (footprint, total operand bytes), cached while the
         same task is queried repeatedly (one scheduling choice asks for
-        several variants; neither value can change mid-choice)."""
+        several variants; neither value can change mid-choice).  The
+        cache keys on the task id, so it holds no task past completion."""
         cached = self._fp_cache
-        if cached is not None and cached[0] is task:
+        if cached is not None and cached[0] == task.task_id:
             return cached[1], cached[2]
         fp = task.footprint()
         size = float(sum(op.handle.nbytes for op in task.operands))
-        self._fp_cache = (task, fp, size)
+        self._fp_cache = (task.task_id, fp, size)
         return fp, size
 
     def predict_exec(
@@ -519,7 +520,9 @@ class Engine:
                     h.readers_since_write = []
                 h.last_writer = task
             else:
-                append_reader(h.readers_since_write, task)
+                rs = h.readers_since_write
+                op.slot = len(rs)
+                rs.append(task)
         else:
             deps = []
             seen = set()
@@ -550,7 +553,9 @@ class Engine:
                     h.last_writer = task
                     h.readers_since_write = []
                 else:
-                    append_reader(h.readers_since_write, task)
+                    rs = h.readers_since_write
+                    op.slot = len(rs)
+                    rs.append(task)
         if deps:
             if len(deps) == 1:
                 dep = deps[0]
@@ -1335,12 +1340,12 @@ class Engine:
         start_time = task.start_time
         end_time = task.end_time
         # one pass over the operands: total bytes plus read/written ids
-        # (and the task leaves the ordering state of the handles it last
-        # wrote: a later access needs only its id and end time)
+        # (and the task leaves the ordering state of every handle it
+        # touched: a later access needs only its id and end time)
         size = 0
         reads: list[int] = []
         writes: list[int] = []
-        done = None
+        done = DoneTask(task.task_id, end_time)
         for op in task.operands:
             h = op.handle
             size += h.nbytes
@@ -1350,9 +1355,14 @@ class Engine:
             if mode.writes:
                 writes.append(h.handle_id)
                 if h.last_writer is task:
-                    if done is None:
-                        done = DoneTask(task.task_id, end_time)
                     h.last_writer = done
+            else:
+                # the slot submit recorded; a write since then replaced
+                # the list, and the new one does not hold this task
+                rs = h.readers_since_write
+                i = op.slot
+                if i < len(rs) and rs[i] is task:
+                    rs[i] = done
         duration = end_time - start_time
         self.perf.record(task.footprint(), variant.name, float(size), duration)
         if len(workers) == 1:
@@ -1370,7 +1380,7 @@ class Engine:
         trace.add_task(
             (
                 task.task_id,
-                task.name,
+                task._name,  # "" for a default name: the trace derives it
                 task.codelet.name,
                 variant.name,
                 variant.arch.value,
@@ -1389,7 +1399,7 @@ class Engine:
         )
         ev = self.events
         if ev.want_complete:
-            ev.emit_complete(end, task, trace.tasks[-1])
+            ev.emit_complete(end, task, trace.newest("tasks"))
         for dependent in task.dependents:
             if dependent.dep_satisfied():
                 self._make_ready(dependent, max(end, dependent.earliest_start))
@@ -1477,7 +1487,7 @@ class Engine:
         )
         ev = self.events
         if ev.want_transfer:
-            ev.emit_transfer(end, trace.transfers[-1], self._staging_task)
+            ev.emit_transfer(end, trace.newest("transfers"), self._staging_task)
         return end
 
     # -- device-memory management (LRU eviction) -----------------------------

@@ -19,14 +19,21 @@ Each field has one column:
 - a :class:`RaggedColumn` for the task id-tuple fields (``reads``,
   ``writes``, ``deps``): one flat ``array('q')`` of ids plus an
   ``array('q')`` of row ends, read back as the same tuples;
-- a plain list otherwise (names, ``worker_ids``, the other kinds' ids).
+- a :class:`CodedColumn` for the task fields with a handful of distinct
+  values (``codelet``, ``variant``, ``arch``, ``worker_ids``): one small
+  code per row plus a table of the values;
+- a :class:`DerivedNames` column for the task ``name``: it keeps only
+  the names callers gave, and derives ``codelet#<task_id>`` for the
+  rest from the codelet and id columns;
+- a plain list otherwise (the other kinds' names and ids).
 
 Typed columns hold a task's ids in machine words instead of boxed ints
-and small tuples, which cuts the bytes each completed task leaves
-behind by about two fifths.  The engine appends raw field rows
-(:meth:`ExecutionTrace.add_task`, :meth:`ExecutionTrace.add_transfer`)
-and never builds a record object on the no-subscriber fast path.
-Those two stores are built with the trace; the eviction, fault,
+and small tuples; a default-named task stores no string and no pointer
+at all, so its row is about twenty machine words.  The engine appends
+raw field rows (:meth:`ExecutionTrace.add_task`,
+:meth:`ExecutionTrace.add_transfer`) and never builds a record object
+on the no-subscriber fast path; a record built by indexing is cached,
+sparsely (row -> record).  Those two stores are built with the trace; the eviction, fault,
 request and access stores, which most runs never write, are built with
 their views on first access, and the trace's own readers (counts,
 derived stats, ``columns``, ``state_dict``, the canonical form) read an
@@ -53,13 +60,27 @@ from __future__ import annotations
 import functools
 from array import array
 from collections.abc import Sequence
-from types import FunctionType
+from types import FunctionType, MappingProxyType
 
 from repro.hw.description import HOST_NODE
 
 # ---------------------------------------------------------------------------
 # slotted record classes
 # ---------------------------------------------------------------------------
+
+
+class GeneratedName(str):
+    """A name the runtime made up from a process-global id.
+
+    Default task names (``codelet#<task_id>``) and handle names
+    (``data<handle_id>``) embed ids that differ between runs in one
+    process.  The subclass compares, hashes and serializes as the plain
+    string; its type alone tells :meth:`ExecutionTrace.canonicalized`
+    that the name may be renumbered, which a name the caller chose
+    never is, whatever it looks like.
+    """
+
+    __slots__ = ()
 
 
 def _restore(cls: type, values: tuple):
@@ -76,8 +97,10 @@ class _Record:
     Subclasses declare ``__slots__`` (the field order), ``_defaults``
     (trailing optional fields) and the fields the columnar store keeps
     typed: ``_float_fields`` in ``array('d')``, ``_int_fields`` in
-    ``array('q')`` and ``_ragged_fields`` (id tuples) in a
-    :class:`RaggedColumn`.  Equality, hashing, repr, ``replace`` and
+    ``array('q')``, ``_ragged_fields`` (id tuples) in a
+    :class:`RaggedColumn`, ``_coded_fields`` in a :class:`CodedColumn`
+    and ``_derived_names`` (field -> its prefix and id fields) in a
+    :class:`DerivedNames` column.  Equality, hashing, repr, ``replace`` and
     ``as_dict`` all derive from ``_fields`` so they match the old
     frozen-dataclass behaviour field for field.
     """
@@ -88,6 +111,8 @@ class _Record:
     _float_fields: frozenset = frozenset()
     _int_fields: frozenset = frozenset()
     _ragged_fields: frozenset = frozenset()
+    _coded_fields: frozenset = frozenset()
+    _derived_names: dict = {}
 
     def __init__(self, *args, **kwargs):
         name = type(self).__name__
@@ -175,7 +200,9 @@ class TaskRecord(_Record):
     consistency); ``submit_seq`` the per-engine submission index (dense,
     unlike the global ``task_id``); ``seq`` the causal recording order
     shared with transfers/evictions/accesses — the invariant checker
-    replays records in that order.
+    replays records in that order.  A trace stores ``name`` only when
+    the caller gave one: an empty name reads back as the default
+    ``codelet#<task_id>`` (a :class:`GeneratedName`), as for a task.
     """
 
     __slots__ = (
@@ -212,6 +239,8 @@ class TaskRecord(_Record):
     )
     _int_fields = frozenset({"task_id", "node", "submit_seq", "seq"})
     _ragged_fields = frozenset({"reads", "writes", "deps"})
+    _coded_fields = frozenset({"codelet", "variant", "arch", "worker_ids"})
+    _derived_names = {"name": ("codelet", "task_id")}
 
     @property
     def duration(self) -> float:
@@ -493,6 +522,124 @@ class RaggedColumn(Sequence):
         del self.ends[n:]
 
 
+#: the distinct values each code typecode can number, and the next
+#: wider typecode a :class:`CodedColumn` moves to when they run out
+_CODE_LIMITS = {tc: 1 << 8 * array(tc).itemsize for tc in "BHI"}
+_WIDER = {"B": "H", "H": "I", "I": "q"}
+#: a coded column's index until its first append builds its own
+_NO_CODES = MappingProxyType({})
+
+
+class CodedColumn(Sequence):
+    """A column of a handful of distinct values, dictionary-coded.
+
+    Row ``i`` is ``values[codes[i]]``: one unsigned code per row in
+    ``codes`` (``array('B')``, widened to ``'H'``, ``'I'`` and then
+    ``'q'`` when the table outgrows a width), a table ``values`` of the
+    distinct values and ``index`` mapping each back to its code.  The
+    three are built at the first append, so a trace that records no
+    task pays nothing for them; until then the class-level empties
+    stand in.  Indexing and iteration yield the values themselves.
+    """
+
+    codes = ()
+    values = ()
+    index = _NO_CODES
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int):
+        return self.values[self.codes[i]]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes)
+
+    def code(self, value) -> int:
+        """``value``'s code, entering it in the table if it is new."""
+        index = self.index
+        code = index.get(value)
+        if code is None:
+            if index is _NO_CODES:
+                self.codes, self.values = array("B"), []
+                index = self.index = {}
+            code = len(self.values)
+            typecode = self.codes.typecode
+            if code == _CODE_LIMITS.get(typecode):
+                self.codes = array(_WIDER[typecode], self.codes)
+            index[value] = code  # an unhashable value stops here
+            self.values.append(value)
+        return code
+
+    def append(self, value) -> None:
+        code = self.code(value)  # may widen (replace) the code array
+        self.codes.append(code)
+
+    def __setitem__(self, i: int, value) -> None:
+        code = self.code(value)
+        self.codes[i] = code
+
+    def __delitem__(self, rows: slice) -> None:
+        """Drop trailing rows, ``del col[n:]`` (the store's only delete)."""
+        n = rows.indices(len(self.codes))[0]
+        if n < len(self.codes):
+            del self.codes[n:]
+
+
+class DerivedNames(Sequence):
+    """A name column that stores only the names callers gave.
+
+    A row appended with an empty name reads back as
+    ``GeneratedName(f"{prefix}#{id}")`` from the same row of the
+    ``prefixes`` and ``ids`` columns (the task's codelet and id), so a
+    default-named row costs nothing here.  The list of given names is
+    built at the first one, with a None for every row before it.
+    """
+
+    __slots__ = ("_n", "_given", "_prefixes", "_ids")
+
+    def __init__(self, prefixes: Sequence, ids: Sequence) -> None:
+        self._n = 0
+        self._given: list | None = None
+        self._prefixes = prefixes
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> str:
+        # the sibling columns have this one's length, so an index past
+        # either end raises IndexError from them (or the given list)
+        given = self._given
+        name = None if given is None else given[i]
+        if name is not None:
+            return name
+        return GeneratedName(f"{self._prefixes[i]}#{self._ids[i]}")
+
+    def append(self, name) -> None:
+        given = self._given
+        if name:
+            if given is None:
+                given = self._given = [None] * self._n
+            given.append(name)
+        elif given is not None:
+            given.append(None)
+        self._n += 1
+
+    def __setitem__(self, i: int, name) -> None:
+        if name and self._given is None:
+            self._given = [None] * self._n
+        if self._given is not None:
+            self._given[i] = name or None
+
+    def __delitem__(self, rows: slice) -> None:
+        """Drop trailing rows, ``del col[n:]`` (the store's only delete)."""
+        n = rows.indices(self._n)[0]
+        if self._given is not None:
+            del self._given[n:]
+        self._n = n
+
+
 @functools.cache
 def _stamped_appender(cls: type) -> FunctionType:
     """The ``append_stamped`` template for one record class.
@@ -501,7 +648,10 @@ def _stamped_appender(cls: type) -> FunctionType:
     a zip of (append, value) pairs on the per-task hot path, and the
     unpack also rejects rows of the wrong width for free.  A ragged
     field extends its flat value array and appends the new row end, so
-    the engine can pass any int sequence (its id lists as built).  The
+    the engine can pass any int sequence (its id lists as built).  A
+    coded field looks its value up in the column's index and appends
+    the code, entering a new value through :meth:`CodedColumn.code`
+    (which may replace the code array, hence the attribute read).  The
     row arrives without the trailing ``seq`` (passed separately),
     sparing one tuple concatenation per task/transfer.  Compiling the
     source costs ~0.15 ms, so it happens once per class; each store then
@@ -511,21 +661,26 @@ def _stamped_appender(cls: type) -> FunctionType:
     if cls._fields[-1] != "seq":
         raise ValueError(f"{cls.__name__} records carry no trailing seq")
     binds: list[str] = []
-    calls: list[str] = []
+    lines: list[str] = []
     for i, name in enumerate(cls._fields[:-1]):
         if name in cls._ragged_fields:
             binds += (f"_x{i}", f"_e{i}", f"_f{i}")
-            calls.append(f"_x{i}(v{i}); _e{i}(len(_f{i}))")
+            lines.append(f"_x{i}(v{i}); _e{i}(len(_f{i}))")
+        elif name in cls._coded_fields:
+            binds.append(f"_c{i}")
+            lines += (
+                f"k = _c{i}.index.get(v{i})",
+                f"if k is None: k = _c{i}.code(v{i})",
+                f"_c{i}.codes.append(k)",
+            )
         else:
             binds.append(f"_a{i}")
-            calls.append(f"_a{i}(v{i})")
+            lines.append(f"_a{i}(v{i})")
     unpack = ", ".join(f"v{i}" for i in range(len(cls._fields) - 1))
+    body = "".join(f"    {line}\n" for line in (f"{unpack}, = values", *lines))
     src = (
-        f"def append_stamped(values, seq, _miss, {', '.join(binds)}, _seq):\n"
-        f"    {unpack}, = values\n"
-        f"    {'; '.join(calls)}\n"
-        f"    _seq(seq)\n"
-        f"    _miss(None)\n"
+        f"def append_stamped(values, seq, {', '.join(binds)}, _seq):\n"
+        f"{body}    _seq(seq)\n"
     )
     ns: dict = {}
     exec(src, ns)  # noqa: S102 - static template, no external input
@@ -533,36 +688,51 @@ def _stamped_appender(cls: type) -> FunctionType:
 
 
 @functools.cache
-def _column_layout(cls: type) -> tuple:
-    """One column factory per field of ``cls``, in field order.
+def _column_layout(cls: type) -> tuple[tuple, tuple]:
+    """One column factory per field of ``cls``, in field order, and the
+    (field, prefix field, id field) positions of its derived names.
 
     The typing rule of the module docstring, applied once per record
-    class instead of once per field of every store built.
+    class instead of once per field of every store built.  A derived
+    name field gets no factory: the store builds it over its siblings.
     """
-    return tuple(
+    index = cls._fields.index
+    derived = tuple(
+        (index(name), index(prefix), index(ident))
+        for name, (prefix, ident) in cls._derived_names.items()
+    )
+    factories = tuple(
         functools.partial(array, "d")
         if name in cls._float_fields
         else functools.partial(array, "q")
         if name in cls._int_fields
         else RaggedColumn
         if name in cls._ragged_fields
+        else CodedColumn
+        if name in cls._coded_fields
+        else None
+        if name in cls._derived_names
         else list
         for name in cls._fields
     )
+    return factories, derived
 
 
 class _ColumnStore:
     """Struct-of-arrays backing for one record kind.
 
     One column per record field (typed per the record class's field
-    sets, see the module docstring) plus a parallel cache of
-    materialized record objects (None until someone indexes that row).
-    The engine's hot path appends raw rows (:attr:`append_stamped`) and
-    never pays for a record object; forged records appended wholesale
-    (:meth:`append_record`) keep their identity, which matters for the
-    shared-nan equality of default RequestRecord fields.  The cache
-    length is the committed row count: a row a typed column refused
-    part-way is rolled back, so the columns never disagree.
+    sets, see the module docstring) plus a sparse cache of record
+    objects (row -> record; an unread row costs nothing).  The engine's
+    hot path appends raw rows (:attr:`append_stamped`) and never pays
+    for a record object; a row materializes when somebody indexes it.
+    Forged records appended wholesale (:meth:`append_record`) are cached
+    as given and keep their identity, which matters for the shared-nan
+    equality of default RequestRecord fields and for values a typed
+    column would not give back as they came (an int in a float field).
+    The committed row count is the length of the last column, which
+    every append fills last: a row a typed column refused part-way is
+    rolled back, so the columns never disagree.
     """
 
     __slots__ = (
@@ -577,16 +747,22 @@ class _ColumnStore:
     def __init__(self, cls: type, stamped: bool = False) -> None:
         self.cls = cls
         self._fields = cls._fields
-        self._cols = tuple([make() for make in _column_layout(cls)])
-        self.columns: dict = dict(zip(cls._fields, self._cols))
-        self._cache: list = []
+        factories, derived = _column_layout(cls)
+        cols = [make() if make else None for make in factories]
+        for i, prefix, ident in derived:
+            cols[i] = DerivedNames(cols[prefix], cols[ident])
+        self._cols = tuple(cols)
+        self.columns: dict = dict(zip(cls._fields, cols))
+        self._cache: dict = {}
         # only the engine's hot-path stores (tasks, transfers) get one
         if stamped:
             # the bound methods the template calls, in its argument order
-            binds = [self._cache.append]
-            for col in self._cols:
+            binds = []
+            for col in cols:
                 if type(col) is RaggedColumn:
                     binds += (col.values.extend, col.ends.append, col.values)
+                elif type(col) is CodedColumn:
+                    binds.append(col)
                 else:
                     binds.append(col.append)
             tmpl = _stamped_appender(cls)
@@ -597,11 +773,11 @@ class _ColumnStore:
             self.append_stamped = None
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._cols[-1])
 
     def rollback(self) -> None:
         """Trim every column back to the committed row count."""
-        n = len(self._cache)
+        n = len(self)
         for col in self._cols:
             del col[n:]
 
@@ -619,17 +795,41 @@ class _ColumnStore:
         except BaseException:
             self.rollback()
             raise
-        self._cache.append(rec)
+        self._cache[len(self) - 1] = rec
+
+    def _row(self, i: int) -> int:
+        """``i`` as a row number; negative counts from the end."""
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        return i
+
+    def build(self, i: int):
+        """A new record object for row ``i``."""
+        i = self._row(i)
+        cls = self.cls
+        rec = cls.__new__(cls)
+        for name, col in zip(self._fields, self._cols):
+            setattr(rec, name, col[i])
+        return rec
 
     def get(self, i: int):
-        rec = self._cache[i]
+        """Row ``i``'s record, built once and cached."""
+        i = self._row(i)
+        rec = self._cache.get(i)
         if rec is None:
-            cls = self.cls
-            rec = cls.__new__(cls)
-            for name, col in zip(self._fields, self._cols):
-                setattr(rec, name, col[i])
-            self._cache[i] = rec
+            rec = self._cache[i] = self.build(i)
         return rec
+
+    def __iter__(self):
+        """Every row's record: the cached one, or a new one left uncached."""
+        cache = self._cache
+        build = self.build
+        for i in range(len(self)):
+            rec = cache.get(i)
+            yield build(i) if rec is None else rec
 
     def _write(self, i: int, rec) -> None:
         for name, col in zip(self._fields, self._cols):
@@ -637,6 +837,7 @@ class _ColumnStore:
 
     def set(self, i: int, rec) -> None:
         self._check(rec)
+        i = self._row(i)
         old = self.get(i)
         try:
             self._write(i, rec)
@@ -647,7 +848,8 @@ class _ColumnStore:
 
     def clear(self) -> None:
         self._cache.clear()
-        self.rollback()
+        for col in self._cols:
+            del col[0:]
 
 
 class RecordsView(Sequence):
@@ -673,27 +875,14 @@ class RecordsView(Sequence):
 
     def __getitem__(self, i):
         store = self._store
-        n = len(store)
         if isinstance(i, slice):
-            return [store.get(j) for j in range(*i.indices(n))]
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("record index out of range")
+            return [store.get(j) for j in range(*i.indices(len(store)))]
         return store.get(i)
 
     def __iter__(self):
-        store = self._store
-        get = store.get
-        for i in range(len(store)):
-            yield get(i)
+        return iter(self._store)
 
     def __setitem__(self, i: int, rec) -> None:
-        n = len(self._store)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("record assignment index out of range")
         self._store.set(i, rec)
 
     def append(self, rec) -> None:
@@ -804,26 +993,33 @@ class _DerivedStats:
             starts = cols["start_time"]
             ends = cols["end_time"]
             energies = cols["energy_j"]
-            archs = cols["arch"]
-            variants = cols["variant"]
-            workers = cols["worker_ids"]
+            # coded columns: fold over the codes, decode through the table
+            archs, arch_codes = cols["arch"].values, cols["arch"].codes
+            variants, variant_codes = (
+                cols["variant"].values,
+                cols["variant"].codes,
+            )
+            workers, worker_codes = (
+                cols["worker_ids"].values,
+                cols["worker_ids"].codes,
+            )
             for i in range(self._seen_tasks, n):
                 end = ends[i]
                 if end > self.max_end:
                     self.max_end = end
                 e = energies[i]
-                arch = archs[i]
+                arch = archs[arch_codes[i]]
                 self.total_energy_j += e
                 self.energy_by_arch[arch] = (
                     self.energy_by_arch.get(arch, 0.0) + e
                 )
                 self.tasks_by_arch[arch] = self.tasks_by_arch.get(arch, 0) + 1
-                variant = variants[i]
+                variant = variants[variant_codes[i]]
                 self.tasks_by_variant[variant] = (
                     self.tasks_by_variant.get(variant, 0) + 1
                 )
                 dur = end - starts[i]
-                for w in workers[i]:
+                for w in workers[worker_codes[i]]:
                     self.busy_time[w] = self.busy_time.get(w, 0.0) + dur
             self._seen_tasks = n
         n = len(transfers)
@@ -1012,9 +1208,12 @@ class ExecutionTrace:
         ``array('d')`` for float fields, ``array('q')`` for int fields
         (both viewable in place with ``np.frombuffer``), a
         :class:`RaggedColumn` yielding tuples for the task id-tuple
-        fields, a plain list otherwise.  Do not mutate the returned
-        column, and drop NumPy views before the trace grows again (an
-        array cannot resize while a view of it is alive).
+        fields, a plain list otherwise.  The task fields stored coded
+        (``codelet``, ``variant``, ``arch``, ``worker_ids``) or derived
+        (``name``) come back as a new list of the same values.  Do not
+        mutate the returned column, and drop NumPy views before the
+        trace grows again (an array cannot resize while a view of it is
+        alive).
         """
         if kind not in self.RECORD_KINDS:
             raise KeyError(
@@ -1022,12 +1221,13 @@ class ExecutionTrace:
             )
         store: _ColumnStore = self._view(kind)._store
         try:
-            return store.columns[field]
+            col = store.columns[field]
         except KeyError:
             raise KeyError(
                 f"{kind} records have no field {field!r}; fields are "
                 f"{store.cls._fields}"
             ) from None
+        return list(col) if type(col) in (CodedColumn, DerivedNames) else col
 
     def state_dict(self) -> dict:
         """Comparable full state: record dicts plus counters.
@@ -1094,6 +1294,10 @@ class ExecutionTrace:
     def record_request(self, rec: RequestRecord) -> RequestRecord:
         self._requests.append_record(rec)
         return rec
+
+    def newest(self, kind: str):
+        """The last ``kind`` record, built but not cached (event payloads)."""
+        return self._view(kind)._store.build(-1)
 
     def records_in_seq_order(self) -> list:
         """Task/transfer/eviction/access/fault records, causal order."""
@@ -1252,8 +1456,9 @@ class ExecutionTrace:
         Task ids and handle ids come from process-global counters, so
         two identical runs in one process carry different raw ids.  The
         canonical form renumbers both by order of first appearance in
-        the causal record stream — and rewrites the auto-generated
-        names that embed those ids (``codelet#<id>``, ``data<id>``) —
+        the causal record stream — and rewrites the default names that
+        embed those ids (``codelet#<id>``, ``data<id>``, each a
+        :class:`GeneratedName`; a name the caller gave is kept as is) —
         so equal runs compare equal.  This is the basis of replay
         bit-identity and byte-identical canonical trace JSON.
         """
@@ -1292,13 +1497,14 @@ class ExecutionTrace:
                 tid(rrec.task_id)
 
         def task_name(name: str, old: int) -> str:
-            suffix = f"#{old}"
-            if name.endswith(suffix):
-                return name[: -len(suffix)] + f"#{task_map[old]}"
-            return name
+            if type(name) is not GeneratedName:
+                return name
+            return GeneratedName(f"{name.rpartition('#')[0]}#{task_map[old]}")
 
         def handle_name(name: str, old: int) -> str:
-            return f"data{handle_map[old]}" if name == f"data{old}" else name
+            if type(name) is not GeneratedName:
+                return name
+            return GeneratedName(f"data{handle_map[old]}")
 
         out = ExecutionTrace(
             n_submitted=self.n_submitted,

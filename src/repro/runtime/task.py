@@ -18,6 +18,7 @@ from repro.errors import RuntimeSystemError
 from repro.runtime.access import AccessMode
 from repro.runtime.codelet import Codelet, ImplVariant
 from repro.runtime.data import DataHandle
+from repro.runtime.stats import GeneratedName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.description import ProcessingUnit
@@ -34,10 +35,16 @@ class TaskState(Enum):
 
 @dataclass(slots=True)
 class Operand:
-    """One (handle, access-mode) pair of a task."""
+    """One (handle, access-mode) pair of a task.
+
+    ``slot`` is where the engine appended the task to the handle's
+    ``readers_since_write`` (read-only operands), so completion can swap
+    in the task's :class:`DoneTask` without a search.
+    """
 
     handle: DataHandle
     mode: AccessMode
+    slot: int = field(default=-1, repr=False, compare=False)
 
 
 class Task:
@@ -59,6 +66,9 @@ class Task:
     parent:
         Set for sub-tasks created by partitioning a single component
         invocation (intra-component parallelism, paper section IV-F).
+    name:
+        Debugging / tracing label.  Without one, :attr:`name` derives
+        ``codelet#<task_id>`` on each read and nothing is stored.
     """
 
     __slots__ = (
@@ -69,7 +79,7 @@ class Task:
         "scalar_args",
         "priority",
         "parent",
-        "name",
+        "_name",
         "state",
         "n_pending_deps",
         "dependents",
@@ -109,7 +119,8 @@ class Task:
         self.scalar_args = scalar_args
         self.priority = priority
         self.parent = parent
-        self.name = name or f"{codelet.name}#{self.task_id}"
+        #: the name the caller gave ("" for the default)
+        self._name = name
         self.state = TaskState.SUBMITTED
         # dependency bookkeeping
         self.n_pending_deps = 0
@@ -142,6 +153,11 @@ class Task:
         #: backend architecture of the first failed attempt (fallback
         #: accounting: recovery on a different arch counts as a fallback)
         self.first_fault_arch: str | None = None
+
+    @property
+    def name(self) -> str:
+        """The given name, else the default ``codelet#<task_id>``."""
+        return self._name or GeneratedName(f"{self.codelet.name}#{self.task_id}")
 
     # -- dependency graph ---------------------------------------------------
 
@@ -219,12 +235,13 @@ class DoneTask:
     """What a handle's ordering state keeps of a completed task.
 
     A later access only needs a finished dependency's id (for
-    ``dep_ids``) and end time (a start-time lower bound), so the engine
-    swaps completed tasks out of ``last_writer``/``readers_since_write``
-    for this.  The task, its operands and its context can then be freed
-    even when a long-lived handle would otherwise pin them, and the
-    task <-> output-handle cycle breaks at completion, so freeing them
-    needs no cyclic garbage collection.
+    ``dep_ids``) and end time (a start-time lower bound), so at
+    completion the engine swaps the task out of ``last_writer`` and out
+    of its slot in ``readers_since_write`` for this.  The task, its
+    operands and its context can then be freed even when a long-lived
+    handle would otherwise pin them, and the task <-> output-handle
+    cycle breaks at completion, so freeing them needs no cyclic garbage
+    collection.
     """
 
     __slots__ = ("task_id", "end_time")
@@ -233,23 +250,6 @@ class DoneTask:
     def __init__(self, task_id: int, end_time: float) -> None:
         self.task_id = task_id
         self.end_time = end_time
-
-
-def append_reader(readers: list, task: Task) -> None:
-    """Append ``task`` to a handle's ``readers_since_write``.
-
-    Finished readers of a long-lived input are folded into
-    :class:`DoneTask` stand-ins.  Sweeping only when the list length
-    reaches a power of two >= 32 keeps the cost amortised O(1) per
-    append.
-    """
-    readers.append(task)
-    n = len(readers)
-    if n >= 32 and not n & (n - 1):
-        done = TaskState.DONE
-        for i, r in enumerate(readers):
-            if r.__class__ is Task and r.state is done:
-                readers[i] = DoneTask(r.task_id, r.end_time)
 
 
 def _bucket(nbytes: int) -> int:

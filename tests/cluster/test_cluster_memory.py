@@ -22,10 +22,12 @@ from repro.experiments.cluster import (
 N_NODES = 8
 N_REQUESTS = 6_000
 RATE_HZ = 12_000.0
-#: retained bytes per request (measured ~1,520 B on x86-64 Linux,
-#: CPython 3.11; keeping every finished request's router state
-#: measured ~2,420 B)
-GATE_BYTES_PER_REQUEST = 1_700
+#: retained bytes per request (measured ~1,214 B on x86-64 Linux,
+#: CPython 3.11; while finished tasks stayed pinned by their inputs'
+#: reader lists and the trace cached every transfer record the serving
+#: layer read, ~1,534 B; keeping every finished request's router state
+#: as well, ~2,420 B)
+GATE_BYTES_PER_REQUEST = 1_400
 
 
 def _chaos_cluster(n_requests: int, seed: int):

@@ -4,7 +4,9 @@ Every task of a session stays in the execution trace and feeds the
 regression model's samples until the session ends, so the bytes those
 two keep per task bound how long a run fits in memory.  Integer and id
 fields live in typed arrays and samples in flat float arrays; boxed
-ints and small tuples per task would roughly double the figure.
+ints and small tuples per task would roughly double the figure.  The
+codelet, variant, arch and worker columns hold one byte-wide code per
+task, and a default task name is derived on read, not stored.
 """
 
 import gc
@@ -18,9 +20,11 @@ from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 N_TASKS = 20_000
 N_HANDLES = 256
-#: retained bytes per completed task (typed columns measure ~377 B;
-#: boxed ints and per-task tuples measured ~720 B)
-GATE_BYTES_PER_TASK = 420
+#: retained bytes per completed task (coded columns and derived names
+#: measure ~258 B on x86-64 Linux, CPython 3.11; storing every name and
+#: one pointer per coded field measured ~377 B, boxed ints and per-task
+#: tuples ~720 B)
+GATE_BYTES_PER_TASK = 320
 
 
 def _stream(seed: int, n_tasks: int) -> list:

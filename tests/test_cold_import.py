@@ -46,6 +46,21 @@ def test_runtime_import_loads_no_serving_checking_or_composer():
         assert not _loaded(modules, f"repro.{package}"), package
 
 
+def test_runtime_import_loads_no_pools_logging_or_sockets():
+    modules = _fresh(
+        "import repro.runtime\n"
+        "from repro.exec import make_backend\n"
+        "make_backend('simulated')\n"
+        f"{PRINT_MODULES}"
+    )
+    for package in ("multiprocessing", "concurrent", "logging", "socket"):
+        assert not _loaded(modules, package), package
+    # make_backend loads only the backend it was asked for
+    assert "repro.exec.simulated" in modules
+    assert "repro.exec.thread" not in modules
+    assert "repro.exec.process" not in modules
+
+
 def test_replay_policy_resolves_on_first_use():
     result = _fresh(
         """
