@@ -116,12 +116,12 @@ def main() -> None:
     repo.add_main(main_desc)
 
     # -- 4. compose ---------------------------------------------------------
-    out = tempfile.mkdtemp(prefix="peppher_quickstart_")
-    app = Composer(repo, Recipe()).compose(main_desc, out)
-    print(f"\ncomposed {app.name!r}; artefacts: {app.artefact_files()}")
+    with tempfile.TemporaryDirectory(prefix="peppher_quickstart_") as out:
+        app = Composer(repo, Recipe()).compose(main_desc, out)
+        print(f"\ncomposed {app.name!r}; artefacts: {app.artefact_files()}")
+        pep = app.peppher  # imports the generated package
 
     # -- 5. run through the generated code -----------------------------------
-    pep = app.peppher
     rt = pep.PEPPHER_INITIALIZE(seed=1)
     n = 1_000_000
     x = Vector(np.ones(n, dtype=np.float32), runtime=rt, name="x")

@@ -22,7 +22,11 @@ void spmv(const float* values, int nnz, int nrows, int ncols, int first,
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="peppher_utility_"))
+    with tempfile.TemporaryDirectory(prefix="peppher_utility_") as tmp:
+        show_skeletons(Path(tmp))
+
+
+def show_skeletons(workdir: Path) -> None:
     header = workdir / "spmv.h"
     header.write_text(SPMV_HEADER)
 

@@ -23,7 +23,7 @@ from repro.components.implementation import ImplementationDescriptor
 from repro.components.interface import InterfaceDescriptor
 from repro.components.main_desc import MainDescriptor
 from repro.components.platform_desc import PlatformDescriptor, standard_platforms
-from repro.components.xml_io import load_descriptor, save_descriptor
+from repro.components.xml_io import load_descriptor, save_descriptor, xml_files
 from repro.errors import RepositoryError
 
 
@@ -168,7 +168,7 @@ class Repository:
             raise RepositoryError(f"repository root {root} is not a directory")
         repo = cls(with_standard_platforms=with_standard_platforms)
         interfaces, impls, platforms, mains = [], [], [], []
-        for path in sorted(root.rglob("*.xml")):
+        for path in xml_files(root):
             desc = load_descriptor(path)
             if isinstance(desc, InterfaceDescriptor):
                 interfaces.append(desc)

@@ -13,7 +13,9 @@ on the root tag, which is how the repository scanner classifies files.
 from __future__ import annotations
 
 import functools
+import os
 import xml.etree.ElementTree as ET
+from operator import attrgetter
 from pathlib import Path
 
 from repro.components.constraints import ExpressionConstraint, RangeConstraint
@@ -368,6 +370,31 @@ def load_descriptor(path: str | Path):
         return _parse(data)
     except DescriptorError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
+
+
+def xml_files(root: str | Path) -> list[Path]:
+    """The ``*.xml`` files under ``root``, in ``sorted(root.rglob("*.xml"))`` order.
+
+    One walk of the directory ``root``.  Directories named ``*.xml`` are
+    skipped, so every path returned can be read.  Visiting each
+    directory's entries in name order yields paths ordered by their
+    parts, as ``Path`` objects compare: ``a/x.xml`` comes before
+    ``a-b/x.xml`` although ``"-" < "/"``.
+    """
+    found: list[Path] = []
+    _collect_xml(os.fspath(root), found)
+    return found
+
+
+def _collect_xml(top: str, found: list[Path]) -> None:
+    with os.scandir(top) as scan:
+        entries = sorted(scan, key=attrgetter("name"))
+    for entry in entries:
+        if entry.is_dir():
+            if not entry.is_symlink():  # as rglob: no descent into links
+                _collect_xml(entry.path, found)
+        elif entry.name.endswith(".xml"):
+            found.append(Path(entry.path))
 
 
 def parse_descriptor_string(text: str):

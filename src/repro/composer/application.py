@@ -6,18 +6,25 @@ peppher module + Makefile + deployed descriptors) plus this handle
 object, which can import the generated package and drive it — the
 reproduction's analog of running the linked executable.
 
-The package is imported through :class:`_GeneratedLoader`, which
-compiles each module from its source on disk and never reads or writes
-``__pycache__``: a recompose that rewrites a module always loads what is
-on disk.
+The package is imported through :class:`_GeneratedLoader`, which never
+reads or writes ``__pycache__``.  It compiles each module's source bytes
+through one process-wide memo keyed on the bytes and the path, so a
+recompose compiles only the modules whose bytes changed, and a module
+rewritten on disk always loads its new source.
+
+An application composed into a temporary directory of its own removes
+that directory when it is collected.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.machinery
 import importlib.util
+import shutil
 import sys
+import weakref
 from pathlib import Path
 from types import CodeType, ModuleType
 
@@ -25,17 +32,31 @@ from repro.composer.ir import ComponentTree
 from repro.errors import CompositionError
 
 
+@functools.lru_cache(maxsize=256)
+def _compile(source: bytes, path: str) -> CodeType:
+    # keyed on the path too, because a code object carries it as
+    # co_filename; 256 entries hold the ten Table-I apps' 48 modules
+    return compile(source, path, "exec", dont_inherit=True)
+
+
 class _GeneratedLoader(importlib.machinery.SourceFileLoader):
     """Source loader for generated modules, with no bytecode cache.
 
     ``__pycache__`` validates a ``.pyc`` by the source's mtime in whole
     seconds and its size, so a same-size rewrite within one second would
-    load the old module; compiling the bytes on disk cannot go stale.
+    load the old module; code looked up by the bytes on disk cannot go
+    stale.
     """
 
     def get_code(self, fullname: str) -> CodeType:
         path = self.get_filename(fullname)
-        return compile(self.get_data(path), path, "exec", dont_inherit=True)
+        return _compile(self.get_data(path), path)
+
+
+def _discard(out_dir: str) -> None:
+    """Forget and remove an application's temporary output directory."""
+    sys.path_importer_cache.pop(out_dir, None)
+    shutil.rmtree(out_dir, ignore_errors=True)
 
 
 class ComposedApplication:
@@ -45,6 +66,12 @@ class ComposedApplication:
         self.tree = tree
         self.out_dir = Path(out_dir)
         self._package: ModuleType | None = None
+
+    def own_out_dir(self) -> None:
+        """Take ownership of ``out_dir``, a temporary directory made for
+        this application alone: when the application is collected, the
+        directory and the import finder installed for it go away."""
+        weakref.finalize(self, _discard, str(self.out_dir))
 
     @property
     def name(self) -> str:

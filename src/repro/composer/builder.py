@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.components.main_desc import MainDescriptor
 from repro.components.repository import Repository
-from repro.components.xml_io import descriptor_to_string, load_descriptor
+from repro.components.xml_io import descriptor_to_string, load_descriptor, xml_files
 from repro.composer.application import ComposedApplication
 from repro.composer.codegen.header import (
     generate_init_module,
@@ -132,7 +132,7 @@ class Composer:
             _deploy(path, text)
         # the registry reloads every descriptor under a component's
         # directory: drop those an earlier compose left behind
-        for stale in set(descriptors.rglob("*.xml")).difference(artefacts):
+        for stale in set(xml_files(descriptors)).difference(artefacts):
             stale.unlink()
         return ComposedApplication(tree, out_dir)
 

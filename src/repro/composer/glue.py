@@ -20,7 +20,7 @@ import numpy as np
 from repro.components.implementation import ImplementationDescriptor
 from repro.components.interface import InterfaceDescriptor
 from repro.components.platform_desc import standard_platforms
-from repro.components.xml_io import load_descriptor
+from repro.components.xml_io import load_descriptor, xml_files
 from repro.containers.base import SmartContainer
 from repro.errors import CompositionError, RuntimeSystemError
 from repro.runtime.access import AccessMode
@@ -191,7 +191,7 @@ def load_component_dir(component_dir: str | Path) -> tuple[
         raise CompositionError(f"{component_dir}: missing interface.xml")
     interface = load_descriptor(iface_path)
     impls = []
-    for path in sorted(component_dir.rglob("*.xml")):
+    for path in xml_files(component_dir):
         if path == iface_path:
             continue
         desc = load_descriptor(path)

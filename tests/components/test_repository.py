@@ -125,3 +125,16 @@ def test_save_scan_roundtrip(tmp_path):
 def test_scan_missing_directory():
     with pytest.raises(RepositoryError):
         Repository.scan("/nonexistent/path")
+
+
+def test_scan_skips_directories_named_xml(tmp_path):
+    repo = Repository()
+    repo.add_interface(_iface())
+    repo.add_implementation(_impl())
+    repo.save_to(tmp_path)
+    (tmp_path / "notes.xml").mkdir()
+    (tmp_path / "spmv" / "cpu_serial" / "old.xml").mkdir()
+
+    loaded = Repository.scan(tmp_path)
+    assert loaded.interface_names() == ["spmv"]
+    assert [i.name for i in loaded.implementations_of("spmv")] == ["spmv_cpu"]

@@ -1,14 +1,17 @@
 """ComposedApplication behaviour and error paths."""
 
+import gc
 import importlib
 import os
+import shutil
 import sys
+import tempfile
 
 import pytest
 
-from repro.apps import spmv
+from repro.apps import mains, spmv
 from repro.components import MainDescriptor, Repository
-from repro.composer import ComposedApplication, Composer, Recipe
+from repro.composer import ComposedApplication, Composer, Recipe, application
 from repro.errors import CompositionError
 
 
@@ -137,3 +140,49 @@ def test_initialize_shutdown_roundtrip(app):
     # shutdown clears the holder: a fresh initialize works
     rt2 = app.initialize()
     app.shutdown()
+
+
+def _compiles():
+    """Modules compiled so far by the generated-code loader's memo."""
+    return application._compile.cache_info().misses
+
+
+def test_recompose_compiles_only_changed_modules(tmp_path):
+    for name in mains.TOOL_MAINS:
+        mains.compose_app(name, out_dir=tmp_path / name).import_generated()
+    before = _compiles()
+    for name in mains.TOOL_MAINS:
+        mains.compose_app(name, out_dir=tmp_path / name).import_generated()
+    assert _compiles() == before
+
+    app = mains.compose_app("spmv", out_dir=tmp_path / "spmv")
+    stub = app.out_dir / "spmv_stub.py"
+    stub.write_text(stub.read_text() + "# edited\n")
+    ComposedApplication(app.tree, app.out_dir).import_generated()
+    assert _compiles() == before + 1
+
+    # the same bytes at another path compile again: code carries its file
+    copy = shutil.copytree(app.out_dir, tmp_path / "copy")
+    package = ComposedApplication(app.tree, copy).import_generated()
+    assert _compiles() == before + 1 + len(list(copy.glob("*.py")))
+    entry = package.PEPPHER_INITIALIZE
+    assert entry.__code__.co_filename == str(copy / "peppher.py")
+
+
+def test_temporary_app_directories_are_removed(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out_dirs = []
+    for name in ("spmv", "sgemm", "bfs"):
+        app = mains.compose_app(name)
+        app.import_generated()
+        out_dirs.append(str(app.out_dir))
+        assert out_dirs[-1] in sys.path_importer_cache
+    del app
+    gc.collect()
+    assert not list(tmp_path.iterdir())
+    assert not set(out_dirs) & set(sys.path_importer_cache)
+
+    # a compose that fails removes its directory at once
+    with pytest.raises(CompositionError):
+        mains.compose_app("spmv", recipe=Recipe(enable_only=("no_such_impl",)))
+    assert not list(tmp_path.iterdir())

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps import spmv
-from repro.components import InterfaceDescriptor, ParamDecl
+from repro.components import InterfaceDescriptor, ParamDecl, Repository
 from repro.composer.glue import (
     RuntimeHolder,
     as_operand,
     invoke_entry,
+    load_component_dir,
     lower_component,
     make_backend_adapter,
 )
@@ -168,3 +169,16 @@ def test_invoke_entry_raw_arrays_force_sync_and_flush(runtime):
     assert runtime.now >= task.end_time
     ref = spmv.reference(mat.values, mat.colidxs, mat.rowptr, x, 64)
     assert np.allclose(y, ref, rtol=1e-4)
+
+
+def test_load_component_dir_skips_directories_named_xml(tmp_path):
+    repo = Repository()
+    spmv.register(repo)
+    repo.save_to(tmp_path)
+    comp_dir = tmp_path / "spmv"
+    (comp_dir / "notes.xml").mkdir()
+    (comp_dir / "cuda" / "old.xml").mkdir()
+
+    interface, impls = load_component_dir(comp_dir)
+    assert interface == spmv.INTERFACE
+    assert sorted(i.name for i in impls) == sorted(i.name for i in spmv.IMPLEMENTATIONS)
