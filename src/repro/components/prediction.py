@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -33,10 +34,16 @@ def resolve_ref(ref: str):
             f"bad code reference {ref!r}: expected 'module:attribute'"
         )
     module_name, _, attr_path = ref.partition(":")
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise DescriptorError(f"cannot import module {module_name!r}: {exc}") from exc
+    # generated stubs and registries resolve every reference on import:
+    # an already-imported module skips the import machinery
+    module = sys.modules.get(module_name)
+    if module is None:
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError as exc:
+            raise DescriptorError(
+                f"cannot import module {module_name!r}: {exc}"
+            ) from exc
     obj = module
     for part in attr_path.split("."):
         try:

@@ -18,6 +18,7 @@ import xml.etree.ElementTree as ET
 from operator import attrgetter
 from pathlib import Path
 
+from repro._identity import Identity
 from repro.components.constraints import ExpressionConstraint, RangeConstraint
 from repro.components.context import ContextParamDecl
 from repro.components.implementation import (
@@ -339,12 +340,21 @@ _FROM_XML = {
 
 
 def descriptor_to_string(desc) -> str:
-    """Serialise any descriptor to pretty-printed XML text."""
-    try:
-        to_xml = _TO_XML[type(desc)]
-    except KeyError:
-        raise DescriptorError(f"not a descriptor: {type(desc).__name__}") from None
-    root = to_xml(desc)
+    """Serialise any descriptor to pretty-printed XML text.
+
+    Rendered once per descriptor object: the apps' descriptors are
+    module constants and parsed ones come from the bytes memo, so a
+    recompose renders only descriptors it has not seen.
+    """
+    if type(desc) not in _TO_XML:
+        raise DescriptorError(f"not a descriptor: {type(desc).__name__}")
+    return _render(Identity(desc))
+
+
+@functools.lru_cache(maxsize=1024)
+def _render(key: Identity) -> str:
+    # a frozen descriptor's text cannot change while the memo holds it
+    root = _TO_XML[type(key.obj)](key.obj)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode") + "\n"
 
@@ -364,12 +374,23 @@ def load_descriptor(path: str | Path):
     and then importing an application reads each deployed descriptor
     back, and identical bytes yield the same (immutable) descriptor.
     """
-    path = Path(path)
-    data = path.read_bytes()
     try:
-        return _parse(data)
+        return _parse(_read_bytes(path))
     except DescriptorError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    # unbuffered reads: a descriptor is about a kilobyte, and a file
+    # object costs more than reading it
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def xml_files(root: str | Path) -> list[Path]:
@@ -381,12 +402,18 @@ def xml_files(root: str | Path) -> list[Path]:
     parts, as ``Path`` objects compare: ``a/x.xml`` comes before
     ``a-b/x.xml`` although ``"-" < "/"``.
     """
-    found: list[Path] = []
+    return [Path(p) for p in xml_paths(root)]
+
+
+def xml_paths(root: str | Path) -> list[str]:
+    """:func:`xml_files` as plain ``str`` paths, each ``root`` joined
+    with its parts by :func:`os.path.join`."""
+    found: list[str] = []
     _collect_xml(os.fspath(root), found)
     return found
 
 
-def _collect_xml(top: str, found: list[Path]) -> None:
+def _collect_xml(top: str, found: list[str]) -> None:
     with os.scandir(top) as scan:
         entries = sorted(scan, key=attrgetter("name"))
     for entry in entries:
@@ -394,7 +421,7 @@ def _collect_xml(top: str, found: list[Path]) -> None:
             if not entry.is_symlink():  # as rglob: no descent into links
                 _collect_xml(entry.path, found)
         elif entry.name.endswith(".xml"):
-            found.append(Path(entry.path))
+            found.append(entry.path)
 
 
 def parse_descriptor_string(text: str):

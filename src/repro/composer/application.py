@@ -10,7 +10,9 @@ The package is imported through :class:`_GeneratedLoader`, which never
 reads or writes ``__pycache__``.  It compiles each module's source bytes
 through one process-wide memo keyed on the bytes and the path, so a
 recompose compiles only the modules whose bytes changed, and a module
-rewritten on disk always loads its new source.
+rewritten on disk always loads its new source.  The loader records the
+modules it loads per package, so a re-import evicts exactly those from
+``sys.modules`` instead of scanning it.
 
 An application composed into a temporary directory of its own removes
 that directory when it is collected.
@@ -22,6 +24,7 @@ import functools
 import importlib
 import importlib.machinery
 import importlib.util
+import os
 import shutil
 import sys
 import weakref
@@ -51,6 +54,16 @@ class _GeneratedLoader(importlib.machinery.SourceFileLoader):
     def get_code(self, fullname: str) -> CodeType:
         path = self.get_filename(fullname)
         return _compile(self.get_data(path), path)
+
+    def exec_module(self, module: ModuleType) -> None:
+        name = module.__name__
+        _loaded.setdefault(name.partition(".")[0], set()).add(name)
+        super().exec_module(module)
+
+
+#: top-level package name -> the modules :class:`_GeneratedLoader` loaded
+#: for it, which a re-import of the package evicts from ``sys.modules``
+_loaded: dict[str, set[str]] = {}
 
 
 def _discard(out_dir: str) -> None:
@@ -94,28 +107,27 @@ class ComposedApplication:
         """Import the generated package (idempotent)."""
         if self._package is not None:
             return self._package
-        init_path = self.out_dir / "__init__.py"
-        if not init_path.exists():
+        out = str(self.out_dir)
+        init_path = os.path.join(out, "__init__.py")
+        if not os.path.exists(init_path):
             raise CompositionError(
-                f"application {self.name!r}: no generated package at {self.out_dir}"
+                f"application {self.name!r}: no generated package at {out}"
             )
         # a previous compose may have claimed the name; evict stale
         # modules so the fresh artefacts load
         name = self.package_name
-        prefix = name + "."
-        stale = [mod for mod in sys.modules if mod == name or mod.startswith(prefix)]
-        for mod in stale:
-            del sys.modules[mod]
+        for mod in _loaded.pop(name, ()):
+            sys.modules.pop(mod, None)
         # submodules resolve through the package's __path__: route them
         # to the same loader
-        sys.path_importer_cache[str(self.out_dir)] = importlib.machinery.FileFinder(
-            str(self.out_dir), (_GeneratedLoader, [".py"])
+        sys.path_importer_cache[out] = importlib.machinery.FileFinder(
+            out, (_GeneratedLoader, [".py"])
         )
         spec = importlib.util.spec_from_file_location(
             name,
             init_path,
-            loader=_GeneratedLoader(name, str(init_path)),
-            submodule_search_locations=[str(self.out_dir)],
+            loader=_GeneratedLoader(name, init_path),
+            submodule_search_locations=[out],
         )
         package = importlib.util.module_from_spec(spec)
         sys.modules[name] = package

@@ -15,11 +15,12 @@ Implements the per-interface processing loop of paper section III:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro.components.main_desc import MainDescriptor
 from repro.components.repository import Repository
-from repro.components.xml_io import descriptor_to_string, load_descriptor, xml_files
+from repro.components.xml_io import descriptor_to_string, load_descriptor, xml_paths
 from repro.composer.application import ComposedApplication
 from repro.composer.codegen.header import (
     generate_init_module,
@@ -37,7 +38,7 @@ from repro.errors import CompositionError
 from repro.hw.presets import by_name
 
 
-def _deploy(path: Path, text: str) -> None:
+def _deploy(path: str, text: str) -> None:
     """Write ``text`` to ``path`` unless the file already holds its bytes.
 
     Leaving an unchanged artefact alone keeps its mtime true for ``make``
@@ -45,11 +46,18 @@ def _deploy(path: Path, text: str) -> None:
     """
     data = text.encode()
     try:
-        if path.read_bytes() == data:
-            return
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    else:
+        try:
+            # one byte more than ``data``: a longer file reads unequal
+            if os.read(fd, len(data) + 1) == data:
+                return
+        finally:
+            os.close(fd)
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 class Composer:
@@ -81,18 +89,21 @@ class Composer:
 
     def generate(self, tree: ComponentTree, out_dir: str | Path) -> ComposedApplication:
         """Phase 3+4: code generation and deployment."""
-        out_dir = Path(out_dir)
+        out = os.fspath(out_dir)
         component_names = tree.interface_names()
-        artefacts: dict[Path, str] = {}
+        # plain str paths, joined as the descriptor walk joins them
+        artefacts: dict[str, str] = {}
 
         # deploy descriptors in the paper's directory structure so the
         # generated registry can reload them independently of this repo
-        descriptors = out_dir / "descriptors"
+        descriptors = os.path.join(out, "descriptors")
         for node in tree.nodes:
-            comp_dir = descriptors / node.name
-            artefacts[comp_dir / "interface.xml"] = descriptor_to_string(node.interface)
+            comp_dir = os.path.join(descriptors, node.name)
+            artefacts[os.path.join(comp_dir, "interface.xml")] = descriptor_to_string(
+                node.interface
+            )
             for impl in node.implementations:
-                path = comp_dir / impl.platform / f"{impl.name}.xml"
+                path = os.path.join(comp_dir, impl.platform, f"{impl.name}.xml")
                 artefacts[path] = descriptor_to_string(impl)
 
         # wrapper (stub) files: one per component; fully static
@@ -104,7 +115,7 @@ class Composer:
                 and node.static_choice is not None
             ):
                 dispatch = node.static_choice.compact()
-            artefacts[out_dir / f"{stub_module_name(node.name)}.py"] = (
+            artefacts[os.path.join(out, f"{stub_module_name(node.name)}.py")] = (
                 generate_stub_module(
                     node.interface, node.implementations, dispatch=dispatch
                 )
@@ -116,15 +127,19 @@ class Composer:
             if node.static_choice is not None:
                 narrowing[node.name] = sorted(node.static_choice.winners())
 
-        artefacts[out_dir / "_registry.py"] = generate_registry_module(
+        artefacts[os.path.join(out, "_registry.py")] = generate_registry_module(
             tree.main.name, component_names, narrowing
         )
-        artefacts[out_dir / "peppher.py"] = generate_peppher_module(
+        artefacts[os.path.join(out, "peppher.py")] = generate_peppher_module(
             tree.main, component_names
         )
-        artefacts[out_dir / "__init__.py"] = generate_init_module(tree.main.name)
-        artefacts[out_dir / "Makefile"] = generate_makefile(tree, self.repo.platforms)
-        artefacts[out_dir / "build_manifest.json"] = generate_build_manifest(
+        artefacts[os.path.join(out, "__init__.py")] = generate_init_module(
+            tree.main.name
+        )
+        artefacts[os.path.join(out, "Makefile")] = generate_makefile(
+            tree, self.repo.platforms
+        )
+        artefacts[os.path.join(out, "build_manifest.json")] = generate_build_manifest(
             tree, self.repo.platforms
         )
 
@@ -132,9 +147,9 @@ class Composer:
             _deploy(path, text)
         # the registry reloads every descriptor under a component's
         # directory: drop those an earlier compose left behind
-        for stale in set(xml_files(descriptors)).difference(artefacts):
-            stale.unlink()
-        return ComposedApplication(tree, out_dir)
+        for stale in set(xml_paths(descriptors)).difference(artefacts):
+            os.unlink(stale)
+        return ComposedApplication(tree, out)
 
     # -- the one-call front door ------------------------------------------------
 

@@ -12,15 +12,20 @@ calling convention, and codelet construction from descriptor files.
 
 from __future__ import annotations
 
+import functools
+import os
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from repro.components.constraints import make_guard
 from repro.components.implementation import ImplementationDescriptor
 from repro.components.interface import InterfaceDescriptor
-from repro.components.platform_desc import standard_platforms
-from repro.components.xml_io import load_descriptor, xml_files
+from repro.components.platform_desc import PlatformDescriptor, standard_platforms
+from repro.components.prediction import resolve_ref
+from repro.components.tunables import expand_tunables, mangle_tunable_suffix
+from repro.components.xml_io import load_descriptor, xml_paths
 from repro.containers.base import SmartContainer
 from repro.errors import CompositionError, RuntimeSystemError
 from repro.runtime.access import AccessMode
@@ -102,11 +107,7 @@ def lower_component(
     backend-wrapper task functions (keyed by implementation name), so
     the code the tool emitted is what actually executes.
     """
-    from repro.components.constraints import make_guard
-    from repro.components.prediction import resolve_ref
-    from repro.components.tunables import expand_tunables, mangle_tunable_suffix
-
-    platforms = platforms or {p.name: p for p in standard_platforms()}
+    platforms = platforms or _standard_platform_map()
     codelet = Codelet(
         name=interface.name, performance_aware=interface.use_history_models
     )
@@ -151,6 +152,12 @@ def lower_component(
     return codelet
 
 
+@functools.cache
+def _standard_platform_map() -> dict[str, PlatformDescriptor]:
+    # shared read-only: platform descriptors are frozen
+    return {p.name: p for p in standard_platforms()}
+
+
 def _resource_requirements(impl: ImplementationDescriptor) -> tuple[int, int]:
     """Translate declared resource requirements into runtime checks.
 
@@ -185,13 +192,18 @@ def load_component_dir(component_dir: str | Path) -> tuple[
     InterfaceDescriptor, list[ImplementationDescriptor]
 ]:
     """Read one component directory (interface.xml + per-platform impls)."""
-    component_dir = Path(component_dir)
-    iface_path = component_dir / "interface.xml"
-    if not iface_path.exists():
-        raise CompositionError(f"{component_dir}: missing interface.xml")
+    top = os.fspath(component_dir)
+    iface_path = os.path.join(top, "interface.xml")
+    paths = xml_paths(top) if os.path.isdir(top) else []
+    if iface_path not in paths:
+        if os.path.isdir(iface_path):
+            raise CompositionError(
+                f"{iface_path}: a directory, not the interface descriptor"
+            )
+        raise CompositionError(f"{top}: missing interface.xml")
     interface = load_descriptor(iface_path)
     impls = []
-    for path in xml_files(component_dir):
+    for path in paths:
         if path == iface_path:
             continue
         desc = load_descriptor(path)
@@ -246,7 +258,8 @@ def invoke_entry(
 
     Generated entry wrappers call this after laying out their
     positional arguments; it performs the packing/unpacking of the call
-    arguments to the runtime task handler (paper section IV-C).
+    arguments to the runtime task handler (paper section IV-C), by the
+    interface's call plan (:func:`_call_plan`).
 
     ``dispatch`` is the statically generated dispatch function
     (``ctx -> variant name``) of fully static composition: when present,
@@ -254,40 +267,27 @@ def invoke_entry(
     executes it (section III's off-line constructed dispatch).
     """
     runtime.engine.clock.advance(WRAPPER_OVERHEAD_S)
-    params = list(interface.params)
-    if len(args) != len(params):
+    n_params, operand_plan, scalar_plan, ctx_plan = _call_plan(interface)
+    if len(args) != n_params:
         raise CompositionError(
-            f"{interface.name}: expected {len(params)} arguments, got {len(args)}"
+            f"{interface.name}: expected {n_params} arguments, got {len(args)}"
         )
-    by_name = dict(zip((p.name for p in params), args))
     operands: list[tuple[DataHandle, AccessMode]] = []
     temporaries: list[DataHandle] = []
-    for p in interface.operand_params():
-        handle, temp = as_operand(runtime, by_name[p.name], p.name)
-        operands.append((handle, p.access))
+    for i, name, mode in operand_plan:
+        handle, temp = as_operand(runtime, args[i], name)
+        operands.append((handle, mode))
         if temp:
             temporaries.append(handle)
-    scalars = tuple(by_name[p.name] for p in interface.scalar_params())
-    # the call context carries the *declared* context parameters — the
-    # interface names exactly the properties that may influence callee
-    # selection (paper section III); other scalars (offsets, time points,
-    # coefficients) are payload and stay out of the selection context
-    declared = {cp.name for cp in interface.context_params}
-    ctx = {
-        p.name: by_name[p.name]
-        for p in interface.scalar_params()
-        if isinstance(by_name[p.name], (int, float))
-        and (not declared or p.name in declared)
-    }
+    ctx = {name: args[i] for name, i in ctx_plan if isinstance(args[i], (int, float))}
     force_sync = sync or bool(temporaries)
     if dispatch is not None:
-        chosen = dispatch(ctx)
-        codelet = codelet.restricted([chosen])
+        codelet = _restricted_to(codelet, dispatch(ctx))
     task = runtime.submit(
         codelet,
         operands,
         ctx=ctx,
-        scalar_args=scalars,
+        scalar_args=tuple([args[i] for i in scalar_plan]),
         sync=force_sync,
         priority=priority,
         name=interface.name,
@@ -296,3 +296,55 @@ def invoke_entry(
     for handle in temporaries:
         runtime.unregister(handle)
     return task
+
+
+#: Entry-wrapper memos: call plans keyed by ``id(interface)`` and
+#: statically restricted codelets keyed by ``(id(codelet), variant)``.
+#: Each entry holds its key object, so an id is not reused while the
+#: entry lives.  Plain id-keyed dicts, as the lookup runs on every call;
+#: a full memo starts over.  Sharing is safe: plans are tuples, and
+#: nothing mutates a codelet once it is lowered.
+_plans: dict[int, tuple[InterfaceDescriptor, tuple]] = {}
+_restricted: dict[tuple[int, str], tuple[Codelet, Codelet]] = {}
+_MEMO_SIZE = 256
+
+
+def _call_plan(interface: InterfaceDescriptor) -> tuple:
+    """``(n_params, operands, scalars, context)`` of one interface.
+
+    ``operands`` are ``(position, name, access mode)``; ``scalars`` the
+    payload positions; ``context`` the ``(name, position)`` of every
+    scalar in the call context.  The call context carries the *declared*
+    context parameters — the interface names exactly the properties that
+    may influence callee selection (paper section III); other scalars
+    (offsets, time points, coefficients) are payload and stay out of it.
+    An interface declaring none puts every scalar in the context.
+    """
+    entry = _plans.get(id(interface))
+    if entry is not None:
+        return entry[1]
+    declared = {cp.name for cp in interface.context_params}
+    operands, scalars, context = [], [], []
+    for i, p in enumerate(interface.params):
+        if p.is_pointer:
+            operands.append((i, p.name, p.access))
+        else:
+            scalars.append(i)
+            if not declared or p.name in declared:
+                context.append((p.name, i))
+    plan = (len(interface.params), tuple(operands), tuple(scalars), tuple(context))
+    if len(_plans) >= _MEMO_SIZE:
+        _plans.clear()
+    _plans[id(interface)] = (interface, plan)
+    return plan
+
+
+def _restricted_to(codelet: Codelet, variant: str) -> Codelet:
+    """``codelet`` narrowed to its variant ``variant``, built once."""
+    key = (id(codelet), variant)
+    entry = _restricted.get(key)
+    if entry is None:
+        if len(_restricted) >= _MEMO_SIZE:
+            _restricted.clear()
+        entry = _restricted[key] = (codelet, codelet.restricted([variant]))
+    return entry[1]

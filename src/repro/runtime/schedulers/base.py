@@ -72,7 +72,11 @@ class EngineView(Protocol):
     def predict_exec(
         self, task: "Task", variant: ImplVariant, unit: "ProcessingUnit"
     ) -> float | None:
-        """Learned execution-time estimate, or None while uncalibrated."""
+        """Learned execution-time estimate, or None while uncalibrated.
+
+        Depends on the task and the variant only (the model keys history
+        by footprint and variant name), so a policy may ask once per
+        variant, with any ``unit`` that variant can run on."""
         ...
 
     def n_samples(self, task: "Task", variant: ImplVariant) -> int:

@@ -87,30 +87,43 @@ class DmdaScheduler(Scheduler):
                 ),
             )
 
+        # The model answers per (task, variant), and a variant repeats
+        # across its workers' candidates: price each variant once, at its
+        # first candidate.  Keyed by id: ImplVariant is unhashable.
+        first: dict[int, Decision] = {}
+        for d in candidates:
+            first.setdefault(id(d.variant), d)
+
         # --- calibration: explore least-sampled variants first ------------
         # A variant counts as calibrated with either enough exact history
         # for this size bucket or a regression fit covering the size —
         # warm-started models therefore skip exploration entirely.
-        undersampled = [
-            d
-            for d in candidates
+        samples = {
+            key: view.n_samples(task, d.variant)
+            for key, d in first.items()
             if not view.is_calibrated(task, d.variant, self.calibration_samples)
-        ]
-        if undersampled:
+        }
+        if samples:
             view.note_exploration(task)
 
             # among undersampled variants prefer the globally least
             # sampled one, then the earliest-starting worker for it
             def calib_key(d: Decision) -> tuple:
                 return (
-                    view.n_samples(task, d.variant),
+                    samples[id(d.variant)],
                     self.earliest_start(task, d, view),
                     d.anchor.unit_id,
                 )
 
-            return min(undersampled, key=calib_key)
+            return min(
+                (d for d in candidates if id(d.variant) in samples), key=calib_key
+            )
 
         # --- steady state: minimum expected completion time ----------------
+        exec_ests = {
+            key: view.predict_exec(task, d.variant, d.anchor)
+            for key, d in first.items()
+        }
         best: Decision | None = None
         best_key: tuple[float, int] | None = None
         # data readiness/transfer cost depend only on the target memory
@@ -133,7 +146,7 @@ class DmdaScheduler(Scheduler):
             else:
                 data_ready = task.ready_time
                 penalty = 0.0
-            exec_est = view.predict_exec(task, decision.variant, decision.anchor)
+            exec_est = exec_ests[id(decision.variant)]
             assert exec_est is not None  # calibrated: model must answer
             completion = (
                 max(task.ready_time, avail, data_ready) + exec_est + penalty

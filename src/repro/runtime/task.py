@@ -95,6 +95,7 @@ class Task:
         "n_faults",
         "failed_on",
         "first_fault_arch",
+        "_footprint",
         "__weakref__",
     )
 
@@ -153,6 +154,7 @@ class Task:
         #: backend architecture of the first failed attempt (fallback
         #: accounting: recovery on a different arch counts as a fallback)
         self.first_fault_arch: str | None = None
+        self._footprint: tuple | None = None
 
     @property
     def name(self) -> str:
@@ -202,7 +204,17 @@ class Task:
         (coefficients, time points) are payload, not size, and are
         excluded so history is reused across them.  The context may
         override everything with an explicit ``footprint`` entry.
+
+        Derived once per task: operands and context are fixed at
+        submission (placement adds only ``ncores``, which is excluded),
+        and scheduling, completion and serving all ask for it.
         """
+        fp = self._footprint
+        if fp is None:
+            fp = self._footprint = self._derive_footprint()
+        return fp
+
+    def _derive_footprint(self) -> tuple:
         ctx = self.ctx
         if ctx:
             override = ctx.get("footprint")

@@ -173,3 +173,19 @@ def test_descriptor_to_string_rejects_non_descriptor():
 def test_xml_is_pretty_printed():
     text = descriptor_to_string(_interface())
     assert text.count("\n") > 5  # indented, one element per line
+
+
+def test_equal_descriptors_keep_their_own_text():
+    """Equal descriptors can render differently; the render memo keys by
+    identity, so each gets its own text, even back to back."""
+    params = (ParamDecl("n", "int"),)
+    ints = InterfaceDescriptor(
+        "f", params, context_params=(ContextParamDecl("n", "int", 1, 8),)
+    )
+    floats = InterfaceDescriptor(
+        "f", params, context_params=(ContextParamDecl("n", "int", 1.0, 8.0),)
+    )
+    assert ints == floats and hash(ints) == hash(floats)
+    for _ in range(2):
+        assert 'min="1" max="8"' in descriptor_to_string(ints)
+        assert 'min="1.0" max="8.0"' in descriptor_to_string(floats)

@@ -1,16 +1,18 @@
 """ComposedApplication behaviour and error paths."""
 
+import dataclasses
 import gc
 import importlib
 import os
 import shutil
 import sys
 import tempfile
+import types
 
 import pytest
 
 from repro.apps import mains, spmv
-from repro.components import MainDescriptor, Repository
+from repro.components import MainDescriptor, Repository, xml_io
 from repro.composer import ComposedApplication, Composer, Recipe, application
 from repro.errors import CompositionError
 
@@ -147,6 +149,15 @@ def _compiles():
     return application._compile.cache_info().misses
 
 
+def _memo_misses():
+    """(descriptors rendered, descriptor texts parsed, modules compiled)."""
+    return (
+        xml_io._render.cache_info().misses,
+        xml_io._parse.cache_info().misses,
+        _compiles(),
+    )
+
+
 def test_recompose_compiles_only_changed_modules(tmp_path):
     for name in mains.TOOL_MAINS:
         mains.compose_app(name, out_dir=tmp_path / name).import_generated()
@@ -167,6 +178,52 @@ def test_recompose_compiles_only_changed_modules(tmp_path):
     assert _compiles() == before + 1 + len(list(copy.glob("*.py")))
     entry = package.PEPPHER_INITIALIZE
     assert entry.__code__.co_filename == str(copy / "peppher.py")
+
+
+def test_warm_recompose_renders_parses_and_compiles_nothing(tmp_path):
+    for name in mains.TOOL_MAINS:
+        mains.compose_app(name, out_dir=tmp_path / name).import_generated()
+    before = _memo_misses()
+    for name in mains.TOOL_MAINS:
+        mains.compose_app(name, out_dir=tmp_path / name).import_generated()
+    assert _memo_misses() == before
+
+    # one changed field: exactly that descriptor renders and parses again;
+    # a compile command reaches no generated module, so nothing compiles
+    edited = dataclasses.replace(spmv.IMPLEMENTATIONS[0], compile_cmd="cc -c $<")
+    repo = Repository()
+    repo.add_interface(spmv.INTERFACE)
+    for impl in spmv.IMPLEMENTATIONS:
+        repo.add_implementation(edited if impl is spmv.IMPLEMENTATIONS[0] else impl)
+    main = MainDescriptor(name="spmv", components=("spmv",))
+    repo.add_main(main)
+    Composer(repo, Recipe()).compose(main, tmp_path / "spmv").import_generated()
+    rendered, parsed, compiled = _memo_misses()
+    assert (rendered, parsed, compiled) == (before[0] + 1, before[1] + 1, before[2])
+    comp_dir = tmp_path / "spmv" / "descriptors" / "spmv"
+    text = (comp_dir / edited.platform / f"{edited.name}.xml").read_text()
+    assert 'compileCmd="cc -c $&lt;"' in text
+
+
+def test_reimport_evicts_only_the_loaded_package_modules(tmp_path):
+    app = mains.compose_app("spmv", out_dir=tmp_path)
+    (tmp_path / "probe.py").write_text("VALUE = 1\n")
+    app.import_generated()
+    probe = importlib.import_module(f"{app.package_name}.probe")
+    # a package whose name merely extends this one's is left alone
+    neighbour = types.ModuleType(f"{app.package_name}2")
+    sys.modules[neighbour.__name__] = neighbour
+    sys.modules[f"{neighbour.__name__}.stub"] = types.ModuleType("stub")
+    try:
+        again = mains.compose_app("spmv", out_dir=tmp_path)
+        package = again.import_generated()
+        assert sys.modules[neighbour.__name__] is neighbour
+        assert f"{neighbour.__name__}.stub" in sys.modules
+        assert f"{app.package_name}.probe" not in sys.modules
+        assert importlib.import_module(f"{app.package_name}.probe") is not probe
+        assert sys.modules[app.package_name] is package
+    finally:
+        del sys.modules[neighbour.__name__], sys.modules[f"{neighbour.__name__}.stub"]
 
 
 def test_temporary_app_directories_are_removed(tmp_path, monkeypatch):

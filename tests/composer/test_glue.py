@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps import spmv
-from repro.components import InterfaceDescriptor, ParamDecl, Repository
+from repro.components import (
+    ContextParamDecl,
+    InterfaceDescriptor,
+    ParamDecl,
+    Repository,
+)
 from repro.composer.glue import (
     RuntimeHolder,
     as_operand,
@@ -17,6 +22,8 @@ from repro.containers import Vector
 from repro.errors import CompositionError, RuntimeSystemError
 from repro.runtime import Runtime
 from repro.runtime.access import AccessMode
+from repro.runtime.archs import Arch
+from repro.runtime.codelet import Codelet, ImplVariant
 from repro.hw.presets import platform_c2050
 
 
@@ -182,3 +189,84 @@ def test_load_component_dir_skips_directories_named_xml(tmp_path):
     interface, impls = load_component_dir(comp_dir)
     assert interface == spmv.INTERFACE
     assert sorted(i.name for i in impls) == sorted(i.name for i in spmv.IMPLEMENTATIONS)
+
+
+def test_load_component_dir_rejects_interface_xml_directory(tmp_path):
+    repo = Repository()
+    spmv.register(repo)
+    repo.save_to(tmp_path)
+    iface_path = tmp_path / "spmv" / "interface.xml"
+    iface_path.unlink()
+    iface_path.mkdir()
+    with pytest.raises(CompositionError, match=str(iface_path)):
+        load_component_dir(tmp_path / "spmv")
+
+
+def _mixed_interface(context_params=()):
+    return InterfaceDescriptor(
+        "mixed",
+        params=(
+            ParamDecl("n", "int"),
+            ParamDecl("data", "float*", AccessMode.RW),
+            ParamDecl("alpha", "float"),
+            ParamDecl("out", "float*", AccessMode.W),
+            ParamDecl("offset", "int"),
+        ),
+        context_params=context_params,
+    )
+
+
+def _mixed_codelet(iface):
+    def variant(arch):
+        return ImplVariant(
+            f"{iface.name}_{arch.value}", arch, lambda ctx, *a: None, lambda c, d: 1e-6
+        )
+
+    return Codelet(iface.name, [variant(Arch.CPU), variant(Arch.CUDA)])
+
+
+@pytest.mark.parametrize(
+    "declared, ctx",
+    [
+        ((), {"n": 8, "alpha": 0.5, "offset": 3}),
+        ((ContextParamDecl("n"),), {"n": 8}),
+    ],
+)
+def test_invoke_entry_packs_by_call_plan(runtime, declared, ctx):
+    """Operands in declaration order with their modes, every scalar as
+    payload, and only declared context parameters (all numeric scalars
+    when none are declared) in the call context."""
+    iface = _mixed_interface(declared)
+    data, out = Vector.zeros(8, runtime=runtime), Vector.zeros(8, runtime=runtime)
+    task = invoke_entry(
+        runtime, _mixed_codelet(iface), iface, (8, data, 0.5, out, 3), sync=False
+    )
+    assert [(op.handle, op.mode) for op in task.operands] == [
+        (data.handle, AccessMode.RW),
+        (out.handle, AccessMode.W),
+    ]
+    assert task.scalar_args == (8, 0.5, 3)
+    assert task.ctx == ctx
+    runtime.wait_for_all()
+
+
+def test_invoke_entry_plans_once_and_reuses_restricted_codelets(runtime, monkeypatch):
+    iface = _mixed_interface()
+    codelet = _mixed_codelet(iface)
+
+    def call(variant):
+        data, out = Vector.zeros(8, runtime=runtime), Vector.zeros(8, runtime=runtime)
+        return invoke_entry(
+            runtime, codelet, iface, (8, data, 0.5, out, 0), sync=False,
+            dispatch=lambda ctx: variant,
+        )
+
+    first = call("mixed_cuda")
+    # the plan is built: later calls read no parameter declaration
+    monkeypatch.setattr(ParamDecl, "is_pointer", property(lambda p: pytest.fail()))
+    second = call("mixed_cuda")
+    other = call("mixed_cpu")
+    assert second.codelet is first.codelet
+    assert [v.name for v in first.codelet.variants] == ["mixed_cuda"]
+    assert [v.name for v in other.codelet.variants] == ["mixed_cpu"]
+    runtime.wait_for_all()

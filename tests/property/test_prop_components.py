@@ -8,6 +8,8 @@ from repro.components.cdecl import parse_declaration
 from repro.components.constraints import ExpressionConstraint, RangeConstraint
 from repro.components.context import ContextParamDecl
 from repro.components.interface import InterfaceDescriptor, ParamDecl
+from repro._identity import Identity
+from repro.components import xml_io
 from repro.components.xml_io import descriptor_to_string, parse_descriptor_string
 from repro.runtime.access import AccessMode
 
@@ -40,6 +42,32 @@ def _params(draw):
 def test_interface_xml_roundtrip(name, params):
     iface = InterfaceDescriptor(name=name, params=params)
     assert parse_descriptor_string(descriptor_to_string(iface)) == iface
+
+
+@given(
+    name=_ident,
+    params=_params(),
+    bounds=st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 5)), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_memoized_render_matches_fresh_render(name, params, bounds):
+    """The identity-keyed render memo returns what rendering afresh
+    does, for a descriptor and for an equal twin whose int bounds are
+    floats (equal, yet rendered ``1`` vs ``1.0``)."""
+
+    def iface(cast):
+        return InterfaceDescriptor(
+            name=name,
+            params=params,
+            context_params=tuple(
+                ContextParamDecl(f"c{i}", minimum=cast(lo), maximum=cast(lo + width))
+                for i, (lo, width) in enumerate(bounds)
+            ),
+        )
+
+    ints, floats = iface(int), iface(float)
+    for desc in (ints, floats, ints):
+        assert descriptor_to_string(desc) == xml_io._render.__wrapped__(Identity(desc))
 
 
 @given(

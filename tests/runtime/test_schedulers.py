@@ -159,3 +159,25 @@ def test_eager_fills_idle_workers():
     _, trace = _run_tasks("eager", n_tasks=16, machine=cpu_only(4))
     used_workers = {w for rec in trace.tasks for w in rec.worker_ids}
     assert len(used_workers) == 4
+
+
+def test_dmda_prices_each_variant_once_per_decision(monkeypatch):
+    """c2050 has several CPU workers per variant: dmda still asks the
+    model once per (task, variant), not once per candidate worker."""
+    from repro.runtime.engine import Engine
+
+    calls = {"is_calibrated": [], "predict_exec": []}
+    for method in calls:
+        original = getattr(Engine, method)
+
+        def counted(self, task, variant, *rest, _m=method, _f=original):
+            calls[_m].append((task.task_id, variant.name))
+            return _f(self, task, variant, *rest)
+
+        monkeypatch.setattr(Engine, method, counted)
+    _, trace = _run_tasks("dmda", n_tasks=30, n=2_000_000)
+    assert trace.n_tasks == 30
+    for method, seen in calls.items():
+        assert seen, method
+        assert len(seen) == len(set(seen)), method
+    assert calls["predict_exec"]  # steady-state decisions were made

@@ -66,6 +66,16 @@ def test_footprint_distinguishes_scales():
     assert _task(100).footprint() != _task(100_000).footprint()
 
 
+def test_footprint_is_derived_once(monkeypatch):
+    t = _task(ctx={"n": 64})
+    first = t.footprint()
+    monkeypatch.setattr(
+        Task, "_derive_footprint", lambda self: pytest.fail("derived twice")
+    )
+    t.ctx["ncores"] = 4  # placement adds ncores, which the footprint excludes
+    assert t.footprint() is first
+
+
 def test_footprint_ctx_override():
     t = _task(ctx={"footprint": "custom"})
     assert t.footprint() == ("c", "custom")
