@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.samplers import DEFAULT_PERIOD_S, EngineSamplers
 from repro.obs.spans import SpanTracer
+from repro.runtime.stats import DIRECTIONS, transfer_direction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Engine
@@ -53,12 +54,11 @@ class _EngineMetrics:
     / fault records are retained in emission order, and submit-time
     facts live in the trace's native per-codelet counters
     (``submitted_by_codelet`` & co.).  :meth:`collect` folds both
-    incrementally (remembering how far it has read, exactly like the
-    trace's own derived-stat cache), and runs on every read path
-    (``MetricsSuite.snapshot`` / ``to_prometheus``), on the engine's
-    shutdown ``flush`` event and on ``detach`` — so values are exact at
-    every observation point while the metrics-on hot path costs the
-    engine nothing beyond its always-on bookkeeping.
+    incrementally (remembering how far it has read), and runs on every
+    read path (``MetricsSuite.snapshot`` / ``to_prometheus``), on the
+    engine's shutdown ``flush`` event and on ``detach`` — so values are
+    exact at every observation point while the metrics-on hot path costs
+    the engine nothing beyond its always-on bookkeeping.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -239,14 +239,6 @@ class _EngineMetrics:
     def on_flush(self, event) -> None:
         self.collect()
 
-    @staticmethod
-    def _direction(src: int, dst: int) -> str:
-        if src == 0 and dst != 0:
-            return "h2d"
-        if src != 0 and dst == 0:
-            return "d2h"
-        return "d2d"
-
     # -- fold one record into the registry ------------------------------------
 
     def _fold_complete(self, rec) -> None:
@@ -268,7 +260,7 @@ class _EngineMetrics:
         queue_wait.observe(rec.start_time - rec.submit_time)
 
     def _fold_transfer(self, rec) -> None:
-        direction = self._direction(rec.src_node, rec.dst_node)
+        direction = DIRECTIONS[transfer_direction(rec.src_node, rec.dst_node)]
         bound = self._xfer_by_dir.get(direction)
         if bound is None:
             bound = self._xfer_by_dir[direction] = (

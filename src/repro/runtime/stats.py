@@ -36,8 +36,10 @@ on the no-subscriber fast path; a record built by indexing is cached,
 sparsely (row -> record).  Those two stores are built with the trace; the eviction, fault,
 request and access stores, which most runs never write, are built with
 their views on first access, and the trace's own readers (counts,
-derived stats, ``columns``, ``state_dict``, the canonical form) read an
-unwritten kind as empty without building it.
+aggregates, ``columns``, ``state_dict``, the canonical form) read an
+unwritten kind as empty without building it.  Every aggregate
+(``makespan``, ``tasks_by_arch()``, ...) is a fold over the columns on
+each read: the trace keeps no derived state.
 
 The blessed access API (stable across future layout changes):
 
@@ -59,8 +61,12 @@ from __future__ import annotations
 
 import functools
 from array import array
+from collections import Counter
 from collections.abc import Sequence
+from itertools import chain
 from types import FunctionType, MappingProxyType
+
+import numpy as np
 
 from repro.hw.description import HOST_NODE
 
@@ -247,6 +253,21 @@ class TaskRecord(_Record):
         return self.end_time - self.start_time
 
 
+#: the label of each :func:`transfer_direction` code: a copy that
+#: neither leaves nor enters the host, or stays on it, is "d2d"
+DIRECTIONS = ("d2d", "h2d", "d2h", "d2d")
+H2D, D2H = 1, 2
+
+
+def transfer_direction(src, dst):
+    """A copy's direction code, an index into :data:`DIRECTIONS`.
+
+    ``H2D`` leaves the host for a device, ``D2H`` comes back to it.
+    Elementwise when ``src`` and ``dst`` are NumPy node arrays.
+    """
+    return (src == HOST_NODE) + 2 * (dst == HOST_NODE)
+
+
 class TransferRecord(_Record):
     """One modeled data copy between memory nodes."""
 
@@ -269,11 +290,11 @@ class TransferRecord(_Record):
 
     @property
     def is_h2d(self) -> bool:
-        return self.src_node == HOST_NODE and self.dst_node != HOST_NODE
+        return transfer_direction(self.src_node, self.dst_node) == H2D
 
     @property
     def is_d2h(self) -> bool:
-        return self.src_node != HOST_NODE and self.dst_node == HOST_NODE
+        return transfer_direction(self.src_node, self.dst_node) == D2H
 
 
 class EvictionRecord(_Record):
@@ -914,161 +935,33 @@ def _empty_view(cls: type) -> RecordsView:
 
 
 # ---------------------------------------------------------------------------
-# derived-statistics cache
+# column folds
 # ---------------------------------------------------------------------------
 
 
-class _DerivedStats:
-    """Incrementally maintained aggregates over a trace's record columns.
+def _sum_in_order(values: np.ndarray) -> float:
+    """``values`` added left to right from 0.0, as a ``+=`` loop does.
 
-    The derived-stat properties of :class:`ExecutionTrace` (``n_h2d``,
-    ``makespan``, ``faults_by_kind``, ...) used to rescan the full
-    record lists on every call — O(n) per query, which a live obs layer
-    polls constantly.  This cache folds rows in exactly once, lazily:
-    each accessor first consumes whatever was appended since the last
-    query, reading the raw columns so no record objects materialize.
-    A store that *shrank* (``clear()``) triggers a full recompute.
+    ``np.bincount`` accumulates its weights in row order, so the sum is
+    bit-identical to that loop; ``np.sum`` adds pairwise and Python's
+    ``sum`` of floats compensates (3.12), so either may differ.
     """
+    zeros = np.zeros(len(values), np.intp)
+    # float(): with no values, bincount returns an int array
+    return float(np.bincount(zeros, values, minlength=1)[0])
 
-    __slots__ = (
-        "_seen_tasks",
-        "_seen_transfers",
-        "_seen_faults",
-        "_seen_requests",
-        "n_h2d",
-        "n_d2h",
-        "bytes_transferred",
-        "max_end",
-        "total_energy_j",
-        "energy_by_arch",
-        "busy_time",
-        "tasks_by_arch",
-        "tasks_by_variant",
-        "faults_by_kind",
-        "faults_by_worker",
-        "n_shed",
-        "n_failed_requests",
-        "tenants",
-    )
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self._seen_tasks = 0
-        self._seen_transfers = 0
-        self._seen_faults = 0
-        self._seen_requests = 0
-        self.n_h2d = 0
-        self.n_d2h = 0
-        self.bytes_transferred = 0
-        self.max_end = 0.0
-        self.total_energy_j = 0.0
-        self.energy_by_arch: dict[str, float] = {}
-        self.busy_time: dict[int, float] = {}
-        self.tasks_by_arch: dict[str, int] = {}
-        self.tasks_by_variant: dict[str, int] = {}
-        self.faults_by_kind: dict[str, int] = {}
-        self.faults_by_worker: dict[int, int] = {}
-        self.n_shed = 0
-        self.n_failed_requests = 0
-        #: insertion-ordered tenant-name set (dict used as such)
-        self.tenants: dict[str, None] = {}
-
-    def catch_up(self, trace: "ExecutionTrace") -> "_DerivedStats":
-        tasks = trace._tasks
-        transfers = trace._transfers
-        faults = trace._view("faults")._store
-        requests = trace._view("requests")._store
-        if (
-            len(tasks) < self._seen_tasks
-            or len(transfers) < self._seen_transfers
-            or len(faults) < self._seen_faults
-            or len(requests) < self._seen_requests
-        ):
-            self.reset()
-        n = len(tasks)
-        if n > self._seen_tasks:
-            cols = tasks.columns
-            starts = cols["start_time"]
-            ends = cols["end_time"]
-            energies = cols["energy_j"]
-            # coded columns: fold over the codes, decode through the table
-            archs, arch_codes = cols["arch"].values, cols["arch"].codes
-            variants, variant_codes = (
-                cols["variant"].values,
-                cols["variant"].codes,
-            )
-            workers, worker_codes = (
-                cols["worker_ids"].values,
-                cols["worker_ids"].codes,
-            )
-            for i in range(self._seen_tasks, n):
-                end = ends[i]
-                if end > self.max_end:
-                    self.max_end = end
-                e = energies[i]
-                arch = archs[arch_codes[i]]
-                self.total_energy_j += e
-                self.energy_by_arch[arch] = (
-                    self.energy_by_arch.get(arch, 0.0) + e
-                )
-                self.tasks_by_arch[arch] = self.tasks_by_arch.get(arch, 0) + 1
-                variant = variants[variant_codes[i]]
-                self.tasks_by_variant[variant] = (
-                    self.tasks_by_variant.get(variant, 0) + 1
-                )
-                dur = end - starts[i]
-                for w in workers[worker_codes[i]]:
-                    self.busy_time[w] = self.busy_time.get(w, 0.0) + dur
-            self._seen_tasks = n
-        n = len(transfers)
-        if n > self._seen_transfers:
-            cols = transfers.columns
-            srcs = cols["src_node"]
-            dsts = cols["dst_node"]
-            sizes = cols["nbytes"]
-            ends = cols["end_time"]
-            for i in range(self._seen_transfers, n):
-                src = srcs[i]
-                dst = dsts[i]
-                if src == HOST_NODE:
-                    if dst != HOST_NODE:
-                        self.n_h2d += 1
-                elif dst == HOST_NODE:
-                    self.n_d2h += 1
-                self.bytes_transferred += sizes[i]
-                end = ends[i]
-                if end > self.max_end:
-                    self.max_end = end
-            self._seen_transfers = n
-        n = len(faults)
-        if n > self._seen_faults:
-            cols = faults.columns
-            kinds = cols["kind"]
-            workers = cols["worker_ids"]
-            for i in range(self._seen_faults, n):
-                kind = kinds[i]
-                self.faults_by_kind[kind] = self.faults_by_kind.get(kind, 0) + 1
-                for w in workers[i]:
-                    self.faults_by_worker[w] = (
-                        self.faults_by_worker.get(w, 0) + 1
-                    )
-            self._seen_faults = n
-        n = len(requests)
-        if n > self._seen_requests:
-            cols = requests.columns
-            sheds = cols["shed"]
-            faileds = cols["failed"]
-            tenants = cols["tenant"]
-            for i in range(self._seen_requests, n):
-                if sheds[i]:
-                    self.n_shed += 1
-                if faileds[i]:
-                    self.n_failed_requests += 1
-                self.tenants.setdefault(tenants[i], None)
-            self._seen_requests = n
-        return self
+def _grouped(col: CodedColumn, weights: np.ndarray | None = None) -> dict:
+    """Per-value row counts of a coded column, or in-order sums of
+    ``weights``, keyed by value in order of first appearance."""
+    codes = np.array(col.codes, dtype=np.intp)
+    counts = np.bincount(codes, minlength=len(col.values))
+    totals = counts if weights is None else np.bincount(codes, weights)
+    # the table also keeps values no row holds any more (cleared or
+    # overwritten rows), and its order is the order values first came
+    present = np.flatnonzero(counts)
+    first = [np.argmax(codes == c) for c in present]
+    return {col.values[c]: totals[c].item() for c in present[np.argsort(first)]}
 
 
 # ---------------------------------------------------------------------------
@@ -1173,8 +1066,6 @@ class ExecutionTrace:
         self.blacklisted_workers = set(blacklisted_workers or ())
         #: workers whose device was permanently lost
         self.lost_workers = set(lost_workers or ())
-        # derived-stat cache (invisible to STATE_FIELDS comparisons)
-        self._stats = _DerivedStats()
 
     def __getattr__(self, name: str):
         """Build a lazy kind's store (``_faults``) and view (``faults``)."""
@@ -1196,8 +1087,14 @@ class ExecutionTrace:
             return _empty_view(self.RECORD_CLASSES[kind])
         return view
 
-    def _derived(self) -> _DerivedStats:
-        return self._stats.catch_up(self)
+    def _column(self, kind: str, field: str):
+        """``kind``'s raw ``field`` column, as stored (aggregates only)."""
+        return self._view(kind)._store.columns[field]
+
+    def _array(self, kind: str, field: str) -> np.ndarray:
+        """A NumPy copy of a float or int column (not a view: a live
+        view would stop the column from growing)."""
+        return np.array(self._column(kind, field))
 
     # -- blessed column access ----------------------------------------------
 
@@ -1319,18 +1216,21 @@ class ExecutionTrace:
 
     @property
     def n_shed(self) -> int:
-        return self._derived().n_shed
+        return sum(map(bool, self._column("requests", "shed")))
 
     @property
     def n_failed_requests(self) -> int:
-        return self._derived().n_failed_requests
+        return sum(map(bool, self._column("requests", "failed")))
 
     def tenants(self) -> list[str]:
         """Tenant names seen, in first-arrival order."""
-        return list(self._derived().tenants)
+        return list(dict.fromkeys(self._column("requests", "tenant")))
 
     def requests_for(self, tenant: str) -> list[RequestRecord]:
-        return [r for r in self._view("requests") if r.tenant == tenant]
+        """``tenant``'s requests; only the matching records are read."""
+        store = self._view("requests")._store
+        tenants = store.columns["tenant"]
+        return [store.get(i) for i, t in enumerate(tenants) if t == tenant]
 
     @property
     def n_evictions(self) -> int:
@@ -1344,26 +1244,27 @@ class ExecutionTrace:
 
     @property
     def n_kernel_faults(self) -> int:
-        return self._derived().faults_by_kind.get("kernel", 0)
+        return self._column("faults", "kind").count("kernel")
 
     @property
     def n_transfer_faults(self) -> int:
-        return self._derived().faults_by_kind.get("transfer", 0)
+        return self._column("faults", "kind").count("transfer")
 
     @property
     def n_devices_lost(self) -> int:
-        return self._derived().faults_by_kind.get("device_lost", 0)
+        return self._column("faults", "kind").count("device_lost")
 
     @property
     def n_replicas_recovered(self) -> int:
-        return self._derived().faults_by_kind.get("replica_lost", 0)
+        return self._column("faults", "kind").count("replica_lost")
 
     def faults_by_kind(self) -> dict[str, int]:
-        return dict(self._derived().faults_by_kind)
+        return dict(Counter(self._column("faults", "kind")))
 
     def faults_by_worker(self) -> dict[int, int]:
         """Transient faults attributed to each worker (blacklist basis)."""
-        return dict(self._derived().faults_by_worker)
+        workers = self._column("faults", "worker_ids")
+        return dict(Counter(chain.from_iterable(workers)))
 
     # -- aggregate views ----------------------------------------------------
 
@@ -1375,35 +1276,73 @@ class ExecutionTrace:
     def n_transfers(self) -> int:
         return len(self._transfers)
 
+    def _n_direction(self, code: int) -> int:
+        directions = transfer_direction(
+            self._array("transfers", "src_node"),
+            self._array("transfers", "dst_node"),
+        )
+        return int(np.count_nonzero(directions == code))
+
     @property
     def n_h2d(self) -> int:
-        return self._derived().n_h2d
+        return self._n_direction(H2D)
 
     @property
     def n_d2h(self) -> int:
-        return self._derived().n_d2h
+        return self._n_direction(D2H)
 
     @property
     def bytes_transferred(self) -> int:
-        return self._derived().bytes_transferred
+        # Python ints: the total grows past int64 where NumPy would wrap
+        return sum(self._column("transfers", "nbytes"))
 
     @property
     def makespan(self) -> float:
-        """Virtual time from first task start to last task/transfer end."""
-        return self._derived().max_end
+        """Virtual time from t = 0 to the last task or transfer end."""
+        ends = np.concatenate(
+            [self._array(kind, "end_time") for kind in ("tasks", "transfers")]
+        )
+        # fmax skips nan ends; a run that ends at or before 0 spans 0.0
+        latest = float(np.fmax.reduce(ends, initial=0.0))
+        return latest if latest > 0.0 else 0.0
 
     @property
     def total_energy_j(self) -> float:
         """Modeled execution energy over all tasks, in joules (basis of
         the ``min_energy`` optimization goal)."""
-        return self._derived().total_energy_j
+        return _sum_in_order(self._array("tasks", "energy_j"))
 
     def energy_by_arch(self) -> dict[str, float]:
-        return dict(self._derived().energy_by_arch)
+        return _grouped(
+            self._column("tasks", "arch"), self._array("tasks", "energy_j")
+        )
+
+    def worker_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """One (task row, worker id) pair per worker a task occupied.
+
+        A gang task occupies several workers and so has several slots;
+        both arrays run in row order.  Busy time and
+        :func:`~repro.runtime.trace_export.task_load` read this one
+        expansion of the ``worker_ids`` codes.
+        """
+        col = self._column("tasks", "worker_ids")
+        codes = np.array(col.codes, dtype=np.intp)
+        sizes = np.array([len(w) for w in col.values], dtype=np.intp)
+        table = np.fromiter(chain.from_iterable(col.values), np.int64)
+        counts = sizes[codes]
+        rows = np.repeat(np.arange(len(codes)), counts)
+        # slot j of a row reads its table entry's start plus its offset
+        # in the row: j minus the row's first slot
+        first = np.cumsum(sizes) - sizes
+        shift = np.repeat(first[codes] - (np.cumsum(counts) - counts), counts)
+        return rows, table[np.arange(len(rows)) + shift]
 
     def busy_time(self, worker_id: int) -> float:
         """Total virtual time ``worker_id`` spent executing tasks."""
-        return self._derived().busy_time.get(worker_id, 0.0)
+        rows, workers = self.worker_slots()
+        start = self._array("tasks", "start_time")
+        end = self._array("tasks", "end_time")
+        return _sum_in_order((end - start)[rows[workers == worker_id]])
 
     def utilisation(self, worker_id: int) -> float:
         """Busy fraction of the makespan for one worker."""
@@ -1412,10 +1351,10 @@ class ExecutionTrace:
 
     def tasks_by_arch(self) -> dict[str, int]:
         """How many tasks each backend architecture executed."""
-        return dict(self._derived().tasks_by_arch)
+        return _grouped(self._column("tasks", "arch"))
 
     def tasks_by_variant(self) -> dict[str, int]:
-        return dict(self._derived().tasks_by_variant)
+        return _grouped(self._column("tasks", "variant"))
 
     def transfers_for_handle(self, handle_id: int) -> list[TransferRecord]:
         return [t for t in self.transfers if t.handle_id == handle_id]
@@ -1603,4 +1542,3 @@ class ExecutionTrace:
         self.n_exploration_decisions = 0
         self.blacklisted_workers.clear()
         self.lost_workers.clear()
-        self._stats.reset()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -361,9 +360,7 @@ def task_load(trace: ExecutionTrace, at=None) -> TaskLoad:
         return np.searchsorted(np.sort(col), times, side="right")
 
     # one slot per (task, occupied worker): a gang task occupies several
-    wids = trace.columns("worker_ids")
-    rows = np.repeat(np.arange(len(wids)), [len(w) for w in wids])
-    slots = np.fromiter(chain.from_iterable(wids), np.int64, len(rows))
+    rows, slots = trace.worker_slots()
     by_submit = np.argsort(submit, kind="stable")
     latest = np.concatenate(([-np.inf], np.maximum.accumulate(end[by_submit])))
     n_submitted = np.searchsorted(submit[by_submit], times, side="right")

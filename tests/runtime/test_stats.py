@@ -149,3 +149,31 @@ def test_per_codelet_counters_survive_clear_and_canonicalize():
     assert trace.submitted_by_codelet == {}
     assert trace.decisions_by_codelet == {}
     assert trace.retries_by_codelet == {}
+
+
+def test_aggregates_follow_a_row_overwritten_after_a_read():
+    trace = ExecutionTrace()
+    trace.add_task(_row(_task(0, worker=(0,), end=5.0)))
+    trace.add_task(_row(_task(1, worker=(0,), end=1.0)))
+    assert trace.makespan == 5.0 and trace.tasks_by_arch() == {"cpu": 2}
+    trace.tasks[0] = _task(0, worker=(1,), start=1.0, end=2.0, arch="cuda")
+    assert trace.makespan == 2.0
+    assert trace.tasks_by_arch() == {"cuda": 1, "cpu": 1}
+    assert trace.busy_time(0) == 1.0 and trace.busy_time(1) == 1.0
+
+
+def test_aggregates_drop_rows_cleared_through_the_view():
+    trace = ExecutionTrace()
+    trace.add_task(_row(_task(0, end=9.0, arch="cuda")))
+    trace.add_transfer(_row(_transfer(0, 1, 64, end=9.0)))
+    assert trace.makespan == 9.0 and trace.n_h2d == 1
+    trace.tasks.clear()
+    trace.transfers.clear()
+    trace.add_task(_row(_task(1, end=1.0)))
+    trace.add_task(_row(_task(2, end=0.5)))
+    trace.add_transfer(_row(_transfer(1, 0, 8, end=0.25)))
+    trace.add_transfer(_row(_transfer(1, 2, 8, end=0.25)))
+    assert trace.makespan == 1.0
+    assert trace.tasks_by_arch() == {"cpu": 2}
+    assert trace.busy_time(0) == 1.5
+    assert (trace.n_h2d, trace.n_d2h, trace.bytes_transferred) == (0, 1, 16)
