@@ -15,9 +15,10 @@ Checked invariants
   transfer; recorded nodes/workers exist on the machine.
 - **worker exclusivity**: no two tasks overlap on one processing unit
   (gang tasks occupy every listed worker).
-- **link exclusivity**: transfers serialize per DMA channel — one
-  channel per (device link, direction) for duplex links, one per link
-  otherwise.
+- **link exclusivity**: transfers serialize per DMA channel, as
+  :func:`~repro.hw.description.copy_route` names them — one channel per
+  (device link, direction) for duplex links, one shared by both
+  directions otherwise — and each recorded copy is a single hop.
 - **dependencies**: a task starts no earlier than every dependency's
   end, and dependencies were submitted first.
 - **coherence**: a time-ordered sweep over the container state machine —
@@ -46,7 +47,7 @@ import math
 from typing import Iterable
 
 from repro.errors import InvariantViolation
-from repro.hw.description import HOST_NODE, Machine
+from repro.hw.description import HOST_NODE, Machine, copy_route
 from repro.runtime.stats import (
     ACCESS_KINDS,
     AccessRecord,
@@ -302,20 +303,13 @@ class TraceChecker:
                         (f"task#{prev.task_id}", f"task#{cur.task_id}"),
                     )
 
-    def _link_channel(self, rec: TransferRecord) -> tuple[int, str] | None:
-        """DMA channel a transfer occupies, or None for malformed routes."""
-        if rec.src_node != HOST_NODE and rec.dst_node != HOST_NODE:
-            return None  # engine stages d2d through the host
-        link_node = rec.src_node if rec.dst_node == HOST_NODE else rec.dst_node
-        direction = "d2h" if rec.dst_node == HOST_NODE else "h2d"
-        duplex = self.info.duplex.get(link_node, False)
-        return (link_node, direction if duplex else "both")
-
     def _check_link_exclusivity(self) -> None:
         channels: dict[tuple[int, str], list[TransferRecord]] = {}
         for rec in self.trace.transfers:
-            channel = self._link_channel(rec)
-            if channel is None:
+            # a recorded copy is one hop of its copy_route (a self-copy,
+            # with no hop, is timeline.transfer-nodes' to report)
+            route = copy_route(rec.src_node, rec.dst_node, self.info.duplex)
+            if len(route) > 1:
                 self._fail(
                     "exclusivity.link-route",
                     f"transfer of {rec.handle_name!r} goes device-to-device "
@@ -323,8 +317,8 @@ class TraceChecker:
                     f"machine has no peer DMA; copies stage through host",
                     (f"transfer@seq{rec.seq}", f"handle#{rec.handle_id}"),
                 )
-                continue
-            channels.setdefault(channel, []).append(rec)
+            elif route:
+                channels.setdefault(route[0][2], []).append(rec)
         for (node, direction), recs in sorted(channels.items()):
             recs.sort(key=lambda r: (r.start_time, r.end_time))
             for prev, cur in zip(recs, recs[1:]):

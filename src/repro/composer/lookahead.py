@@ -21,8 +21,11 @@ consistency), scoring each prefix with
   dmda uses, so warm tuning-store models, ``measured``-provenance
   calibration and analytical history all flow in), and
 - modeled PCIe transfer costs seeded from the *current* MSI coherence
-  state of every operand, with per-(node, direction) link serialization
-  mirroring the engine's own estimator.
+  state of every operand, each copy walked hop by hop along
+  :func:`~repro.hw.description.copy_route` and serialized on the DMA
+  channel the engine itself commits it to (a half-duplex link is one
+  channel shared by both directions), priced by the engine's memoized
+  ``transfer_time``.
 
 **Container-aware fusion** (``fusion=True``, the default) threads the
 projected residency of intermediates through the plan: when a
@@ -91,9 +94,10 @@ class _SimState:
     """One speculative timeline the planner extends task by task.
 
     Mirrors exactly the engine state a placement commit would mutate:
-    per-worker availability, per-(node, direction) link occupancy, and
-    the projected residency (node → ready time) of every handle the
-    window touches.
+    per-worker availability, the occupancy of each
+    :func:`~repro.hw.description.copy_route` DMA channel, and the
+    projected residency (node → ready time) of every handle the window
+    touches.
     """
 
     __slots__ = (
@@ -375,25 +379,20 @@ class LookaheadScheduler(BulkScheduler):
         earliest: float,
         view: EngineView,
     ) -> float:
-        """Model one copy src→dst with link serialization; returns the
-        arrival time.  Device-to-device stages through the host, like
-        the engine's committed transfers."""
-        if src != HOST_NODE and dst != HOST_NODE:
-            earliest = self._transfer(
-                state, src, HOST_NODE, nbytes, earliest, view
+        """Model one copy src→dst hop by hop along the engine's route,
+        each hop serialized on its DMA channel; returns the arrival
+        time."""
+        end = earliest
+        for hop_src, hop_dst, channel in view.route(src, dst):
+            busy_until = state.link.get(channel)
+            if busy_until is None:
+                # seed from the live DMA queue: transfers committed by
+                # earlier windows may still occupy the link
+                busy_until = view.link_available(channel)
+            end = max(end, busy_until) + view.transfer_time(
+                hop_src, hop_dst, nbytes
             )
-            src = HOST_NODE
-        direction = "d2h" if dst == HOST_NODE else "h2d"
-        link_node = src if dst == HOST_NODE else dst
-        key = (link_node, direction)
-        busy_until = state.link.get(key)
-        if busy_until is None:
-            # seed from the live DMA queue: transfers committed by
-            # earlier windows may still occupy the link
-            busy_until = view.link_available(link_node, direction)
-        start = max(earliest, busy_until)
-        end = start + view.machine.transfer_time(src, dst, nbytes)
-        state.link[key] = end
+            state.link[channel] = end
         return end
 
     def _apply(
@@ -428,9 +427,7 @@ class LookaheadScheduler(BulkScheduler):
                 # materializes on the host before any consumer
                 t = seen[0]
                 if node != HOST_NODE:
-                    t = t + view.machine.transfer_time(
-                        HOST_NODE, node, h.nbytes
-                    )
+                    t = t + view.transfer_time(HOST_NODE, node, h.nbytes)
                 if t > data_ready:
                     data_ready = t
                 continue
@@ -482,7 +479,7 @@ class LookaheadScheduler(BulkScheduler):
                     end
                     if node == HOST_NODE
                     else end
-                    + view.machine.transfer_time(node, HOST_NODE, h.nbytes)
+                    + view.transfer_time(node, HOST_NODE, h.nbytes)
                 )
                 state.host_seen[h.handle_id] = [host_t, node, i, False]
         ends.append(end)

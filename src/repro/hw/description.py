@@ -26,6 +26,48 @@ from repro.hw.interconnect import LinkSpec, pcie2_x16
 
 HOST_NODE = 0
 
+#: the label of each :func:`transfer_direction` code: a copy that
+#: neither leaves nor enters the host, or stays on it, is "d2d"
+DIRECTIONS = ("d2d", "h2d", "d2h", "d2d")
+H2D, D2H = 1, 2
+
+
+def transfer_direction(src, dst):
+    """A copy's direction code, an index into :data:`DIRECTIONS`.
+
+    ``H2D`` leaves the host for a device, ``D2H`` comes back to it.
+    Elementwise when ``src`` and ``dst`` are NumPy node arrays.
+    """
+    return (src == HOST_NODE) + 2 * (dst == HOST_NODE)
+
+
+def copy_route(
+    src: int, dst: int, duplex: dict[int, bool]
+) -> tuple[tuple[int, int, tuple[int, str]], ...]:
+    """The one definition of how a copy ``src -> dst`` moves.
+
+    Returns its hops as ``(hop_src, hop_dst, channel)``: none for a copy
+    that stays put, one for a copy between the host and a device, and
+    two for a device-to-device copy, which stages through the host (the
+    paper's PCIe 2.0 platforms have no peer-to-peer DMA).  A hop's
+    ``channel`` is the DMA queue it serializes on: ``(link_node,
+    "h2d"|"d2h")`` when ``duplex[link_node]`` says the device link has
+    a DMA engine per direction, else ``(link_node, "both")``, one queue
+    shared by the two directions.  The engine, dmda's estimate, the
+    lookahead planner, the trace checker and :meth:`transfer_time` all
+    read their copies from here.
+    """
+    if src == dst:
+        return ()
+    if src != HOST_NODE and dst != HOST_NODE:
+        return copy_route(src, HOST_NODE, duplex) + copy_route(
+            HOST_NODE, dst, duplex
+        )
+    code = transfer_direction(src, dst)
+    link_node = dst if code == H2D else src
+    direction = DIRECTIONS[code] if duplex.get(link_node, False) else "both"
+    return ((src, dst, (link_node, direction)),)
+
 
 @dataclass(frozen=True)
 class ProcessingUnit:
@@ -110,24 +152,26 @@ class MachineDescription:
             )
         return u
 
-    def transfer_time(self, src_node: int, dst_node: int, nbytes: int) -> float:
-        """Seconds to copy ``nbytes`` from ``src_node`` to ``dst_node``.
+    @property
+    def duplex(self) -> dict[int, bool]:
+        """Per device link node: True when it has a DMA engine per
+        direction (the ``duplex`` argument of :func:`copy_route`)."""
+        return {node: link.duplex for node, link in self.links.items()}
 
-        Device-to-device copies are modeled as staging through the host
-        (the paper's PCIe 2.0 platforms have no peer-to-peer DMA).
-        """
+    def transfer_time(self, src_node: int, dst_node: int, nbytes: int) -> float:
+        """Seconds to copy ``nbytes`` from ``src_node`` to ``dst_node``:
+        the sum of the link legs of its :func:`copy_route`."""
         self._check_node(src_node)
         self._check_node(dst_node)
-        if src_node == dst_node or nbytes == 0:
-            return 0.0
-        if src_node == HOST_NODE:
-            return self.links[dst_node].transfer_time(nbytes)
-        if dst_node == HOST_NODE:
-            return self.links[src_node].transfer_time(nbytes)
-        # GPU -> host -> other GPU
-        return self.links[src_node].transfer_time(nbytes) + self.links[
-            dst_node
-        ].transfer_time(nbytes)
+        return sum(
+            (
+                self.links[link_node].transfer_time(nbytes)
+                for _, _, (link_node, _) in copy_route(
+                    src_node, dst_node, self.duplex
+                )
+            ),
+            0.0,
+        )
 
     def node_capacity(self, node: int) -> int | None:
         """Memory capacity of a node in bytes (None = unlimited host RAM)."""

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.hw.description import DIRECTIONS, transfer_direction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.samplers import DEFAULT_PERIOD_S, EngineSamplers
 from repro.obs.spans import SpanTracer
-from repro.runtime.stats import DIRECTIONS, transfer_direction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Engine

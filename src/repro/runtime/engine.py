@@ -45,7 +45,14 @@ from repro.exec.base import ExecFuture, ExecutionBackend
 from repro.exec.timing import Measurement
 from repro.hw.clock import VirtualClock
 from repro.hw.faults import FaultModel
-from repro.hw.description import HOST_NODE, Machine, ProcessingUnit
+from repro.hw.description import (
+    DIRECTIONS,
+    HOST_NODE,
+    Machine,
+    ProcessingUnit,
+    copy_route,
+    transfer_direction,
+)
 from repro.hw.noise import NoiseModel
 from repro.runtime.access import AccessMode
 from repro.runtime.codelet import ImplVariant
@@ -207,16 +214,11 @@ class Engine:
         #: one shared ``(unit_id,)`` per worker: the ``worker_ids`` of
         #: every single-worker task record, instead of a fresh 1-tuple
         self._solo_ids = tuple((u.unit_id,) for u in machine.units)
-        #: per-(link node, direction) DMA availability; direction is
-        #: "h2d"/"d2h" for duplex links, "both" otherwise
+        #: DMA channel -> time its queue frees up (channels as named
+        #: by copy_route)
         self._link_free: dict[tuple[int, str], float] = {}
-        #: static (node, direction) -> link-free key map (folds the
-        #: duplex check out of the per-estimate hot path)
-        self._link_keys: dict[tuple[int, str], tuple[int, str]] = {
-            (node, d): (node, d if link.duplex else "both")
-            for node, link in machine.links.items()
-            for d in ("h2d", "d2h")
-        }
+        #: (src, dst) -> copy_route, filled on first use
+        self._routes: dict[tuple[int, int], tuple] = {}
         #: non-host memory nodes, precomputed for per-write residency
         #: sync (machine topology is fixed for the engine's lifetime)
         self._device_nodes: tuple[int, ...] = tuple(
@@ -330,8 +332,8 @@ class Engine:
     def estimate_data_ready(self, task: Task, node: int) -> float:
         """Earliest time the task's operands could be valid at ``node``.
 
-        Pending copies share one DMA engine per direction, so their
-        estimated transfers *serialize* (StarPU's dmda models per-link
+        Pending copies queue behind the host -> ``node`` DMA channel of
+        :func:`copy_route` and *serialize* (StarPU's dmda models per-link
         queues the same way); ignoring that would make multi-operand
         accelerator tasks look systematically cheaper than they are.
         """
@@ -351,16 +353,16 @@ class Engine:
             else:
                 pending.append(h)
         if pending:
-            direction = "d2h" if node == HOST_NODE else "h2d"
             t_link = task.ready_time
             if node != HOST_NODE:
-                t_link = max(t_link, self._link_available(node, direction))
+                (_, _, channel), = self.route(HOST_NODE, node)
+                t_link = max(t_link, self._link_free.get(channel, 0.0))
             for h in pending:
                 src = h.pick_source()
                 t_src = h._ready_at[src]
                 if t_src > t_link:
                     t_link = t_src
-                t_link += self._transfer_time(src, node, h.nbytes)
+                t_link += self.transfer_time(src, node, h.nbytes)
             if t_link > ready:
                 ready = t_link
         return ready
@@ -373,13 +375,13 @@ class Engine:
                 continue
             h = op.handle
             if h._states[node] is invalid:
-                cost += self._transfer_time(h.pick_source(), node, h.nbytes)
+                cost += self.transfer_time(h.pick_source(), node, h.nbytes)
         return cost
 
-    def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Memoized :meth:`Machine.transfer_time` (called per candidate
-        node on the scheduling hot path; the answer only depends on the
-        static link specs)."""
+    def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
+        """EngineView: memoized :meth:`Machine.transfer_time` (called per
+        candidate node on the scheduling hot path; the answer only
+        depends on the static link specs)."""
         key = (src, dst, nbytes)
         dur = self._tt_cache.get(key)
         if dur is None:
@@ -389,6 +391,15 @@ class Engine:
                 src, dst, nbytes
             )
         return dur
+
+    def route(self, src: int, dst: int) -> tuple:
+        """EngineView: memoized :func:`copy_route` on this machine."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = copy_route(
+                src, dst, self.machine.duplex
+            )
+        return route
 
     def _footprint_size(self, task: Task) -> tuple[tuple, float]:
         """The task's (footprint, total operand bytes), cached while the
@@ -1417,30 +1428,33 @@ class Engine:
 
         Returns the virtual time the copy is (or becomes) valid.  Lazy:
         no transfer happens if the node already holds a valid copy.
-        Device-to-device copies stage through the host (no peer DMA on
-        the paper's platforms).  When the target device memory is full,
-        least-recently-used resident copies are evicted first (``pinned``
-        handles — the current task's operands — are exempt).
+        Hops and DMA channels come from :func:`copy_route`: a
+        device-to-device copy first commits its host leg.  When the
+        target device memory is full, least-recently-used resident
+        copies are evicted first (``pinned`` handles — the current
+        task's operands — are exempt).
         """
         if handle.is_valid(node):
             handle.touch(node, earliest)
             return handle.ready_at(node)
         if pinned is None:
             pinned = frozenset({handle.handle_id})
-        src = handle.pick_source()
-        if src != HOST_NODE and node != HOST_NODE:
+        route = self.route(handle.pick_source(), node)
+        if len(route) > 1:
             # stage through host, then continue host -> node
             t_host = self._commit_copy(handle, HOST_NODE, earliest, pinned)
-            src, earliest = HOST_NODE, max(earliest, t_host)
+            earliest = max(earliest, t_host)
+        src, _, channel = route[-1]
         earliest = self._ensure_capacity(node, handle, earliest, pinned)
-        direction = "d2h" if node == HOST_NODE else "h2d"
-        link_node = src if node == HOST_NODE else node
-        dur = self._transfer_time(src, node, handle.nbytes)
+        dur = self.transfer_time(src, node, handle.nbytes)
         resend = 0
         while True:
-            link_free = self._link_available(link_node, direction)
-            start = max(earliest, handle.ready_at(src), link_free)
+            # every attempt holds the channel for the whole copy
+            start = max(
+                earliest, handle.ready_at(src), self.link_available(channel)
+            )
             end = start + dur
+            self._occupy_link(channel, end)
             if (
                 self.faults is None
                 or handle.nbytes == 0
@@ -1449,7 +1463,7 @@ class Engine:
                 break
             # corrupted on the wire: the attempt's time is spent and the
             # copy must be resent
-            self._occupy_link(link_node, direction, end)
+            direction = DIRECTIONS[transfer_direction(src, node)]
             self._fault(
                 FaultRecord.make(
                     kind="transfer",
@@ -1469,7 +1483,6 @@ class Engine:
                     time=end,
                 )
             earliest = end
-        self._occupy_link(link_node, direction, end)
         handle.mark_shared(node, end)
         handle.touch(node, end)
         self._sync_residency(handle)
@@ -1567,19 +1580,16 @@ class Engine:
             self.events.emit_evict(t, rec)
         return t
 
-    def _link_available(self, link_node: int, direction: str) -> float:
-        key = self._link_keys[(link_node, direction)]
-        return self._link_free.get(key, 0.0)
-
-    def link_available(self, link_node: int, direction: str) -> float:
-        """EngineView: when the (link, direction) DMA queue frees up.
+    def link_available(self, channel: tuple[int, str]) -> float:
+        """EngineView: when a :func:`copy_route` DMA channel frees up.
 
         Bulk planners seed their simulated link occupancy from this so a
         window planned while earlier transfers are still queued does not
         model the PCIe link as idle.
         """
-        return self._link_available(link_node, direction)
+        return self._link_free.get(channel, 0.0)
 
-    def _occupy_link(self, link_node: int, direction: str, until: float) -> None:
-        key = self._link_keys[(link_node, direction)]
-        self._link_free[key] = max(self._link_free.get(key, 0.0), until)
+    def _occupy_link(self, channel: tuple[int, str], until: float) -> None:
+        self._link_free[channel] = max(
+            self._link_free.get(channel, 0.0), until
+        )

@@ -63,10 +63,23 @@ class EngineView(Protocol):
         """Total seconds of copies needed to stage ``task`` at ``node``."""
         ...
 
-    def link_available(self, link_node: int, direction: str) -> float:
-        """Virtual time the (PCIe link, direction) DMA queue frees up
-        (``direction`` is ``"h2d"`` or ``"d2h"``); bulk planners seed
-        their simulated link occupancy from this."""
+    def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
+        """Seconds to copy ``nbytes`` from ``src`` to ``dst`` (memoized
+        :meth:`~repro.hw.description.MachineDescription.transfer_time`)."""
+        ...
+
+    def route(self, src: int, dst: int) -> tuple:
+        """The copy's hops ``(hop_src, hop_dst, channel)``: the memoized
+        :func:`~repro.hw.description.copy_route`, the one definition of
+        staging and DMA channels."""
+        ...
+
+    def link_available(self, channel: tuple[int, str]) -> float:
+        """Virtual time a :func:`~repro.hw.description.copy_route` DMA
+        channel frees up.  A half-duplex link is one channel shared by
+        both directions, in the engine, the planner and the checker
+        alike; bulk planners seed their simulated link occupancy from
+        this."""
         ...
 
     def predict_exec(

@@ -68,7 +68,7 @@ from types import FunctionType, MappingProxyType
 
 import numpy as np
 
-from repro.hw.description import HOST_NODE
+from repro.hw.description import D2H, H2D, transfer_direction
 
 # ---------------------------------------------------------------------------
 # slotted record classes
@@ -251,21 +251,6 @@ class TaskRecord(_Record):
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
-
-
-#: the label of each :func:`transfer_direction` code: a copy that
-#: neither leaves nor enters the host, or stays on it, is "d2d"
-DIRECTIONS = ("d2d", "h2d", "d2h", "d2d")
-H2D, D2H = 1, 2
-
-
-def transfer_direction(src, dst):
-    """A copy's direction code, an index into :data:`DIRECTIONS`.
-
-    ``H2D`` leaves the host for a device, ``D2H`` comes back to it.
-    Elementwise when ``src`` and ``dst`` are NumPy node arrays.
-    """
-    return (src == HOST_NODE) + 2 * (dst == HOST_NODE)
 
 
 class TransferRecord(_Record):

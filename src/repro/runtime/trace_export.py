@@ -27,7 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import RuntimeSystemError
-from repro.hw.description import HOST_NODE, Machine
+from repro.hw.description import (
+    DIRECTIONS,
+    HOST_NODE,
+    Machine,
+    transfer_direction,
+)
 from repro.runtime.stats import ExecutionTrace
 
 #: microseconds per virtual second in the exported timestamps
@@ -76,9 +81,7 @@ class MachineInfo:
                 for u in machine.units
             ),
             n_memory_nodes=machine.n_memory_nodes,
-            duplex={
-                node: bool(link.duplex) for node, link in machine.links.items()
-            },
+            duplex=machine.duplex,
         )
 
 
@@ -231,7 +234,7 @@ def to_chrome_trace(trace: ExecutionTrace, machine: Machine) -> dict:
             )
     for rec in trace.transfers:
         link_node = rec.src_node if rec.dst_node == HOST_NODE else rec.dst_node
-        direction = "d2h" if rec.is_d2h else "h2d"
+        direction = DIRECTIONS[transfer_direction(rec.src_node, rec.dst_node)]
         events.append(
             {
                 "name": f"{direction}:{rec.handle_name}",

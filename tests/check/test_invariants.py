@@ -6,7 +6,12 @@ import pytest
 
 from repro.check import InvariantViolation, assert_trace_legal, check_trace
 from repro.hw.description import HOST_NODE
-from repro.hw.presets import cpu_only, platform_c2050
+from repro.hw.presets import (
+    cpu_only,
+    platform_c1060,
+    platform_c2050,
+    platform_dual_c2050,
+)
 from repro.runtime import Runtime
 from repro.runtime.stats import (
     EvictionRecord,
@@ -349,16 +354,27 @@ def test_self_transfer_is_malformed():
     assert "timeline.transfer-nodes" in _rules(trace, machine)
 
 
-def test_overlapping_transfers_on_one_link_channel():
-    machine = platform_c2050()
+@pytest.mark.parametrize(
+    "platform, second_dst_host, fires",
+    [
+        (platform_c2050, False, True),  # one direction: one channel
+        (platform_c1060, True, True),  # half duplex: one shared channel
+        (platform_c2050, True, False),  # duplex: a channel per direction
+    ],
+    ids=["c2050-h2d-h2d", "c1060-h2d-d2h", "c2050-h2d-d2h"],
+)
+def test_overlapping_transfers_on_one_link_channel(
+    platform, second_dst_host, fires
+):
+    machine = platform()
     node = machine.gpu_units[0].memory_node
 
-    def h2d(handle_id, start, end, seq):
+    def copy(handle_id, start, end, seq, to_host=False):
         return TransferRecord.make(
             handle_id=handle_id,
             handle_name=f"data{handle_id}",
-            src_node=HOST_NODE,
-            dst_node=node,
+            src_node=node if to_host else HOST_NODE,
+            dst_node=HOST_NODE if to_host else node,
             nbytes=64,
             start_time=start,
             end_time=end,
@@ -366,9 +382,32 @@ def test_overlapping_transfers_on_one_link_channel():
         )
 
     trace = _synthetic(
-        machine, transfers=[h2d(1, 0.0, 1.0, 0), h2d(2, 0.5, 1.5, 1)]
+        machine,
+        transfers=[copy(1, 0.0, 1.0, 0), copy(2, 0.5, 1.5, 1, second_dst_host)],
     )
-    assert "exclusivity.link-overlap" in _rules(trace, machine)
+    assert ("exclusivity.link-overlap" in _rules(trace, machine)) is fires
+
+
+def test_device_to_device_record_breaks_the_link_route():
+    # the engine stages a device-to-device copy through the host as two
+    # recorded hops; a single d2d record has no DMA channel to occupy
+    machine = platform_dual_c2050()
+    src, dst = (u.memory_node for u in machine.gpu_units)
+    peer = TransferRecord.make(
+        handle_id=4,
+        handle_name="data4",
+        src_node=src,
+        dst_node=dst,
+        nbytes=64,
+        start_time=0.0,
+        end_time=0.5,
+        seq=0,
+    )
+    violations = check_trace(_synthetic(machine, transfers=[peer]), machine)
+    rules = [v.rule for v in violations]
+    assert "exclusivity.link-route" in rules
+    v = violations[rules.index("exclusivity.link-route")]
+    assert v.events == ("transfer@seq0", "handle#4")
 
 
 def test_eviction_from_node_without_copy():

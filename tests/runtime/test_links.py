@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.hw.presets import platform_c1060, platform_c2050
+from repro.composer.lookahead import LookaheadScheduler, _SimState
+from repro.hw.description import HOST_NODE, copy_route
+from repro.hw.presets import (
+    platform_c1060,
+    platform_c2050,
+    platform_dual_c2050,
+)
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -75,3 +81,46 @@ def test_transfers_overlap_with_gpu_compute():
     upload = next(t for t in rt.trace.transfers if t.is_h2d)
     assert upload.end_time < task.end_time  # streamed in during compute
     rt.shutdown()
+
+
+_PLATFORMS = (platform_c2050, platform_c1060, platform_dual_c2050)
+
+
+@pytest.mark.parametrize(
+    "platform, src, dst",
+    [
+        (platform, src, dst)
+        for platform in _PLATFORMS
+        for src in range(platform().n_memory_nodes)
+        for dst in range(platform().n_memory_nodes)
+    ],
+)
+def test_route_price_and_planner_agree_with_the_engine(platform, src, dst):
+    """copy_route is the one transfer model: its hop count, the machine's
+    price and the planner's idle-link arrival all match the copy the
+    engine commits for the same pair."""
+    rt = Runtime(
+        platform(), scheduler="eager", seed=0, noise_sigma=0.0,
+        run_kernels=False, check=False,
+    )
+    machine = rt.machine
+    route = copy_route(src, dst, machine.duplex)
+    expected_hops = 0 if src == dst else 1 if HOST_NODE in (src, dst) else 2
+    assert len(route) == expected_hops
+    if len(route) == 2:  # staged through the host
+        assert route[0][1] == route[1][0] == HOST_NODE
+    legs = sum(
+        machine.links[link_node].transfer_time(NBYTES)
+        for _, _, (link_node, _) in route
+    )
+    assert machine.transfer_time(src, dst, NBYTES) == legs
+
+    idle = _SimState([0.0] * len(machine.units), {})
+    planned = LookaheadScheduler()._transfer(
+        idle, src, dst, NBYTES, 0.0, rt.engine
+    )
+    h = rt.register(np.zeros(NBYTES // 4, dtype=np.float32), "moved")
+    h.mark_modified(src, 0.0)  # the sole valid copy sits at src
+    committed = rt.engine._commit_copy(h, dst, 0.0)
+    rt.shutdown()
+    assert planned == committed == legs

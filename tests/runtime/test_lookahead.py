@@ -10,8 +10,9 @@ plan-vs-greedy guarantee, and fusion accounting.
 import numpy as np
 import pytest
 
-from repro.composer.lookahead import LookaheadScheduler, WindowPlan
-from repro.hw.presets import platform_c2050
+from repro.composer.lookahead import LookaheadScheduler, WindowPlan, _SimState
+from repro.hw.description import HOST_NODE
+from repro.hw.presets import platform_c1060, platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 from repro.runtime.schedulers import make_scheduler, policy_names
 
@@ -255,3 +256,30 @@ def test_fusion_elides_chain_round_trips():
 
 def test_fusion_off_never_records_fused_edges():
     assert _chain_run(fusion=False) == 0
+
+
+# -- the planner's link model -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "platform, legs", [(platform_c1060, 2), (platform_c2050, 1)]
+)
+def test_planner_shares_a_half_duplex_channel_between_directions(
+    platform, legs
+):
+    """An h2d then a d2h copy at t=0: the half-duplex C1060 has one DMA
+    channel, so the d2h waits for the h2d (two legs); the duplex C2050
+    runs them side by side (one leg), as the engine commits them."""
+    rt = Runtime(
+        platform(), scheduler="lookahead", seed=0, noise_sigma=0.0,
+        run_kernels=False, check=False,
+    )
+    nbytes = 40_000_000
+    leg = rt.machine.transfer_time(HOST_NODE, 1, nbytes)
+    planner = LookaheadScheduler()
+    state = _SimState([0.0] * len(rt.machine.units), {})
+    h2d_end = planner._transfer(state, HOST_NODE, 1, nbytes, 0.0, rt.engine)
+    d2h_end = planner._transfer(state, 1, HOST_NODE, nbytes, 0.0, rt.engine)
+    rt.shutdown()
+    assert h2d_end == pytest.approx(leg)
+    assert d2h_end == pytest.approx(legs * leg)
