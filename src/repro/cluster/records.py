@@ -138,6 +138,9 @@ class ClusterRequestRecord:
     failed_over: bool = False
     batch_size: int = 1
 
+    #: a cluster request records no staging time
+    transfer_s = 0.0
+
     @property
     def completed(self) -> bool:
         return self.outcome == "completed"

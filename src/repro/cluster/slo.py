@@ -1,7 +1,7 @@
 """Cluster-level SLO aggregation and recovery-time measurement.
 
 Per-tenant SLO accounting reuses the single-machine serving layer's
-machinery verbatim: each :class:`ClusterRequestRecord` projects onto a
+machinery verbatim: a :class:`ClusterRequestRecord` reads like a
 :class:`~repro.runtime.stats.RequestRecord`, so
 :func:`repro.serve.slo.tenant_slo` aggregates cluster traffic exactly
 like one server's — the cluster report is the same shape operators
@@ -37,8 +37,9 @@ def cluster_slo_report(
         window_s = offered_window(trace.requests)
     report = SloReport(window_s=window_s)
     for tenant in trace.tenants():
-        records = [r.as_request_record() for r in trace.requests_for(tenant)]
-        report.tenants.append(tenant_slo(tenant, records, window_s))
+        report.tenants.append(
+            tenant_slo(tenant, trace.requests_for(tenant), window_s)
+        )
     return report
 
 

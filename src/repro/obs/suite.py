@@ -26,266 +26,169 @@ repro_node_resident_bytes          node                    gauge
 repro_backlog_seconds (sampler)    —                       gauge
 =================================  ======================  ==============
 
-Counters and histograms fold incrementally out of the engine trace on
-every read (``snapshot`` / ``to_prometheus`` / shutdown flush); the
-sampler gauges are brought up to the virtual clock at the same points
-by :class:`~repro.obs.samplers.EngineSamplers`.  Everything is
+Every counter and histogram is a fold over the trace's typed columns,
+run on read (``snapshot`` / ``to_prometheus`` / ``collect``, the
+engine's shutdown ``flush`` and ``detach``).  A :class:`Fold` names a
+record kind, the column behind each label and an optional value
+column; the rows the kind gained since the last read are grouped by
+label tuple in order of first appearance, and each group increments
+its counter (by its row count or value total) or is observed by its
+histogram in row order.  The submit, decision and retry counters fold
+the growth of the trace's per-codelet counts.  The sampler gauges are
+brought up to the virtual clock at the same points by
+:class:`~repro.obs.samplers.EngineSamplers`.  Everything is
 virtual-time-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+import numpy as np
 
 from repro.hw.description import DIRECTIONS, transfer_direction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.samplers import DEFAULT_PERIOD_S, EngineSamplers
 from repro.obs.spans import SpanTracer
+from repro.runtime.stats import CodedColumn, ExecutionTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Engine
 
 
-class _EngineMetrics:
-    """Maintains the engine-level metric catalogue from the engine.
+class Rows:
+    """Rows ``start:stop`` of one record kind of a trace, read by column."""
 
-    Nothing runs per task: every catalogue signal already exists in the
-    engine's :class:`ExecutionTrace` — completion / transfer / eviction
-    / fault records are retained in emission order, and submit-time
-    facts live in the trace's native per-codelet counters
-    (``submitted_by_codelet`` & co.).  :meth:`collect` folds both
-    incrementally (remembering how far it has read), and runs on every
-    read path (``MetricsSuite.snapshot`` / ``to_prometheus``), on the
-    engine's shutdown ``flush`` event and on ``detach`` — so values are
-    exact at every observation point while the metrics-on hot path costs
-    the engine nothing beyond its always-on bookkeeping.
-    """
+    def __init__(
+        self, trace: ExecutionTrace, kind: str, start: int, stop: int
+    ) -> None:
+        self.trace, self.kind, self.start, self.stop = trace, kind, start, stop
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._submitted = registry.counter(
-            "repro_tasks_submitted_total",
-            help="Tasks accepted by Engine.submit",
-            labelnames=("codelet",),
-        )
-        self._completed = registry.counter(
-            "repro_tasks_completed_total",
-            help="Tasks whose completion event was processed",
-            labelnames=("codelet", "variant", "arch"),
-        )
-        self._duration = registry.histogram(
-            "repro_task_duration_seconds",
-            help="Modeled kernel execution time",
-            unit="seconds",
-            labelnames=("codelet", "variant"),
-        )
-        self._queue_wait = registry.histogram(
-            "repro_task_queue_wait_seconds",
-            help="Submission to execution start (deps + scheduling + staging)",
-            unit="seconds",
-            labelnames=("codelet",),
-        )
-        self._decisions = registry.counter(
-            "repro_schedule_decisions_total",
-            help="Scheduler.choose calls (one per placement attempt)",
-            labelnames=("codelet",),
-        )
-        self._retries = registry.counter(
-            "repro_schedule_retries_total",
-            help="Placement attempts after a fault (attempt > 0)",
-            labelnames=("codelet",),
-        )
-        self._transfers = registry.counter(
-            "repro_transfers_total",
-            help="Committed copies between memory nodes",
-            labelnames=("direction",),
-        )
-        self._transfer_bytes = registry.counter(
-            "repro_transfer_bytes_total",
-            help="Bytes moved between memory nodes",
-            unit="bytes",
-            labelnames=("direction",),
-        )
-        self._transfer_s = registry.histogram(
-            "repro_transfer_seconds",
-            help="Modeled duration of one committed copy",
-            unit="seconds",
-            labelnames=("direction",),
-        )
-        self._evictions = registry.counter(
-            "repro_evictions_total",
-            help="Device-memory copies dropped to make room",
-            labelnames=("node",),
-        )
-        self._faults = registry.counter(
-            "repro_faults_total",
-            help="Injected hardware faults by kind",
-            labelnames=("kind",),
-        )
-        # bound-child caches: label handling is paid once per distinct
-        # label set, not once per folded event
-        self._sub_by_codelet: dict = {}
-        self._sched_by_codelet: dict = {}
-        self._retry_by_codelet: dict = {}
-        self._done_by_cva: dict = {}
-        self._xfer_by_dir: dict = {}
-        self._evict_by_node: dict = {}
-        self._fault_by_kind: dict = {}
-        # read positions into the engine trace: list indexes for the
-        # record lists, last-seen count snapshots for the native
-        # per-codelet counters
-        self._engine: "Engine | None" = None
-        self._i_tasks = 0
-        self._i_transfers = 0
-        self._i_evictions = 0
-        self._i_faults = 0
-        self._seen_sub: dict = {}
-        self._seen_dec: dict = {}
-        self._seen_retry: dict = {}
+    def array(self, field: str) -> np.ndarray:
+        """A copy of a column's rows."""
+        col = self.trace._column(self.kind, field)
+        return np.array(col[self.start : self.stop])
 
-    def subscribe(self, engine: "Engine") -> Callable[[], None]:
-        """Wire this catalogue to ``engine``.
+    def labels(self, spec) -> tuple:
+        """A label column as a code per row and the value of each code.
 
-        Counting starts at the current trace position (attach-onward
-        semantics).  Returns a detach callable, which collects first so
-        nothing observed is lost.
+        ``spec`` is a field name, or a function of the rows deriving both.
         """
-        self._engine = engine
-        trace = engine.trace
-        self._i_tasks = len(trace.tasks)
-        self._i_transfers = len(trace.transfers)
-        self._i_evictions = len(trace.evictions)
-        self._i_faults = len(trace.faults)
-        self._seen_sub = dict(trace.submitted_by_codelet)
-        self._seen_dec = dict(trace.decisions_by_codelet)
-        self._seen_retry = dict(trace.retries_by_codelet)
+        if callable(spec):
+            return spec(self)
+        col = self.trace._column(self.kind, spec)
+        if type(col) is CodedColumn:
+            codes = np.array(col.codes[self.start : self.stop], np.intp)
+            return codes, col.values
+        table: dict = {}
+        rows = col[self.start : self.stop]
+        codes = np.array([table.setdefault(v, len(table)) for v in rows], np.intp)
+        return codes, list(table)
 
-        unsubscribe = engine.events.subscribe("flush", self.on_flush)
 
-        def detach() -> None:
-            self.collect()
-            self._engine = None
-            unsubscribe()
+def span(first: str, last: str) -> Callable[[Rows], np.ndarray]:
+    """The derived column ``last - first``, a duration."""
+    return lambda rows: rows.array(last) - rows.array(first)
 
-        return detach
 
-    def _fold_since(self, records: list, start: int, fold) -> int:
-        """Fold ``records[start:]`` and return the new read position.
+def _direction(rows: Rows) -> tuple:
+    src, dst = rows.array("src_node"), rows.array("dst_node")
+    return transfer_direction(src, dst), DIRECTIONS
 
-        A length below ``start`` means ``trace.clear()`` ran while
-        attached; counting restarts from the beginning of the new list.
-        """
-        n = len(records)
-        if n < start:
-            start = 0
-        for rec in records[start:n]:
-            fold(rec)
-        return n
 
-    def _fold_counts(self, current: dict, seen: dict, children: dict, metric) -> None:
-        """Add the growth of a per-codelet trace counter to ``metric``.
+class Fold(NamedTuple):
+    """One metric of a catalogue and the record columns it folds."""
 
-        A count below the snapshot means ``trace.clear()`` ran while
-        attached; counting restarts from the new value.
-        """
-        for name, n in current.items():
-            delta = n - seen.get(name, 0)
-            if delta < 0:
-                delta = n
-            if delta:
-                child = children.get(name)
-                if child is None:
-                    child = children[name] = metric.labels(codelet=name)
-                child.inc(delta)
-                seen[name] = n
+    name: str
+    type: str  # counter | histogram
+    help: str
+    unit: str
+    #: a record kind, or a per-codelet count of the trace
+    source: str
+    #: label name -> a field name or a function of the rows (see
+    #: :meth:`Rows.labels`)
+    labels: dict
+    #: a function of the rows: the values a counter adds or a histogram
+    #: observes; None counts rows
+    value: Callable[[Rows], np.ndarray] | None = None
+    #: a function of the rows selecting those folded; None folds all
+    where: Callable[[Rows], np.ndarray] | None = None
 
-    def collect(self) -> None:
-        """Fold the engine trace's growth into the registry (idempotent)."""
-        engine = self._engine
-        if engine is None:
-            return
-        trace = engine.trace
-        self._fold_counts(
-            trace.submitted_by_codelet,
-            self._seen_sub,
-            self._sub_by_codelet,
-            self._submitted,
+
+def fold_rows(metric, fold: Fold, rows: Rows) -> None:
+    """Fold ``rows`` into ``metric``: group them by label tuple, in order
+    of first appearance; each group increments its counter by its value
+    total or is observed by its histogram in row order."""
+    keep = slice(None) if fold.where is None else fold.where(rows)
+    columns = [
+        (codes[keep], table)
+        for codes, table in map(rows.labels, fold.labels.values())
+    ]
+    n = rows.stop - rows.start
+    values = (np.ones(n) if fold.value is None else fold.value(rows))[keep]
+    key = 0
+    for codes, table in columns:
+        key = key * len(table) + codes
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse]
+    if metric.kind == "histogram":
+        ends = np.cumsum(np.bincount(group))[:-1]
+        parts = np.split(values[np.argsort(group, kind="stable")], ends)
+    else:
+        parts = np.bincount(group, values).tolist()
+    for row, part in zip(first[order].tolist(), parts):
+        child = metric.labels(
+            **{
+                label: table[codes[row]]
+                for label, (codes, table) in zip(fold.labels, columns)
+            }
         )
-        self._fold_counts(
-            trace.decisions_by_codelet,
-            self._seen_dec,
-            self._sched_by_codelet,
-            self._decisions,
-        )
-        self._fold_counts(
-            trace.retries_by_codelet,
-            self._seen_retry,
-            self._retry_by_codelet,
-            self._retries,
-        )
-        self._i_tasks = self._fold_since(
-            trace.tasks, self._i_tasks, self._fold_complete
-        )
-        self._i_transfers = self._fold_since(
-            trace.transfers, self._i_transfers, self._fold_transfer
-        )
-        self._i_evictions = self._fold_since(
-            trace.evictions, self._i_evictions, self._fold_evict
-        )
-        self._i_faults = self._fold_since(
-            trace.faults, self._i_faults, self._fold_fault
-        )
+        (child.observe_all if metric.kind == "histogram" else child.inc)(part)
 
-    def on_flush(self, event) -> None:
-        self.collect()
 
-    # -- fold one record into the registry ------------------------------------
+_CODELET = {"codelet": "codelet"}
 
-    def _fold_complete(self, rec) -> None:
-        cva = (rec.codelet, rec.variant, rec.arch)
-        bound = self._done_by_cva.get(cva)
-        if bound is None:
-            bound = self._done_by_cva[cva] = (
-                self._completed.labels(
-                    codelet=rec.codelet, variant=rec.variant, arch=rec.arch
-                ),
-                self._duration.labels(
-                    codelet=rec.codelet, variant=rec.variant
-                ),
-                self._queue_wait.labels(codelet=rec.codelet),
-            )
-        completed, duration, queue_wait = bound
-        completed.inc()
-        duration.observe(rec.duration)
-        queue_wait.observe(rec.start_time - rec.submit_time)
-
-    def _fold_transfer(self, rec) -> None:
-        direction = DIRECTIONS[transfer_direction(rec.src_node, rec.dst_node)]
-        bound = self._xfer_by_dir.get(direction)
-        if bound is None:
-            bound = self._xfer_by_dir[direction] = (
-                self._transfers.labels(direction=direction),
-                self._transfer_bytes.labels(direction=direction),
-                self._transfer_s.labels(direction=direction),
-            )
-        transfers, transfer_bytes, transfer_s = bound
-        transfers.inc()
-        transfer_bytes.inc(rec.nbytes)
-        transfer_s.observe(rec.end_time - rec.start_time)
-
-    def _fold_evict(self, rec) -> None:
-        node = rec.node
-        child = self._evict_by_node.get(node)
-        if child is None:
-            child = self._evict_by_node[node] = self._evictions.labels(node=node)
-        child.inc()
-
-    def _fold_fault(self, rec) -> None:
-        kind = rec.kind
-        child = self._fault_by_kind.get(kind)
-        if child is None:
-            child = self._fault_by_kind[kind] = self._faults.labels(kind=kind)
-        child.inc()
+#: the engine catalogue
+ENGINE_FOLDS = (
+    Fold("repro_tasks_submitted_total", "counter",
+         "Tasks accepted by Engine.submit", "",
+         "submitted_by_codelet", _CODELET),
+    Fold("repro_tasks_completed_total", "counter",
+         "Tasks whose completion event was processed", "",
+         "tasks", {"codelet": "codelet", "variant": "variant", "arch": "arch"}),
+    Fold("repro_task_duration_seconds", "histogram",
+         "Modeled kernel execution time", "seconds",
+         "tasks", {"codelet": "codelet", "variant": "variant"},
+         span("start_time", "end_time")),
+    Fold("repro_task_queue_wait_seconds", "histogram",
+         "Submission to execution start (deps + scheduling + staging)",
+         "seconds", "tasks", {"codelet": "codelet"},
+         span("submit_time", "start_time")),
+    Fold("repro_schedule_decisions_total", "counter",
+         "Scheduler.choose calls (one per placement attempt)", "",
+         "decisions_by_codelet", _CODELET),
+    Fold("repro_schedule_retries_total", "counter",
+         "Placement attempts after a fault (attempt > 0)", "",
+         "retries_by_codelet", _CODELET),
+    Fold("repro_transfers_total", "counter",
+         "Committed copies between memory nodes", "",
+         "transfers", {"direction": _direction}),
+    Fold("repro_transfer_bytes_total", "counter",
+         "Bytes moved between memory nodes", "bytes",
+         "transfers", {"direction": _direction},
+         lambda rows: rows.array("nbytes")),
+    Fold("repro_transfer_seconds", "histogram",
+         "Modeled duration of one committed copy", "seconds",
+         "transfers", {"direction": _direction}, span("start_time", "end_time")),
+    Fold("repro_evictions_total", "counter",
+         "Device-memory copies dropped to make room", "",
+         "evictions", {"node": "node"}),
+    Fold("repro_faults_total", "counter",
+         "Injected hardware faults by kind", "",
+         "faults", {"kind": "kind"}),
+)
 
 
 class MetricsSuite:
@@ -301,13 +204,12 @@ class MetricsSuite:
     engine-throughput overhead budget enforced by
     ``python -m repro.experiments.overhead`` — comfortably, because it
     subscribes to no per-task events at all: every catalogue signal is
-    folded incrementally out of state the engine retains anyway (trace
-    records and its native per-codelet counters) on read (see
-    :meth:`collect`), so every exposition is exact while the hot path
-    is untouched.  Span tracing is the deeper-inspection tier — it
-    builds a :class:`Span` tree per task synchronously from the typed
-    event stream and costs roughly 10%, so it is opt-in:
-    ``metrics={"trace_spans": True}``.
+    folded out of state the engine retains anyway (the trace's columns
+    and its per-codelet counts) on read (see :meth:`collect`), so every
+    exposition is exact while the hot path is untouched.  Span tracing
+    is the deeper-inspection tier — it builds a :class:`Span` tree per
+    task synchronously from the typed event stream and costs roughly
+    10%, so it is opt-in: ``metrics={"trace_spans": True}``.
     """
 
     def __init__(
@@ -322,8 +224,19 @@ class MetricsSuite:
         self.spans = SpanTracer(max_finished=max_finished_spans) if trace_spans else None
         self.samplers: EngineSamplers | None = None
         self.engine: "Engine | None" = None
-        self._engine_metrics = _EngineMetrics(self.registry)
         self._detachers: list[Callable[[], None]] = []
+        #: metric name -> (record kind, a function folding the kind's
+        #: rows unread at a read).  A later fold of a name replaces the
+        #: earlier one, so a suite reused by a second server folds each
+        #: request once.
+        self.folds: dict[str, tuple[str, Callable[[Rows], None]]] = {}
+        self._counts: list = []
+        self.add_folds(ENGINE_FOLDS)
+        # what the last read saw: rows per record kind, the per-codelet
+        # counts, and the trace's clear count
+        self._read: dict[str, int] = {}
+        self._seen: dict[str, dict] = {}
+        self._clears = 0
 
     @classmethod
     def create(
@@ -358,7 +271,13 @@ class MetricsSuite:
         """
         self.detach()
         self.engine = engine
-        self._detachers.append(self._engine_metrics.subscribe(engine))
+        trace = engine.trace
+        self._clears = trace.n_clears
+        self._read = {kind: len(trace._view(kind)) for kind in trace.RECORD_KINDS}
+        self._seen = {s: dict(getattr(trace, s)) for s, _ in self._counts}
+        self._detachers.append(
+            engine.events.subscribe("flush", lambda event: self._fold())
+        )
         if self.spans is not None:
             self._detachers.append(engine.events.attach(self.spans))
         self.samplers = EngineSamplers(
@@ -368,10 +287,46 @@ class MetricsSuite:
         return self
 
     def detach(self) -> None:
+        """Fold what is unread, then stop observing the engine."""
+        self._fold()
         for undo in self._detachers:
             undo()
         self._detachers.clear()
         self.engine = None
+
+    # -- folds ---------------------------------------------------------------
+
+    def add_folds(self, folds) -> None:
+        """Register the metrics of ``folds`` and fold them on every read."""
+        for f in folds:
+            metric = getattr(self.registry, f.type)(
+                f.name, help=f.help, unit=f.unit, labelnames=tuple(f.labels)
+            )
+            if f.source in ExecutionTrace.RECORD_CLASSES:
+                self.folds[f.name] = (f.source, partial(fold_rows, metric, f))
+            else:
+                self._counts.append((f.source, metric))
+
+    def _fold(self) -> None:
+        """Fold the trace's growth since the last read into the registry."""
+        if self.engine is None:
+            return
+        trace = self.engine.trace
+        if trace.n_clears != self._clears:
+            # cleared while attached: every row and count is new
+            self._clears = trace.n_clears
+            self._read, self._seen = {}, {}
+        for source, metric in self._counts:
+            seen = self._seen.get(source, {})
+            for name, n in getattr(trace, source).items():
+                if n != seen.get(name, 0):
+                    metric.labels(codelet=name).inc(n - seen.get(name, 0))
+            self._seen[source] = dict(getattr(trace, source))
+        stops = {kind: len(trace._view(kind)) for kind, _ in self.folds.values()}
+        for kind, fold in self.folds.values():
+            if stops[kind] > self._read.get(kind, 0):
+                fold(Rows(trace, kind, self._read.get(kind, 0), stops[kind]))
+        self._read.update(stops)
 
     # -- exposition ----------------------------------------------------------
 
@@ -384,7 +339,7 @@ class MetricsSuite:
         directly mid-run.  Also brings the samplers up to the engine
         clock, so sampler gauges are current at every exposition.
         """
-        self._engine_metrics.collect()
+        self._fold()
         if self.samplers is not None and self.engine is not None:
             self.samplers.catch_up()
 

@@ -446,6 +446,11 @@ class RequestRecord(_Record):
         return not self.shed and not self.failed
 
     @property
+    def outcome(self) -> str:
+        """``"shed"``, ``"failed"`` or ``"completed"``."""
+        return "shed" if self.shed else "failed" if self.failed else "completed"
+
+    @property
     def latency(self) -> float:
         """End-to-end latency: arrival to completion."""
         return self.end_time - self.arrival_time
@@ -924,7 +929,7 @@ def _empty_view(cls: type) -> RecordsView:
 # ---------------------------------------------------------------------------
 
 
-def _sum_in_order(values: np.ndarray) -> float:
+def sum_in_order(values: np.ndarray) -> float:
     """``values`` added left to right from 0.0, as a ``+=`` loop does.
 
     ``np.bincount`` accumulates its weights in row order, so the sum is
@@ -1051,6 +1056,9 @@ class ExecutionTrace:
         self.blacklisted_workers = set(blacklisted_workers or ())
         #: workers whose device was permanently lost
         self.lost_workers = set(lost_workers or ())
+        #: :meth:`clear` calls so far: a reader that remembers how far it
+        #: has read compares this to tell a refilled trace from a grown one
+        self.n_clears = 0
 
     def __getattr__(self, name: str):
         """Build a lazy kind's store (``_faults``) and view (``faults``)."""
@@ -1295,7 +1303,7 @@ class ExecutionTrace:
     def total_energy_j(self) -> float:
         """Modeled execution energy over all tasks, in joules (basis of
         the ``min_energy`` optimization goal)."""
-        return _sum_in_order(self._array("tasks", "energy_j"))
+        return sum_in_order(self._array("tasks", "energy_j"))
 
     def energy_by_arch(self) -> dict[str, float]:
         return _grouped(
@@ -1327,7 +1335,7 @@ class ExecutionTrace:
         rows, workers = self.worker_slots()
         start = self._array("tasks", "start_time")
         end = self._array("tasks", "end_time")
-        return _sum_in_order((end - start)[rows[workers == worker_id]])
+        return sum_in_order((end - start)[rows[workers == worker_id]])
 
     def utilisation(self, worker_id: int) -> float:
         """Busy fraction of the makespan for one worker."""
@@ -1511,6 +1519,7 @@ class ExecutionTrace:
         return out
 
     def clear(self) -> None:
+        self.n_clears += 1
         for kind in self.RECORD_KINDS:
             # an unwritten kind's stand-in is empty: clearing it is a no-op
             self._view(kind).clear()

@@ -1,13 +1,18 @@
 """Live per-tenant serving metrics (``CompositionServer(metrics=...)``).
 
 The end-of-run :class:`~repro.serve.slo.SloReport` answers "how did the
-run go"; this module answers "how is it going *right now*": every
-request outcome updates counters and latency histograms in the shared
-:class:`~repro.obs.metrics.MetricsRegistry`, and per-tenant latency
-quantile gauges are recomputed with the *same* exact-interpolation
-:func:`~repro.serve.slo.percentile` the SLO report uses — so the final
-gauge snapshot agrees with ``slo_report(trace)`` to the bit, which the
-integration suite asserts.
+run go"; this catalogue answers "how is it going *right now*".  Like
+the engine catalogue it is folded out of the trace on every read of the
+suite (see :mod:`repro.obs.suite`): requests are one more record kind.
+The counters and latency histograms fold the request rows recorded
+since the last read, and the per-tenant latency quantile gauges are set
+from all of a tenant's completed requests with
+:func:`~repro.serve.slo.percentiles`, the computation
+:func:`~repro.serve.slo.tenant_slo` uses — so at every read they agree
+with ``slo_report(trace)`` to the bit, which the integration suite
+asserts.  A direct registry read mid-run sees the last read's values:
+call ``suite.collect()`` first.  The queue-depth gauges are live state,
+not trace rows; the server samples them after every event.
 
 Serving metric catalogue (tenant-labelled unless noted):
 
@@ -28,39 +33,51 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import MetricsRegistry
-from repro.serve.slo import percentile
+import numpy as np
+
+from repro.obs.suite import Fold, Rows, span
+from repro.serve.slo import QUANTILES, percentiles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.stats import RequestRecord
+    from repro.obs.suite import MetricsSuite
     from repro.serve.admission import AdmissionController
 
-#: latency quantiles kept live per tenant (percent, SLO-report aligned)
-QUANTILES = (50.0, 95.0, 99.0)
+#: a request's final outcome by code (``RequestRecord.outcome``, by column)
+OUTCOMES = ("completed", "shed", "failed")
+
+
+def _outcome(rows: Rows) -> tuple:
+    shed, failed = rows.array("shed"), rows.array("failed")
+    return np.where(shed, 1, np.where(failed, 2, 0)), OUTCOMES
+
+
+def _completed(rows: Rows) -> np.ndarray:
+    return _outcome(rows)[0] == 0
+
+
+_latency = span("arrival_time", "end_time")
+
+#: the request rows' part of the serving catalogue
+REQUEST_FOLDS = (
+    Fold("repro_requests_total", "counter",
+         "Requests by final outcome (completed/shed/failed)", "",
+         "requests", {"tenant": "tenant", "outcome": _outcome}),
+    Fold("repro_request_latency_seconds", "histogram",
+         "End-to-end latency (arrival to completion)", "seconds",
+         "requests", {"tenant": "tenant"}, _latency, _completed),
+    Fold("repro_request_queue_wait_seconds", "histogram",
+         "Admission plus batch-queue wait before dispatch", "seconds",
+         "requests", {"tenant": "tenant"},
+         span("arrival_time", "dispatch_time"), _completed),
+)
 
 
 class ServingMetrics:
-    """Per-tenant request accounting into a shared metrics registry."""
+    """The serving catalogue, folded by ``suite`` on every read."""
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._requests = registry.counter(
-            "repro_requests_total",
-            help="Requests by final outcome (completed/shed/failed)",
-            labelnames=("tenant", "outcome"),
-        )
-        self._latency = registry.histogram(
-            "repro_request_latency_seconds",
-            help="End-to-end latency (arrival to completion)",
-            unit="seconds",
-            labelnames=("tenant",),
-        )
-        self._queue_wait = registry.histogram(
-            "repro_request_queue_wait_seconds",
-            help="Admission plus batch-queue wait before dispatch",
-            unit="seconds",
-            labelnames=("tenant",),
-        )
+    def __init__(self, suite: "MetricsSuite") -> None:
+        self.registry = registry = suite.registry
+        suite.add_folds(REQUEST_FOLDS)
         self._quantile = registry.gauge(
             "repro_request_latency_quantile_seconds",
             help="Exact latency quantiles over all completed requests "
@@ -68,6 +85,7 @@ class ServingMetrics:
             unit="seconds",
             labelnames=("tenant", "q"),
         )
+        suite.folds[self._quantile.name] = ("requests", self._set_quantiles)
         self._tenant_depth = registry.gauge(
             "repro_tenant_queue_depth",
             help="Admitted-but-unfinished requests per tenant",
@@ -81,32 +99,18 @@ class ServingMetrics:
             "repro_server_inflight",
             help="Dispatched tasks not yet completed",
         )
-        #: completed-request latencies per tenant — the exact-quantile
-        #: basis (histograms alone only give bucket-resolution answers)
-        self._latencies: dict[str, list[float]] = {}
+        self._tenants: list[str] = []
 
-    # -- request outcomes ---------------------------------------------------
-
-    def note_request(self, rec: "RequestRecord") -> None:
-        """Account one finalized request record (any outcome)."""
-        if rec.shed:
-            outcome = "shed"
-        elif rec.failed:
-            outcome = "failed"
-        else:
-            outcome = "completed"
-        self._requests.inc(tenant=rec.tenant, outcome=outcome)
-        if outcome != "completed":
-            return
-        latency = rec.latency
-        self._latency.observe(latency, tenant=rec.tenant)
-        self._queue_wait.observe(rec.queue_wait, tenant=rec.tenant)
-        latencies = self._latencies.setdefault(rec.tenant, [])
-        latencies.append(latency)
-        for q in QUANTILES:
-            self._quantile.set(
-                percentile(latencies, q), tenant=rec.tenant, q=int(q)
-            )
+    def _set_quantiles(self, rows: Rows) -> None:
+        """Set each tenant's gauges from all its completed requests, in
+        order of first completion."""
+        rows = Rows(rows.trace, rows.kind, 0, rows.stop)
+        codes, tenants = rows.labels("tenant")
+        done, latency = _completed(rows), _latency(rows)
+        for code in dict.fromkeys(codes[done].tolist()):
+            mine = latency[done & (codes == code)].tolist()
+            for q, value in zip(QUANTILES, percentiles(mine, QUANTILES)):
+                self._quantile.set(value, tenant=tenants[code], q=int(q))
 
     # -- load state ---------------------------------------------------------
 
@@ -115,7 +119,7 @@ class ServingMetrics:
     ) -> None:
         """Refresh the queue-depth gauges from the admission state."""
         self._depth.set(admission.queue_depth())
-        for tenant in self._latencies:
+        for tenant in self._tenants:
             self._tenant_depth.set(
                 admission.queue_depth(tenant), tenant=tenant
             )
@@ -123,10 +127,5 @@ class ServingMetrics:
 
     def register_tenant(self, tenant: str) -> None:
         """Pre-create the tenant's series so gauges exist from t=0."""
-        self._latencies.setdefault(tenant, [])
+        self._tenants.append(tenant)
         self._tenant_depth.set(0, tenant=tenant)
-
-    # -- views ---------------------------------------------------------------
-
-    def n_completed(self, tenant: str) -> int:
-        return len(self._latencies.get(tenant, []))

@@ -163,7 +163,7 @@ class CompositionServer:
         self.serving_metrics: ServingMetrics | None = None
         if self.metrics is not None:
             self.metrics.attach(self.engine)
-            self.serving_metrics = ServingMetrics(self.metrics.registry)
+            self.serving_metrics = ServingMetrics(self.metrics)
             for spec in self.tenants:
                 self.serving_metrics.register_tenant(spec.name)
         self.admission = AdmissionController(admission)
@@ -220,6 +220,8 @@ class CompositionServer:
                 self.serving_metrics.sample_queues(
                     self.admission, self._inflight
                 )
+        if self.metrics is not None:
+            self.metrics.collect()
         return slo_report(self.trace)
 
     def shutdown(self) -> float:
@@ -240,13 +242,6 @@ class CompositionServer:
     def _push(self, time: float, kind: int, payload: object) -> None:
         heapq.heappush(self._events, (time, next(self._event_seq), kind, payload))
 
-    def _record_request(self, rec: RequestRecord) -> RequestRecord:
-        """Account one finalized request: trace plus live metrics."""
-        self.trace.record_request(rec)
-        if self.serving_metrics is not None:
-            self.serving_metrics.note_request(rec)
-        return rec
-
     def _on_arrival(self, t: float, req: Request) -> None:
         outcome = self.admission.decide(
             req.tenant, t, req.arrival_s, self._predicted_backlog(t)
@@ -262,7 +257,7 @@ class CompositionServer:
             self._delayed.append(req)
         else:
             self.admission.note_shed()
-            self._record_request(
+            self.trace.record_request(
                 RequestRecord.make(
                     tenant=req.tenant,
                     req_id=req.req_id,
@@ -299,7 +294,7 @@ class CompositionServer:
                 still.append(req)
             else:
                 self.admission.note_shed()
-                self._record_request(
+                self.trace.record_request(
                     RequestRecord.make(
                         tenant=req.tenant,
                         req_id=req.req_id,
@@ -391,7 +386,7 @@ class CompositionServer:
                 dispatch_time=dispatch_time,
                 batch_size=batch_size,
             )
-            self._record_request(rec)
+            self.trace.record_request(rec)
             self._push(self.engine.clock.now, _COMPLETION, (req, rec))
             return
         transfer_s = self._task_transfer_s.pop(task.task_id, 0)
@@ -421,7 +416,7 @@ class CompositionServer:
             batch_size=batch_size,
             task_id=task.task_id,
         )
-        self._record_request(rec)
+        self.trace.record_request(rec)
         self._inflight += 1
         self._push(task.end_time, _COMPLETION, (req, rec))
 

@@ -13,24 +13,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.runtime.stats import ExecutionTrace, RequestRecord
+from repro.runtime.stats import ExecutionTrace
+
+
+#: the latency quantiles an SLO reports (percent)
+QUANTILES = (50.0, 95.0, 99.0)
+
+
+def percentiles(values: list[float], qs) -> list[float]:
+    """Deterministic linear-interpolation percentiles (each q in
+    [0, 100]) of ``values``, sorted once."""
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"q must be in [0, 100], got {q}")
+    if not values:
+        return [float("nan")] * len(qs)
+    xs = sorted(values)
+    out = []
+    for q in qs:
+        pos = (len(xs) - 1) * q / 100.0
+        lo = math.floor(pos)
+        frac = pos - lo
+        last = lo + 1 >= len(xs)
+        out.append(xs[-1] if last else xs[lo] * (1.0 - frac) + xs[lo + 1] * frac)
+    return out
 
 
 def percentile(values: list[float], q: float) -> float:
     """Deterministic linear-interpolation percentile (q in [0, 100])."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    if not values:
-        return float("nan")
-    xs = sorted(values)
-    if len(xs) == 1:
-        return xs[0]
-    pos = (len(xs) - 1) * q / 100.0
-    lo = math.floor(pos)
-    frac = pos - lo
-    if lo + 1 >= len(xs):
-        return xs[-1]
-    return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac
+    return percentiles(values, (q,))[0]
 
 
 @dataclass(frozen=True)
@@ -130,24 +141,26 @@ def _mean(xs: list[float]) -> float:
     return sum(xs) / len(xs) if xs else float("nan")
 
 
-def tenant_slo(
-    tenant: str, records: list[RequestRecord], window_s: float
-) -> TenantSlo:
+def tenant_slo(tenant: str, records, window_s: float) -> TenantSlo:
+    """One tenant's summary of its request records: anything with
+    ``completed``, ``outcome``, ``latency``, the four request times,
+    ``transfer_s`` and ``batch_size`` (a :class:`~repro.runtime.stats.RequestRecord`
+    or a cluster record)."""
     done = [r for r in records if r.completed]
-    latencies = [r.latency for r in done]
+    p50, p95, p99 = percentiles([r.latency for r in done], QUANTILES)
     return TenantSlo(
         tenant=tenant,
         n_offered=len(records),
         n_completed=len(done),
-        n_shed=sum(1 for r in records if r.shed),
-        n_failed=sum(1 for r in records if r.failed),
+        n_shed=sum(1 for r in records if r.outcome == "shed"),
+        n_failed=sum(1 for r in records if r.outcome == "failed"),
         goodput_rps=len(done) / window_s if window_s > 0 else 0.0,
-        p50_s=percentile(latencies, 50),
-        p95_s=percentile(latencies, 95),
-        p99_s=percentile(latencies, 99),
-        mean_queue_wait_s=_mean([r.queue_wait for r in done]),
-        mean_pending_wait_s=_mean([r.pending_wait for r in done]),
-        mean_exec_s=_mean([r.exec_s for r in done]),
+        p50_s=p50,
+        p95_s=p95,
+        p99_s=p99,
+        mean_queue_wait_s=_mean([r.dispatch_time - r.arrival_time for r in done]),
+        mean_pending_wait_s=_mean([r.start_time - r.dispatch_time for r in done]),
+        mean_exec_s=_mean([r.end_time - r.start_time for r in done]),
         mean_transfer_s=_mean([r.transfer_s for r in done]),
         mean_batch_size=_mean([float(r.batch_size) for r in done]),
     )

@@ -210,3 +210,27 @@ def test_shared_registry_is_respected():
     suite.attach(rt.engine)
     rt.shutdown()
     assert "repro_queue_depth" in reg
+
+
+def test_cleared_and_refilled_trace_keeps_every_count():
+    """A trace cleared while attached and refilled past the old read
+    position is read from its first row again, for the row folds and
+    the per-codelet counters alike."""
+    rt = _runtime()
+    suite = MetricsSuite().attach(rt.engine)
+    cod = _codelet()
+    h = rt.register(np.zeros(8, dtype=np.float32), "d")
+    for i in range(5):
+        rt.submit(cod, [(h, "r")], name=f"t{i}")
+    rt.wait_for_all()
+    suite.collect()
+    rt.engine.trace.clear()
+    for i in range(8):
+        rt.submit(cod, [(h, "r")], name=f"u{i}")
+    rt.wait_for_all()
+    rt.shutdown()
+    assert _counter_total(suite, "repro_tasks_completed_total") == 13
+    assert _counter_total(suite, "repro_tasks_submitted_total") == 13
+    assert _counter_total(suite, "repro_schedule_decisions_total") == 13
+    duration = suite.registry.get("repro_task_duration_seconds")
+    assert sum(s.count for _, s in duration.series()) == 13

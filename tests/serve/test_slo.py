@@ -6,7 +6,7 @@ import pytest
 
 from repro.runtime.stats import ExecutionTrace, RequestRecord
 from repro.serve import SloReport, percentile, slo_report
-from repro.serve.slo import TenantSlo, tenant_slo
+from repro.serve.slo import TenantSlo, percentiles, tenant_slo
 
 
 def test_percentile_basics():
@@ -18,6 +18,33 @@ def test_percentile_basics():
     assert math.isnan(percentile([], 50))
     with pytest.raises(ValueError):
         percentile(xs, 101)
+
+
+@pytest.mark.parametrize(
+    "values", [[], [5.0], [3.0, 1.0, 2.0], [0.25, 4.0, 4.0, 1.5, 9.75, 0.5]]
+)
+def test_percentiles_equal_percentile_at_each_q(values):
+    qs = (0.0, 12.5, 50.0, 95.0, 99.0, 100.0)
+    got = percentiles(values, qs)
+    assert len(got) == len(qs)
+    for q, value in zip(qs, got):
+        want = percentile(values, q)
+        # bit-equal, NaN included (an empty input gives NaN at every q)
+        assert value == want or (math.isnan(value) and math.isnan(want))
+
+
+def test_percentiles_interpolate_one_sorted_copy():
+    values = [4.0, 1.0, 3.0, 2.0]
+    assert percentiles(values, (0, 50, 100, 25)) == [1.0, 2.5, 4.0, 1.75]
+    assert values == [4.0, 1.0, 3.0, 2.0]  # the input is left unsorted
+
+
+@pytest.mark.parametrize("q", [-0.5, 100.5])
+def test_percentiles_reject_an_out_of_range_q(q):
+    with pytest.raises(ValueError):
+        percentiles([1.0, 2.0], (50.0, q))
+    with pytest.raises(ValueError):
+        percentiles([], (q,))
 
 
 def rec(tenant, req_id, arrival, end, **kw):
