@@ -151,14 +151,15 @@ class ClusterNode:
         host clock exactly like the single-machine server's.  A request
         whose device-level fault recovery is exhausted yields its
         :class:`UnrecoverableTaskError` instead of a task (the node
-        answers the RPC with a failure; the router may fail it over)."""
+        answers the RPC with a failure; the router may fail it over).
+        Each request's private output is released as it completes."""
         clock = self.engine.clock
         clock.advance_to(t)
         clock.advance(self.dispatch_overhead_s)
         out: list[tuple[Request, object]] = []
         for req in batch:
             try:
-                out.append((req, req.submit(self.runtime)))
+                out.append((req, req.submit(self.runtime, release=True)))
             except UnrecoverableTaskError as err:
                 out.append((req, err))
         return out

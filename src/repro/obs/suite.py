@@ -36,7 +36,9 @@ its counter (by its row count or value total) or is observed by its
 histogram in row order.  The submit, decision and retry counters fold
 the growth of the trace's per-codelet counts.  The sampler gauges are
 brought up to the virtual clock at the same points by
-:class:`~repro.obs.samplers.EngineSamplers`.  Everything is
+:class:`~repro.obs.samplers.EngineSamplers`, and gauges of live state
+that the trace does not hold (the serving queue depths) are set there
+from :attr:`MetricsSuite.gauges`.  Everything is
 virtual-time-deterministic for a fixed seed.
 """
 
@@ -230,6 +232,9 @@ class MetricsSuite:
         #: earlier one, so a suite reused by a second server folds each
         #: request once.
         self.folds: dict[str, tuple[str, Callable[[Rows], None]]] = {}
+        #: metric name -> a function setting gauges from live state (not
+        #: trace rows) at every read; replaced like :attr:`folds`
+        self.gauges: dict[str, Callable[[], None]] = {}
         self._counts: list = []
         self.add_folds(ENGINE_FOLDS)
         # what the last read saw: rows per record kind, the per-codelet
@@ -308,7 +313,8 @@ class MetricsSuite:
                 self._counts.append((f.source, metric))
 
     def _fold(self) -> None:
-        """Fold the trace's growth since the last read into the registry."""
+        """Fold the trace's growth since the last read into the registry
+        and set the live-state gauges."""
         if self.engine is None:
             return
         trace = self.engine.trace
@@ -327,6 +333,8 @@ class MetricsSuite:
             if stops[kind] > self._read.get(kind, 0):
                 fold(Rows(trace, kind, self._read.get(kind, 0), stops[kind]))
         self._read.update(stops)
+        for set_gauges in self.gauges.values():
+            set_gauges()
 
     # -- exposition ----------------------------------------------------------
 

@@ -233,6 +233,9 @@ class Engine:
         self._node_capacity: list[int | None] = [
             machine.node_capacity(n) for n in range(machine.n_memory_nodes)
         ]
+        #: handle_id -> handle given to unregister_submit while tasks
+        #: on it were still pending (released at the last completion)
+        self._releasing: dict[int, DataHandle] = {}
         self._events: list[tuple[float, int, Task]] = []
         self._event_seq = count()
         #: bulk (window-planning) policy support: buffered tasks awaiting
@@ -481,6 +484,44 @@ class Engine:
         self._record_access("unregister", handle, "", t)
         return t
 
+    def unregister_submit(self, handle: DataHandle) -> None:
+        """Release ``handle`` once every task submitted on it so far has
+        completed (StarPU's ``starpu_data_unregister_submit``).
+
+        The data is dead: nothing is copied home and no trace row is
+        written; the handle just leaves the device-residency tables.
+        Later calls on it raise as on an unregistered handle.  Under an
+        eager policy the engine has usually completed those tasks inside
+        ``submit`` already, so the release is immediate; a task waiting
+        on dependencies or in a bulk policy's window defers it to that
+        task's completion.
+        """
+        self._check_alive()
+        if handle.unregistered:
+            raise RuntimeSystemError(
+                f"handle {handle.name!r} is already unregistered"
+            )
+        if handle.partitioned:
+            raise DataConsistencyError(
+                f"handle {handle.name!r} is partitioned; unpartition before "
+                "unregistering it"
+            )
+        handle.unregistered = True
+        self._releasing[handle.handle_id] = handle
+        self._settle_releases((handle,))
+
+    def _settle_releases(self, handles: Iterable[DataHandle]) -> None:
+        """Release each of ``handles`` awaiting release whose tasks have
+        all completed: drop it from the device-residency tables."""
+        releasing = self._releasing
+        for h in handles:
+            hid = h.handle_id
+            if hid in releasing and not _pending(h):
+                del releasing[hid]
+                for node in self._device_nodes:
+                    if self._resident[node].pop(hid, None) is not None:
+                        self._node_usage[node] -= h.nbytes
+
     # ------------------------------------------------------------------
     # task submission
     # ------------------------------------------------------------------
@@ -695,8 +736,8 @@ class Engine:
         self._check_alive()
         if handle.unregistered:
             raise RuntimeSystemError(
-                f"handle {handle.name!r} is unregistered; the flushed host "
-                "array remains usable directly"
+                f"handle {handle.name!r} is unregistered; after unregister() "
+                "the flushed host array remains usable directly"
             )
         if handle.partitioned:
             raise DataConsistencyError(
@@ -912,6 +953,8 @@ class Engine:
         self._n_completed += 1
         self.trace.n_tasks_aborted += 1
         self._last_end = max(self._last_end, t)
+        if self._releasing:
+            self._settle_releases(task.handles)
         for dependent in task.dependents:
             if dependent.dep_satisfied():
                 self._make_ready(dependent, max(t, dependent.earliest_start))
@@ -1411,6 +1454,8 @@ class Engine:
         ev = self.events
         if ev.want_complete:
             ev.emit_complete(end, task, trace.newest("tasks"))
+        if self._releasing:
+            self._settle_releases(task.handles)
         for dependent in task.dependents:
             if dependent.dep_satisfied():
                 self._make_ready(dependent, max(end, dependent.earliest_start))
@@ -1509,18 +1554,18 @@ class Engine:
         """Reconcile the per-node residency tables with a handle's state.
 
         Only top-level handles are tracked: partition children are views
-        into their parent's allocation.
+        into their parent's allocation.  A handle given to
+        :meth:`unregister_submit` stays tracked until its release.
         """
         if handle.parent is not None:
             return
         hid = handle.handle_id
         states = handle._states
         invalid = CopyState.INVALID
-        unregistered = handle.unregistered
         for node in self._device_nodes:
             resident = self._resident[node]
             present = hid in resident
-            wanted = not unregistered and states[node] is not invalid
+            wanted = states[node] is not invalid
             if wanted and not present:
                 resident[hid] = handle
                 self._node_usage[node] += handle.nbytes
@@ -1593,3 +1638,9 @@ class Engine:
         self._link_free[channel] = max(
             self._link_free.get(channel, 0.0), until
         )
+
+
+def _pending(handle: DataHandle) -> bool:
+    """Whether a task submitted on ``handle`` has yet to complete."""
+    tasks = (handle.last_writer, *handle.readers_since_write)
+    return any(t is not None and t.state is not TaskState.DONE for t in tasks)

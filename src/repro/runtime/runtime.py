@@ -180,6 +180,11 @@ class Runtime:
         """Flush to host and release the handle (no further task use)."""
         return self.engine.unregister(handle)
 
+    def unregister_submit(self, handle: DataHandle) -> None:
+        """Release the handle once the tasks submitted on it complete,
+        without flushing it home (its data is dead)."""
+        self.engine.unregister_submit(handle)
+
     def acquire(self, handle: DataHandle, mode: str | AccessMode) -> float:
         """Block until the host may access the data with ``mode``."""
         if isinstance(mode, str):

@@ -96,8 +96,12 @@ class Request:
     codelet_name: str
     #: coalescing key: requests sharing it may be fused into one batch
     shape_key: tuple
-    #: submits the invocation's task; called at dispatch time
-    submit: Callable[["Runtime"], "Task"]
+    #: ``submit(rt, release=False)`` registers the request's private
+    #: output and submits its task; called at dispatch time.  With
+    #: ``release=True`` the output is handed to ``rt.unregister_submit``
+    #: once submitted (or once the submit raised), so it leaves device
+    #: memory when the request completes.
+    submit: Callable[..., "Task"]
     #: filled by the server
     delayed: bool = False
 
@@ -123,13 +127,19 @@ def _output(rt: "Runtime", shape, dtype) -> np.ndarray:
 
 
 class _Session:
-    """Base session: lazily registers shared inputs on first request."""
+    """Base session: lazily registers shared inputs on first request.
+
+    A subclass names its request shape (:attr:`shape_key`, whose first
+    item names the requests) and :meth:`_invocation`, what one request
+    passes to the codelet besides its private output.
+    """
 
     def __init__(self, runtime: "Runtime", spec: TenantSpec) -> None:
         self.runtime = runtime
         self.spec = spec
         self.codelet = self._make_codelet()
-        self._inputs = None
+        #: the shared operands, registered by the first request
+        self.inputs = None
 
     def _make_codelet(self) -> Codelet:
         raise NotImplementedError
@@ -137,14 +147,40 @@ class _Session:
     def _register_inputs(self):
         raise NotImplementedError
 
-    @property
-    def inputs(self):
-        if self._inputs is None:
-            self._inputs = self._register_inputs()
-        return self._inputs
+    def _invocation(self) -> tuple:
+        """``((output name, shape, dtype, mode), shared operands, ctx,
+        scalar args)`` of one request."""
+        raise NotImplementedError
 
     def make_request(self, req_id: int, arrival_s: float) -> Request:
-        raise NotImplementedError
+        tenant = self.spec.name
+        shape_key = self.shape_key
+        if self.inputs is None:
+            self.inputs = self._register_inputs()
+
+        def submit(rt: "Runtime", release: bool = False) -> "Task":
+            (name, shape, dtype, mode), shared, ctx, args = self._invocation()
+            h = rt.register(_output(rt, shape, dtype), f"{tenant}:{name}{req_id}")
+            try:
+                return rt.submit(
+                    self.codelet,
+                    [*shared, (h, mode)],
+                    ctx={**ctx, "tenant": tenant},
+                    scalar_args=args,
+                    name=f"{tenant}/{shape_key[0]}#{req_id}",
+                )
+            finally:
+                if release:
+                    rt.unregister_submit(h)
+
+        return Request(
+            tenant=tenant,
+            req_id=req_id,
+            arrival_s=arrival_s,
+            codelet_name=self.codelet.name,
+            shape_key=shape_key,
+            submit=submit,
+        )
 
 
 class SgemmSession(_Session):
@@ -168,29 +204,18 @@ class SgemmSession(_Session):
             rt.register(b, f"{self.spec.name}:B"),
         )
 
-    def make_request(self, req_id: int, arrival_s: float) -> Request:
+    @property
+    def shape_key(self) -> tuple:
+        return ("sgemm", self.spec.size)
+
+    def _invocation(self) -> tuple:
         s = self.spec.size
         h_a, h_b = self.inputs
-        tenant = self.spec.name
-
-        def submit(rt: "Runtime") -> "Task":
-            c = _output(rt, (s, s), np.float32)
-            h_c = rt.register(c, f"{tenant}:C{req_id}")
-            return rt.submit(
-                self.codelet,
-                [(h_a, "r"), (h_b, "r"), (h_c, "rw")],
-                ctx={"m": s, "n": s, "k": s, "tenant": tenant},
-                scalar_args=(s, s, s, 1.0, 0.0),
-                name=f"{tenant}/sgemm#{req_id}",
-            )
-
-        return Request(
-            tenant=tenant,
-            req_id=req_id,
-            arrival_s=arrival_s,
-            codelet_name=self.codelet.name,
-            shape_key=("sgemm", s),
-            submit=submit,
+        return (
+            ("C", (s, s), np.float32, "rw"),
+            [(h_a, "r"), (h_b, "r")],
+            {"m": s, "n": s, "k": s},
+            (s, s, s, 1.0, 0.0),
         )
 
 
@@ -208,29 +233,18 @@ class PathfinderSession(_Session):
         wall = pathfinder_wall(self.ROWS, self.spec.size, seed=self.spec.seed)
         return (self.runtime.register(wall, f"{self.spec.name}:wall"),)
 
-    def make_request(self, req_id: int, arrival_s: float) -> Request:
+    @property
+    def shape_key(self) -> tuple:
+        return ("pathfinder", self.ROWS, self.spec.size)
+
+    def _invocation(self) -> tuple:
         cols = self.spec.size
         (h_wall,) = self.inputs
-        tenant = self.spec.name
-
-        def submit(rt: "Runtime") -> "Task":
-            result = _output(rt, cols, np.int32)
-            h_res = rt.register(result, f"{tenant}:res{req_id}")
-            return rt.submit(
-                self.codelet,
-                [(h_wall, "r"), (h_res, "w")],
-                ctx={"rows": self.ROWS, "cols": cols, "tenant": tenant},
-                scalar_args=(self.ROWS, cols),
-                name=f"{tenant}/pathfinder#{req_id}",
-            )
-
-        return Request(
-            tenant=tenant,
-            req_id=req_id,
-            arrival_s=arrival_s,
-            codelet_name=self.codelet.name,
-            shape_key=("pathfinder", self.ROWS, cols),
-            submit=submit,
+        return (
+            ("res", cols, np.int32, "w"),
+            [(h_wall, "r")],
+            {"rows": self.ROWS, "cols": cols},
+            (self.ROWS, cols),
         )
 
 
@@ -255,29 +269,18 @@ class BfsSession(_Session):
             len(edges),
         )
 
-    def make_request(self, req_id: int, arrival_s: float) -> Request:
+    @property
+    def shape_key(self) -> tuple:
+        return ("bfs", self.spec.size)
+
+    def _invocation(self) -> tuple:
         n = self.spec.size
         h_nodes, h_edges, n_edges = self.inputs
-        tenant = self.spec.name
-
-        def submit(rt: "Runtime") -> "Task":
-            costs = _output(rt, n, np.int32)
-            h_costs = rt.register(costs, f"{tenant}:costs{req_id}")
-            return rt.submit(
-                self.codelet,
-                [(h_nodes, "r"), (h_edges, "r"), (h_costs, "w")],
-                ctx={"n_nodes": n, "n_edges": n_edges, "tenant": tenant},
-                scalar_args=(n, n_edges, 0),
-                name=f"{tenant}/bfs#{req_id}",
-            )
-
-        return Request(
-            tenant=tenant,
-            req_id=req_id,
-            arrival_s=arrival_s,
-            codelet_name=self.codelet.name,
-            shape_key=("bfs", n),
-            submit=submit,
+        return (
+            ("costs", n, np.int32, "w"),
+            [(h_nodes, "r"), (h_edges, "r")],
+            {"n_nodes": n, "n_edges": n_edges},
+            (n, n_edges, 0),
         )
 
 

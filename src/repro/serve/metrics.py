@@ -10,9 +10,11 @@ from all of a tenant's completed requests with
 :func:`~repro.serve.slo.percentiles`, the computation
 :func:`~repro.serve.slo.tenant_slo` uses — so at every read they agree
 with ``slo_report(trace)`` to the bit, which the integration suite
-asserts.  A direct registry read mid-run sees the last read's values:
-call ``suite.collect()`` first.  The queue-depth gauges are live state,
-not trace rows; the server samples them after every event.
+asserts.  The queue-depth gauges are live state, not trace rows: they
+are set from the admission controller and the server's in-flight count
+at the same reads (a :attr:`~repro.obs.suite.MetricsSuite.gauges`
+entry), not after every serving event.  A direct registry read mid-run
+sees the last read's values: call ``suite.collect()`` first.
 
 Serving metric catalogue (tenant-labelled unless noted):
 
@@ -31,7 +33,7 @@ repro_server_inflight                —                  gauge
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -73,9 +75,20 @@ REQUEST_FOLDS = (
 
 
 class ServingMetrics:
-    """The serving catalogue, folded by ``suite`` on every read."""
+    """The serving catalogue, folded by ``suite`` on every read.
 
-    def __init__(self, suite: "MetricsSuite") -> None:
+    ``admission`` and ``inflight`` (a function returning the dispatched
+    tasks not yet completed) are the live state the queue-depth gauges
+    read; ``tenants`` get their series from t=0.
+    """
+
+    def __init__(
+        self,
+        suite: "MetricsSuite",
+        admission: "AdmissionController",
+        inflight: Callable[[], int],
+        tenants: Sequence[str],
+    ) -> None:
         self.registry = registry = suite.registry
         suite.add_folds(REQUEST_FOLDS)
         self._quantile = registry.gauge(
@@ -99,7 +112,11 @@ class ServingMetrics:
             "repro_server_inflight",
             help="Dispatched tasks not yet completed",
         )
-        self._tenants: list[str] = []
+        self._admission, self._inflight_now = admission, inflight
+        self._tenants = list(tenants)
+        for tenant in self._tenants:
+            self._tenant_depth.set(0, tenant=tenant)
+        suite.gauges[self._depth.name] = self._set_queues
 
     def _set_quantiles(self, rows: Rows) -> None:
         """Set each tenant's gauges from all its completed requests, in
@@ -112,20 +129,12 @@ class ServingMetrics:
             for q, value in zip(QUANTILES, percentiles(mine, QUANTILES)):
                 self._quantile.set(value, tenant=tenants[code], q=int(q))
 
-    # -- load state ---------------------------------------------------------
-
-    def sample_queues(
-        self, admission: "AdmissionController", inflight: int
-    ) -> None:
-        """Refresh the queue-depth gauges from the admission state."""
+    def _set_queues(self) -> None:
+        """Set the queue-depth gauges from the admission state."""
+        admission = self._admission
         self._depth.set(admission.queue_depth())
         for tenant in self._tenants:
             self._tenant_depth.set(
                 admission.queue_depth(tenant), tenant=tenant
             )
-        self._inflight.set(inflight)
-
-    def register_tenant(self, tenant: str) -> None:
-        """Pre-create the tenant's series so gauges exist from t=0."""
-        self._tenants.append(tenant)
-        self._tenant_depth.set(0, tenant=tenant)
+        self._inflight.set(self._inflight_now())

@@ -159,14 +159,14 @@ class CompositionServer:
         #: task id -> seconds of its staging transfers, from transfer events
         self._task_transfer_s: dict[int, float] = {}
         self.engine.events.subscribe("transfer", self._note_transfer)
+        self.admission = AdmissionController(admission)
         self.metrics = MetricsSuite.create(metrics)
         self.serving_metrics: ServingMetrics | None = None
         if self.metrics is not None:
             self.metrics.attach(self.engine)
-            self.serving_metrics = ServingMetrics(self.metrics)
-            for spec in self.tenants:
-                self.serving_metrics.register_tenant(spec.name)
-        self.admission = AdmissionController(admission)
+            self.serving_metrics = ServingMetrics(
+                self.metrics, self.admission, lambda: self._inflight, names
+            )
         self.coalescer = Coalescer(batching)
         self.wfq = WeightedFairQueue(weights)
         if max_inflight is None:
@@ -216,10 +216,6 @@ class CompositionServer:
                 self._on_arrival(t, payload)
             self._retry_delayed(t)
             self._dispatch(t)
-            if self.serving_metrics is not None:
-                self.serving_metrics.sample_queues(
-                    self.admission, self._inflight
-                )
         if self.metrics is not None:
             self.metrics.collect()
         return slo_report(self.trace)
@@ -342,14 +338,16 @@ class CompositionServer:
         :meth:`~repro.runtime.engine.Engine.flush_window` plans and
         commits the batch as one DAG window, so the planner sees all
         cross-tenant work at once; its requests settle after the flush,
-        all dispatched at the batch start.
+        all dispatched at the batch start.  Either way each request's
+        private output goes to ``unregister_submit`` at its submit, so
+        it leaves device memory when the request completes.
         """
         batch_start = self.engine.clock.now
         staged: list[tuple[Request, object]] = []
         for req in batch:
             dispatch_time = self.engine.clock.now
             try:
-                task = req.submit(self.runtime)
+                task = req.submit(self.runtime, release=True)
             except UnrecoverableTaskError:
                 # fault recovery exhausted (on a bulk policy, in a window
                 # that auto-flushed mid-batch): the raising submit loses

@@ -244,6 +244,9 @@ class Session:
     def unregister(self, handle) -> float:
         return self.runtime.unregister(handle)
 
+    def unregister_submit(self, handle) -> None:
+        self.runtime.unregister_submit(handle)
+
     def acquire(self, handle, mode) -> float:
         return self.runtime.acquire(handle, mode)
 

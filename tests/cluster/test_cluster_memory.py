@@ -18,16 +18,18 @@ from repro.experiments.cluster import (
     chaos_tenant_mix,
     targeted_chaos,
 )
+from repro.runtime.data import DataHandle
 
 N_NODES = 8
 N_REQUESTS = 6_000
 RATE_HZ = 12_000.0
-#: retained bytes per request (measured ~1,214 B on x86-64 Linux,
-#: CPython 3.11; while finished tasks stayed pinned by their inputs'
-#: reader lists and the trace cached every transfer record the serving
-#: layer read, ~1,534 B; keeping every finished request's router state
-#: as well, ~2,420 B)
-GATE_BYTES_PER_REQUEST = 1_400
+#: retained bytes per request, ~15% over the measured ~868 B (x86-64
+#: Linux, CPython 3.11).  While every finished request's output handle
+#: stayed in its node engine's residency table, ~1,220 B; while finished
+#: tasks also stayed pinned by their inputs' reader lists and the trace
+#: cached every transfer record the serving layer read, ~1,534 B; keeping
+#: every finished request's router state as well, ~2,420 B.
+GATE_BYTES_PER_REQUEST = 1_000
 
 
 def _chaos_cluster(n_requests: int, seed: int):
@@ -71,6 +73,17 @@ def test_finished_requests_retain_bounded_bytes():
     assert len(trace.requests) == sum(t.n_requests for t in cluster.tenants)
     assert trace.n_failovers and trace.n_hedges and trace.n_duplicates_suppressed
     assert not cluster._reqs, f"{len(cluster._reqs)} request states left"
+    for node in cluster.nodes.values():
+        # finished requests released their outputs: each GPU holds only
+        # its sessions' shared inputs
+        shared = {
+            h.handle_id
+            for session in node._sessions.values()
+            for h in session.inputs
+            if isinstance(h, DataHandle)
+        }
+        for resident in node.engine._resident[1:]:
+            assert set(resident) <= shared, f"node {node.node_id}"
     per_request = retained / len(trace.requests)
     assert per_request <= GATE_BYTES_PER_REQUEST, (
         f"{per_request:.0f} B retained per request"
