@@ -32,9 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.runtime.stats import RequestRecord
+from repro.runtime.stats import RecordsView, RequestRecord, _ColumnStore, _Record
 
 #: attempt outcomes (see module docstring)
 ATTEMPT_OUTCOMES = ("pending", "applied", "duplicate", "lost", "failed")
@@ -61,55 +61,58 @@ CLUSTER_EVENT_KINDS = (
 )
 
 
-@dataclass(slots=True)
-class AttemptRecord:
-    """One dispatch of a request to one node."""
+class AttemptRecord(_Record):
+    """One dispatch of a request to one node.
 
-    tenant: str
-    req_id: int
-    #: 0 = primary dispatch; retries and hedges increment
-    attempt: int
-    node: int
-    dispatch_time: float
-    #: True for latency hedges (raced against a still-live attempt)
-    hedge: bool = False
-    #: engine-task times on the node (NaN if the attempt never executed:
-    #: the dispatch was blackholed by a crash or partition)
-    start_time: float = float("nan")
-    end_time: float = float("nan")
-    #: when the completion reached the router (>= end_time; a healed
-    #: partition delivers late), NaN if never delivered
-    deliver_time: float = float("nan")
-    #: when the router resolved the attempt (delivery or failover)
-    resolved_time: float = float("nan")
-    outcome: str = "pending"
-    #: the engine task's per-node submission index (``Task.submit_seq``
-    #: — stable across runs, unlike the process-global ``task_id``
-    #: counter); None if the dispatch never reached an engine
-    task_seq: int | None = None
-    batch_size: int = 1
+    ``hedge`` is True for latency hedges (raced against a still-live
+    attempt).  ``start_time``/``end_time`` are the engine task's times on
+    the node (NaN if the attempt never executed: the dispatch was
+    blackholed by a crash or partition); ``deliver_time`` is when the
+    completion reached the router (>= end_time; a healed partition
+    delivers late), NaN if never delivered; ``resolved_time`` when the
+    router resolved the attempt (delivery or failover).  ``task_seq`` is
+    the engine task's per-node submission index (``Task.submit_seq`` —
+    stable across runs, unlike the process-global ``task_id`` counter),
+    None if the dispatch never reached an engine.  ``attempt`` is 0 for
+    the primary dispatch; retries and hedges increment it.
+    """
+
+    __slots__ = (
+        "tenant",
+        "req_id",
+        "attempt",
+        "node",
+        "dispatch_time",
+        "hedge",
+        "start_time",
+        "end_time",
+        "deliver_time",
+        "resolved_time",
+        "outcome",
+        "task_seq",
+        "batch_size",
+    )
+    _fields = __slots__
+    _defaults = {
+        "hedge": False,
+        "start_time": float("nan"),
+        "end_time": float("nan"),
+        "deliver_time": float("nan"),
+        "resolved_time": float("nan"),
+        "outcome": "pending",
+        "task_seq": None,
+        "batch_size": 1,
+    }
+    _float_fields = frozenset(
+        {"dispatch_time", "start_time", "end_time", "deliver_time", "resolved_time"}
+    )
+    _int_fields = frozenset({"req_id", "attempt", "node", "batch_size"})
+    _coded_fields = frozenset({"tenant", "hedge", "outcome"})
 
     @property
     def ran(self) -> bool:
         """Did the attempt actually execute on its node's engine?"""
         return self.task_seq is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "req_id": self.req_id,
-            "attempt": self.attempt,
-            "node": self.node,
-            "hedge": self.hedge,
-            "dispatch_time": self.dispatch_time,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "deliver_time": self.deliver_time,
-            "resolved_time": self.resolved_time,
-            "outcome": self.outcome,
-            "task_seq": self.task_seq,
-            "batch_size": self.batch_size,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,29 +152,12 @@ class ClusterRequestRecord:
     def latency(self) -> float:
         return self.end_time - self.arrival_time
 
-    def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "req_id": self.req_id,
-            "priority": self.priority,
-            "codelet": self.codelet,
-            "arrival_time": self.arrival_time,
-            "outcome": self.outcome,
-            "shed_reason": self.shed_reason,
-            "dispatch_time": self.dispatch_time,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "served_by": self.served_by,
-            "n_attempts": self.n_attempts,
-            "n_hedges": self.n_hedges,
-            "failed_over": self.failed_over,
-            "batch_size": self.batch_size,
-        }
-
     def as_request_record(self) -> RequestRecord:
-        """Project onto the serving layer's :class:`RequestRecord`, so the
-        per-tenant SLO machinery (:func:`repro.serve.slo.tenant_slo`)
-        aggregates cluster records unchanged."""
+        """Project onto the serving layer's :class:`RequestRecord`, for
+        code written against serving records (the benchmark's
+        ``cluster_chaos`` workload hands these to its shared checks).
+        The cluster's own SLO reports (:mod:`repro.cluster.slo`) read
+        cluster records directly."""
         return RequestRecord.make(
             tenant=self.tenant,
             req_id=self.req_id,
@@ -198,24 +184,16 @@ class ClusterEventRecord:
     detail: str = ""
     seq: int = -1
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "node": self.node,
-            "tenant": self.tenant,
-            "req_id": self.req_id,
-            "detail": self.detail,
-            "seq": self.seq,
-        }
-
 
 @dataclass
 class ClusterTrace:
     """Deterministic record of one cluster run."""
 
     requests: list[ClusterRequestRecord] = field(default_factory=list)
-    attempts: list[AttemptRecord] = field(default_factory=list)
+    #: typed columns; a read returns a write-through row
+    attempts: RecordsView = field(
+        default_factory=lambda: RecordsView(_ColumnStore(AttemptRecord, rows=True))
+    )
     events: list[ClusterEventRecord] = field(default_factory=list)
 
     def tenants(self) -> list[str]:
@@ -260,9 +238,9 @@ class ClusterTrace:
 
     def to_dict(self) -> dict:
         return {
-            "requests": [r.to_dict() for r in self.requests],
-            "attempts": [a.to_dict() for a in self.attempts],
-            "events": [e.to_dict() for e in self.events],
+            "requests": [asdict(r) for r in self.requests],
+            "attempts": [a.as_dict() for a in self.attempts],
+            "events": [asdict(e) for e in self.events],
         }
 
     def digest(self) -> str:

@@ -141,7 +141,7 @@ class _ReqState:
         "arrival_s",
         "priority",
         "codelet",
-        "attempts",
+        "n_attempts",
         "outstanding",
         "tried",
         "n_dispatches",
@@ -168,7 +168,9 @@ class _ReqState:
         self.arrival_s = arrival_s
         self.priority = int(getattr(spec, "priority", 1))
         self.codelet = spec.workload
-        self.attempts: list[AttemptRecord] = []
+        #: attempts made so far (the next one's number)
+        self.n_attempts = 0
+        #: write-through rows of the attempts still unresolved
         self.outstanding: list[AttemptRecord] = []
         self.tried: set[int] = set()
         self.n_dispatches = 0
@@ -584,18 +586,20 @@ class Cluster:
         hedge: bool,
         batch_size: int = 1,
     ) -> AttemptRecord:
-        a = AttemptRecord(
-            tenant=st.spec.name,
-            req_id=st.req_id,
-            attempt=len(st.attempts),
-            node=nid,
-            dispatch_time=t,
-            hedge=hedge,
-            batch_size=batch_size,
+        attempts = self.trace.attempts
+        attempts.append(
+            AttemptRecord.make(
+                tenant=st.spec.name,
+                req_id=st.req_id,
+                attempt=st.n_attempts,
+                node=nid,
+                dispatch_time=t,
+                hedge=hedge,
+                batch_size=batch_size,
+            )
         )
-        st.attempts.append(a)
-        self.trace.attempts.append(a)
-        return a
+        st.n_attempts += 1
+        return attempts[-1]
 
     def _submit_batch(self, node: ClusterNode, batch, t: float) -> None:
         nid = node.node_id

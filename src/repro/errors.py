@@ -78,7 +78,23 @@ class DeviceLostError(HardwareFault):
 
 class UnrecoverableTaskError(RuntimeSystemError):
     """A task kept faulting after exhausting the recovery policy's
-    retry budget."""
+    retry budget.
+
+    ``task_id`` and ``task_name`` name the task, ``attempts`` counts its
+    failed execution attempts (None when raised without them).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        task_id: int | None = None,
+        task_name: str | None = None,
+        attempts: int | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.task_id = task_id
+        self.task_name = task_name
+        self.attempts = attempts
 
 
 class ExecBackendError(RuntimeSystemError):

@@ -23,9 +23,11 @@ tasks (paper section IV-E).
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from itertools import count
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +37,10 @@ from repro.runtime.stats import GeneratedName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.task import DoneTask, Task
+
+
+#: the pending readers of every handle read by no task since its last write
+_NO_READERS: Mapping = MappingProxyType({})
 
 
 class CopyState(Enum):
@@ -61,10 +67,15 @@ class DataHandle:
         ``data<handle_id>``, a :class:`~repro.runtime.stats.GeneratedName`
         (which the trace's canonical form renumbers, unlike a given name).
 
-    ``last_writer`` and ``readers_since_write`` hold the tasks a new
-    access must order after.  Once a task completes, the engine replaces
-    it there by a :class:`~repro.runtime.task.DoneTask`, which keeps only
-    ``task_id``, ``end_time`` and ``state``.
+    ``last_writer`` is the task a new access must order after; once it
+    completes, the engine replaces it by a
+    :class:`~repro.runtime.task.DoneTask`, which keeps only ``task_id``,
+    ``end_time`` and ``state``.  A writer also orders after every reader
+    since the last write: their ids are kept in ``reader_ids``, in the
+    order they read (a reader's *slot*), and only the readers still
+    pending are kept as objects, in ``pending_readers`` (slot -> task).
+    A completed reader leaves just its id and, folded into
+    ``done_readers_end``, its end time.
     """
 
     _ids = count()
@@ -90,8 +101,7 @@ class DataHandle:
         #: virtual time of the last use of each node's copy (LRU eviction)
         self._last_used: list[float] = [0.0] * n_nodes
         # --- sequential-consistency bookkeeping -------------------------
-        self.last_writer: "Task | DoneTask | None" = None
-        self.readers_since_write: list["Task | DoneTask"] = []
+        self.reset_host_access()  # last_writer and the reader state
         # --- partitioning ------------------------------------------------
         self.parent: DataHandle | None = None
         self.children: list[DataHandle] = []
@@ -268,27 +278,78 @@ class DataHandle:
 
         - a reader waits for the last writer;
         - a writer waits for the last writer *and* every reader since.
+
+        A completed reader comes back as a ``DoneTask`` stand-in carrying
+        ``done_readers_end``, which bounds a new access's start alike.
         """
-        deps: list["Task | DoneTask"] = []
-        if self.last_writer is not None:
-            deps.append(self.last_writer)
+        from repro.runtime.task import DoneTask
+
+        deps = [] if self.last_writer is None else [self.last_writer]
         if writes:
-            deps.extend(self.readers_since_write)
+            pending, end = self.pending_readers, self.done_readers_end
+            deps += (
+                pending.get(slot) or DoneTask(tid, end)
+                for slot, tid in enumerate(self.reader_ids or ())
+            )
         return deps
 
-    def record_access(self, task: "Task", writes: bool) -> None:
-        """Register ``task``'s access in submission order."""
+    def reader_deps(self, seen: set, deps: list, ids: list) -> float:
+        """Add the readers since the last write that a writer waits for,
+        each once (``seen`` holds the ids already added): every reader's
+        id to ``ids`` in slot order, a pending reader also to ``deps``.
+        Returns ``done_readers_end``, which bounds the writer's start."""
+        pending = self.pending_readers
+        for slot, tid in enumerate(self.reader_ids or ()):
+            if tid not in seen:
+                seen.add(tid)
+                ids.append(tid)
+                dep = pending.get(slot)
+                if dep is not None:
+                    deps.append(dep)
+        return self.done_readers_end
+
+    def record_access(self, task: "Task", writes: bool) -> int:
+        """Register ``task``'s access in submission order; returns a
+        reader's slot (-1 for a writer)."""
         if writes:
+            self.reset_host_access()
             self.last_writer = task
-            self.readers_since_write = []
-        else:
-            self.readers_since_write.append(task)
+            return -1
+        ids = self.reader_ids
+        if ids is None:
+            ids = self.reader_ids = array("q")
+            self.pending_readers = {}
+        self.pending_readers[len(ids)] = task
+        ids.append(task.task_id)
+        return len(ids) - 1
 
     def reset_host_access(self) -> None:
         """The host program wrote the data (acquire-RW): task-level
         ordering restarts from the host copy."""
-        self.last_writer = None
-        self.readers_since_write = []
+        self.last_writer: "Task | DoneTask | None" = None
+        #: None until the first read since the last write, which also
+        #: gives the handle a dict of its own in place of the shared empty
+        self.reader_ids: array | None = None
+        self.pending_readers: Mapping[int, "Task"] = _NO_READERS
+        self.done_readers_end = 0.0
+
+    def reader_done(self, task: "Task", slot: int) -> None:
+        """Reader ``task``, recorded at ``slot``, completed: it leaves
+        ``pending_readers``, and its end time folds into
+        ``done_readers_end``.  A write since the read restarted the
+        slots, and the new ones do not hold ``task``."""
+        pending = self.pending_readers
+        if pending.get(slot) is task:
+            del pending[slot]
+            if task.end_time > self.done_readers_end:
+                self.done_readers_end = task.end_time
+
+    def latest_end(self, writes: bool) -> float:
+        """The latest end time among the tasks a new access waits for
+        (0.0 with none; a pending task's NaN end time is skipped)."""
+        tasks = (self.last_writer, *(self.pending_readers.values() if writes else ()))
+        base = self.done_readers_end if writes else 0.0
+        return max([base, *(t.end_time for t in tasks if t is not None)])
 
     # -- partitioning --------------------------------------------------------
 
@@ -318,7 +379,10 @@ class DataHandle:
             # children inherit the parent's ordering state so chunk tasks
             # still serialize correctly against pre-partition accesses
             child.last_writer = self.last_writer
-            child.readers_since_write = list(self.readers_since_write)
+            if self.reader_ids is not None:
+                child.reader_ids = array("q", self.reader_ids)
+                child.pending_readers = dict(self.pending_readers)
+                child.done_readers_end = self.done_readers_end
             child.parent = self
             self.children.append(child)
         return list(self.children)

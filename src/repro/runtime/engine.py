@@ -537,16 +537,17 @@ class Engine:
         operands = task.operands
         # one pass validates operands and collects the implicit
         # dependencies via sequential data consistency (StarPU's R/W
-        # ordering, inlined from DataHandle.dependencies_for: a reader
-        # waits for the last writer; a writer additionally waits for
-        # every reader since).  Collection must finish before any access
-        # is recorded below — a task touching one handle twice must see
-        # the pre-submit ordering state for both operands.
+        # ordering: a reader waits for the last writer; a writer
+        # additionally waits for every reader since).  Collection must
+        # finish before any access is recorded below — a task touching
+        # one handle twice must see the pre-submit ordering state for
+        # both operands.  ``deps`` holds the dependencies kept as objects,
+        # ``ids`` every dependency id in order; a completed reader adds
+        # only its id, and its end time through ``done_end``.
+        done_end = -1.0
         if len(operands) == 1:
-            # single-operand fast path: dedup degenerates (a reader list
-            # only repeats tasks that touched this handle through several
-            # operands, and the last writer can never be in it), so the
-            # seen-set and the second loop disappear
+            # single-operand fast path: no seen-set for a reader, and no
+            # second loop
             op = operands[0]
             h = op.handle
             if h.unregistered:
@@ -560,23 +561,18 @@ class Engine:
                 )
             lw = h.last_writer
             deps = [lw] if lw is not None and lw is not task else []
+            ids = [lw.task_id] if deps else []
             task.submit_time = self.clock.advance(self.submit_overhead_s)
-            if op.mode.writes:
-                rs = h.readers_since_write
-                if rs:
-                    seen = {deps[0].task_id} if deps else set()
-                    for dep in rs:
-                        if dep.task_id not in seen and dep is not task:
-                            seen.add(dep.task_id)
-                            deps.append(dep)
-                    h.readers_since_write = []
-                h.last_writer = task
+            if not op.mode.writes:
+                op.slot = h.record_access(task, False)
+            elif h.reader_ids is not None:
+                done_end = h.reader_deps(set(ids), deps, ids)
+                h.record_access(task, True)
             else:
-                rs = h.readers_since_write
-                op.slot = len(rs)
-                rs.append(task)
+                h.last_writer = task
         else:
             deps = []
+            ids = []
             seen = set()
             for op in operands:
                 h = op.handle
@@ -593,23 +589,16 @@ class Engine:
                 if lw is not None and lw.task_id not in seen and lw is not task:
                     seen.add(lw.task_id)
                     deps.append(lw)
+                    ids.append(lw.task_id)
                 if op.mode.writes:
-                    for dep in h.readers_since_write:
-                        if dep.task_id not in seen and dep is not task:
-                            seen.add(dep.task_id)
-                            deps.append(dep)
+                    end = h.reader_deps(seen, deps, ids)
+                    if end > done_end:
+                        done_end = end
             task.submit_time = self.clock.advance(self.submit_overhead_s)
             for op in operands:
-                h = op.handle
-                if op.mode.writes:
-                    h.last_writer = task
-                    h.readers_since_write = []
-                else:
-                    rs = h.readers_since_write
-                    op.slot = len(rs)
-                    rs.append(task)
-        if deps:
-            if len(deps) == 1:
+                op.slot = op.handle.record_access(task, op.mode.writes)
+        if ids:
+            if len(ids) == 1 and deps:
                 dep = deps[0]
                 task.dep_ids = (dep.task_id,)
                 # inlined Task.add_dependency (per-task hot path)
@@ -623,9 +612,11 @@ class Engine:
                     dep.dependents.append(task)
                     task.n_pending_deps += 1
             else:
-                task.dep_ids = tuple(d.task_id for d in deps)
+                task.dep_ids = tuple(ids)
                 for dep in deps:
                     task.add_dependency(dep)
+                if done_end > task.earliest_start:
+                    task.earliest_start = done_end
         task.submit_seq = self._n_submitted
         self._n_submitted += 1
         trace = self.trace
@@ -748,12 +739,7 @@ class Engine:
             self.flush_window()
         self._process_events()
         self._drain_kernels()
-        t = self.clock.now
-        if handle.last_writer is not None:
-            t = max(t, handle.last_writer.end_time)
-        if mode.writes:
-            for reader in handle.readers_since_write:
-                t = max(t, reader.end_time)
+        t = max(self.clock.now, handle.latest_end(mode.writes))
         self._fire_due_losses(t)
         if mode.reads:
             t = max(t, self._commit_copy(handle, HOST_NODE, earliest=t))
@@ -829,10 +815,7 @@ class Engine:
         self._drain_kernels()
         t = self.clock.now
         for child in handle.children:
-            if child.last_writer is not None:
-                t = max(t, child.last_writer.end_time)
-            for reader in child.readers_since_write:
-                t = max(t, reader.end_time)
+            t = max(t, child.latest_end(True))
         self._fire_due_losses(t)
         ready = t
         for child in handle.children:
@@ -932,7 +915,10 @@ class Engine:
                     self.trace.n_tasks_lost += 1
                     raise UnrecoverableTaskError(
                         f"task {task.name}: giving up after {attempt} failed "
-                        f"attempts (last fault: {fault})"
+                        f"attempts (last fault: {fault})",
+                        task_id=task.task_id,
+                        task_name=task.name,
+                        attempts=attempt,
                     ) from fault
                 self.trace.n_task_retries += 1
                 task.state = TaskState.READY
@@ -1399,7 +1385,6 @@ class Engine:
         size = 0
         reads: list[int] = []
         writes: list[int] = []
-        done = DoneTask(task.task_id, end_time)
         for op in task.operands:
             h = op.handle
             size += h.nbytes
@@ -1409,14 +1394,9 @@ class Engine:
             if mode.writes:
                 writes.append(h.handle_id)
                 if h.last_writer is task:
-                    h.last_writer = done
+                    h.last_writer = DoneTask(task.task_id, end_time)
             else:
-                # the slot submit recorded; a write since then replaced
-                # the list, and the new one does not hold this task
-                rs = h.readers_since_write
-                i = op.slot
-                if i < len(rs) and rs[i] is task:
-                    rs[i] = done
+                h.reader_done(task, op.slot)
         duration = end_time - start_time
         self.perf.record(task.footprint(), variant.name, float(size), duration)
         if len(workers) == 1:
@@ -1642,5 +1622,5 @@ class Engine:
 
 def _pending(handle: DataHandle) -> bool:
     """Whether a task submitted on ``handle`` has yet to complete."""
-    tasks = (handle.last_writer, *handle.readers_since_write)
+    tasks = (handle.last_writer, *handle.pending_readers.values())
     return any(t is not None and t.state is not TaskState.DONE for t in tasks)

@@ -23,8 +23,9 @@ Each field has one column:
   values (``codelet``, ``variant``, ``arch``, ``worker_ids``): one small
   code per row plus a table of the values;
 - a :class:`DerivedNames` column for the task ``name``: it keeps only
-  the names callers gave, and derives ``codelet#<task_id>`` for the
-  rest from the codelet and id columns;
+  the names callers gave (a ``<stem>#<n>`` name as a coded stem plus a
+  number), and derives ``codelet#<task_id>`` for the rest from the
+  codelet and id columns;
 - a plain list otherwise (the other kinds' names and ids).
 
 Typed columns hold a task's ids in machine words instead of boxed ints
@@ -63,7 +64,7 @@ import functools
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, repeat
 from types import FunctionType, MappingProxyType
 
 import numpy as np
@@ -597,21 +598,44 @@ class CodedColumn(Sequence):
             del self.codes[n:]
 
 
+def _split_name(name) -> tuple | None:
+    """A given name ``<stem>#<n>`` as ``((type, stem), n)``, when ``n``
+    is a decimal int that gives its digits back exactly; else None."""
+    typ = type(name)
+    if typ is str or typ is GeneratedName:
+        stem, sep, digits = name.rpartition("#")
+        if (
+            sep
+            and digits.isascii()
+            and digits.isdigit()
+            and len(digits) < 19  # fits an int64
+            and str(int(digits)) == digits
+        ):
+            return (typ, stem), int(digits)
+    return None
+
+
 class DerivedNames(Sequence):
     """A name column that stores only the names callers gave.
 
     A row appended with an empty name reads back as
     ``GeneratedName(f"{prefix}#{id}")`` from the same row of the
     ``prefixes`` and ``ids`` columns (the task's codelet and id), so a
-    default-named row costs nothing here.  The list of given names is
-    built at the first one, with a None for every row before it.
+    default-named row costs nothing here.  A given name ``<stem>#<n>``
+    (:func:`_split_name`; the serving layer's ``t0/sgemm#17``) is kept as
+    a code into a table of stems plus a number, and reads back as the
+    same plain ``str``; any other given name is kept whole.  Each form's
+    columns are built at its first name, with an empty row for every
+    row before it.
     """
 
-    __slots__ = ("_n", "_given", "_prefixes", "_ids")
+    __slots__ = ("_n", "_given", "_stems", "_nums", "_prefixes", "_ids")
 
     def __init__(self, prefixes: Sequence, ids: Sequence) -> None:
         self._n = 0
         self._given: list | None = None
+        self._stems: CodedColumn | None = None
+        self._nums: array | None = None
         self._prefixes = prefixes
         self._ids = ids
 
@@ -620,34 +644,52 @@ class DerivedNames(Sequence):
 
     def __getitem__(self, i: int) -> str:
         # the sibling columns have this one's length, so an index past
-        # either end raises IndexError from them (or the given list)
-        given = self._given
-        name = None if given is None else given[i]
+        # either end raises IndexError from them (or a given column)
+        name = None if self._given is None else self._given[i]
         if name is not None:
             return name
-        return GeneratedName(f"{self._prefixes[i]}#{self._ids[i]}")
+        key = None if self._stems is None else self._stems[i]
+        if key is None:
+            return GeneratedName(f"{self._prefixes[i]}#{self._ids[i]}")
+        typ, stem = key
+        return typ(f"{stem}#{self._nums[i]}")
+
+    def _split(self, name) -> tuple:
+        """``name`` as (whole name, stem key, number), building the
+        columns its form needs."""
+        split = _split_name(name) if name else None
+        if split is not None and self._stems is None:
+            self._stems = CodedColumn()
+            self._stems.code(None)
+            self._stems.codes = array("B", bytes(self._n))
+            self._nums = array("q", bytes(8 * self._n))
+        elif name and split is None and self._given is None:
+            self._given = [None] * self._n
+        return (None, *split) if split else (name or None, None, 0)
 
     def append(self, name) -> None:
-        given = self._given
-        if name:
-            if given is None:
-                given = self._given = [None] * self._n
-            given.append(name)
-        elif given is not None:
-            given.append(None)
+        whole, key, n = self._split(name)
+        if self._given is not None:
+            self._given.append(whole)
+        if self._stems is not None:
+            self._stems.append(key)
+            self._nums.append(n)
         self._n += 1
 
     def __setitem__(self, i: int, name) -> None:
-        if name and self._given is None:
-            self._given = [None] * self._n
+        whole, key, n = self._split(name)
         if self._given is not None:
-            self._given[i] = name or None
+            self._given[i] = whole
+        if self._stems is not None:
+            self._stems[i] = key
+            self._nums[i] = n
 
     def __delitem__(self, rows: slice) -> None:
         """Drop trailing rows, ``del col[n:]`` (the store's only delete)."""
         n = rows.indices(self._n)[0]
-        if self._given is not None:
-            del self._given[n:]
+        for col in (self._given, self._stems, self._nums):
+            if col is not None:
+                del col[n:]
         self._n = n
 
 
@@ -729,6 +771,55 @@ def _column_layout(cls: type) -> tuple[tuple, tuple]:
     return factories, derived
 
 
+@functools.cache
+def _row_class(cls: type) -> type:
+    """The write-through row of record class ``cls``.
+
+    A row has the record's API (its properties, ``as_dict``, ``repr``),
+    but each field reads and writes the store's column at the row, so
+    an assignment is seen by every later read of the store.  Rows of
+    one store compare equal only at the same row (identity, cheaply,
+    for ``in`` and ``remove`` on lists of live rows); ``replace`` and
+    pickling give a plain ``cls`` record.
+    """
+
+    def column(k: int) -> property:
+        def get(row):
+            return row._cols[k][row._i]
+
+        def put(row, value):
+            row._cols[k][row._i] = value
+
+        return property(get, put)
+
+    def __init__(self, cols: tuple, i: int) -> None:
+        self._cols = cols
+        self._i = i
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = other._cols is self._cols
+        return other._i == self._i if same else self._astuple() == other._astuple()
+
+    def replace(self, **changes):
+        return cls.make(**{**self.as_dict(), **changes})
+
+    def __reduce__(self):
+        return _restore, (cls, self._astuple())
+
+    ns = {name: column(k) for k, name in enumerate(cls._fields)}
+    ns.update(
+        __slots__=("_cols", "_i"),
+        __init__=__init__,
+        __eq__=__eq__,
+        __hash__=None,
+        replace=replace,
+        __reduce__=__reduce__,
+    )
+    return type(cls.__name__, (cls,), ns)
+
+
 class _ColumnStore:
     """Struct-of-arrays backing for one record kind.
 
@@ -743,7 +834,10 @@ class _ColumnStore:
     column would not give back as they came (an int in a float field).
     The committed row count is the length of the last column, which
     every append fills last: a row a typed column refused part-way is
-    rolled back, so the columns never disagree.
+    rolled back, so the columns never disagree.  A store built with
+    ``rows=True`` caches nothing: a read returns a new write-through
+    row (:func:`_row_class`), for records whose owner still changes them
+    after they are appended.
     """
 
     __slots__ = (
@@ -753,10 +847,14 @@ class _ColumnStore:
         "append_stamped",
         "columns",
         "_cache",
+        "_rows",
     )
 
-    def __init__(self, cls: type, stamped: bool = False) -> None:
+    def __init__(
+        self, cls: type, stamped: bool = False, rows: bool = False
+    ) -> None:
         self.cls = cls
+        self._rows = _row_class(cls) if rows else None
         self._fields = cls._fields
         factories, derived = _column_layout(cls)
         cols = [make() if make else None for make in factories]
@@ -793,7 +891,7 @@ class _ColumnStore:
             del col[n:]
 
     def _check(self, rec) -> None:
-        if type(rec) is not self.cls:
+        if type(rec) is not self.cls and type(rec) is not self._rows:
             raise TypeError(
                 f"expected {self.cls.__name__}, got {type(rec).__name__}"
             )
@@ -806,7 +904,8 @@ class _ColumnStore:
         except BaseException:
             self.rollback()
             raise
-        self._cache[len(self) - 1] = rec
+        if self._rows is None:
+            self._cache[len(self) - 1] = rec
 
     def _row(self, i: int) -> int:
         """``i`` as a row number; negative counts from the end."""
@@ -827,8 +926,10 @@ class _ColumnStore:
         return rec
 
     def get(self, i: int):
-        """Row ``i``'s record, built once and cached."""
+        """Row ``i``'s record, built once and cached (or a new row)."""
         i = self._row(i)
+        if self._rows is not None:
+            return self._rows(self._cols, i)
         rec = self._cache.get(i)
         if rec is None:
             rec = self._cache[i] = self.build(i)
@@ -836,11 +937,13 @@ class _ColumnStore:
 
     def __iter__(self):
         """Every row's record: the cached one, or a new one left uncached."""
-        cache = self._cache
-        build = self.build
-        for i in range(len(self)):
-            rec = cache.get(i)
-            yield build(i) if rec is None else rec
+        if self._rows is not None:
+            return map(self._rows, repeat(self._cols), range(len(self)))
+        cache, build = self._cache, self.build
+        return (
+            build(i) if (rec := cache.get(i)) is None else rec
+            for i in range(len(self))
+        )
 
     def _write(self, i: int, rec) -> None:
         for name, col in zip(self._fields, self._cols):
@@ -849,13 +952,14 @@ class _ColumnStore:
     def set(self, i: int, rec) -> None:
         self._check(rec)
         i = self._row(i)
-        old = self.get(i)
+        old = self.build(i) if self._rows else self.get(i)
         try:
             self._write(i, rec)
         except BaseException:
             self._write(i, old)
             raise
-        self._cache[i] = rec
+        if self._rows is None:
+            self._cache[i] = rec
 
     def clear(self) -> None:
         self._cache.clear()

@@ -37,9 +37,9 @@ class TaskState(Enum):
 class Operand:
     """One (handle, access-mode) pair of a task.
 
-    ``slot`` is where the engine appended the task to the handle's
-    ``readers_since_write`` (read-only operands), so completion can swap
-    in the task's :class:`DoneTask` without a search.
+    ``slot`` is the task's place among the handle's readers since the
+    last write (read-only operands), so completion finds it in
+    ``pending_readers`` without a search.
     """
 
     handle: DataHandle
@@ -248,8 +248,10 @@ class DoneTask:
 
     A later access only needs a finished dependency's id (for
     ``dep_ids``) and end time (a start-time lower bound), so at
-    completion the engine swaps the task out of ``last_writer`` and out
-    of its slot in ``readers_since_write`` for this.  The task, its
+    completion the engine swaps the task out of ``last_writer`` for
+    this (a completed reader leaves less still: its id, already in
+    ``reader_ids``, and its end time, folded into ``done_readers_end``).
+    The task, its
     operands and its context can then be freed even when a long-lived
     handle would otherwise pin them, and the task <-> output-handle
     cycle breaks at completion, so freeing them needs no cyclic garbage

@@ -11,6 +11,7 @@ bytes it retains per request.
 
 import gc
 import tracemalloc
+from array import array
 
 from repro.cluster import NodeFaultModel
 from repro.experiments.cluster import (
@@ -23,13 +24,16 @@ from repro.runtime.data import DataHandle
 N_NODES = 8
 N_REQUESTS = 6_000
 RATE_HZ = 12_000.0
-#: retained bytes per request, ~15% over the measured ~868 B (x86-64
-#: Linux, CPython 3.11).  While every finished request's output handle
-#: stayed in its node engine's residency table, ~1,220 B; while finished
-#: tasks also stayed pinned by their inputs' reader lists and the trace
-#: cached every transfer record the serving layer read, ~1,534 B; keeping
-#: every finished request's router state as well, ~2,420 B.
-GATE_BYTES_PER_REQUEST = 1_000
+#: retained bytes per request, ~15% over the measured ~682 B (x86-64
+#: Linux, CPython 3.11).  While attempts were record objects, each
+#: shared input kept a DoneTask per completed reader and served task
+#: names were whole strings, ~868 B; while every finished request's
+#: output handle stayed in its node engine's residency table, ~1,220 B;
+#: while finished tasks also stayed pinned by their inputs' reader lists
+#: and the trace cached every transfer record the serving layer read,
+#: ~1,534 B; keeping every finished request's router state as well,
+#: ~2,420 B.
+GATE_BYTES_PER_REQUEST = 785
 
 
 def _chaos_cluster(n_requests: int, seed: int):
@@ -76,14 +80,20 @@ def test_finished_requests_retain_bounded_bytes():
     for node in cluster.nodes.values():
         # finished requests released their outputs: each GPU holds only
         # its sessions' shared inputs
-        shared = {
-            h.handle_id
+        inputs = [
+            h
             for session in node._sessions.values()
             for h in session.inputs
             if isinstance(h, DataHandle)
-        }
+        ]
+        shared = {h.handle_id for h in inputs}
         for resident in node.engine._resident[1:]:
             assert set(resident) <= shared, f"node {node.node_id}"
+        # a completed reader leaves its id, not a Task or DoneTask
+        for h in inputs:
+            assert not h.pending_readers, f"node {node.node_id}: {h.name}"
+            assert h.reader_ids is None or type(h.reader_ids) is array
+            assert h.last_writer is None
     per_request = retained / len(trace.requests)
     assert per_request <= GATE_BYTES_PER_REQUEST, (
         f"{per_request:.0f} B retained per request"

@@ -1,5 +1,7 @@
 """Fault injection and recovery: determinism, fallback, degradation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -199,10 +201,43 @@ def test_retry_exhaustion_raises_unrecoverable():
     cl = make_axpy_codelet(archs=("cpu",))
     y = rt.register(np.zeros(8, dtype=np.float32))
     x = rt.register(np.ones(8, dtype=np.float32))
-    with pytest.raises(UnrecoverableTaskError):
-        rt.submit(cl, [(y, "rw"), (x, "r")], ctx={"n": 8}, scalar_args=(1.0,))
+    with pytest.raises(UnrecoverableTaskError) as err:
+        rt.submit(
+            cl, [(y, "rw"), (x, "r")], ctx={"n": 8}, scalar_args=(1.0,),
+            name="doomed",
+        )
     assert rt.trace.n_tasks_lost == 1
     assert y.array[0] == 0.0  # the kernel never ran
+    # the error names its task, not only in the message
+    e = err.value
+    assert (e.task_name, e.attempts) == ("doomed", 3)
+    assert {(f.task_id, f.task_name) for f in rt.trace.faults} == {
+        (e.task_id, "doomed")
+    }
+    assert "doomed" in str(e) and "3 failed attempts" in str(e)
+    clone = pickle.loads(pickle.dumps(e))
+    assert (clone.task_id, clone.task_name, clone.attempts) == (
+        e.task_id, "doomed", 3
+    )
+
+
+def test_unrecoverable_error_names_a_default_named_task():
+    rt = Runtime(
+        cpu_only(1),
+        scheduler="eager",
+        seed=0,
+        faults=FaultModel(kernel_fault_rate=1.0, seed=0),
+        recovery=RecoveryPolicy(max_retries=0),
+    )
+    cl = make_axpy_codelet(archs=("cpu",))
+    y = rt.register(np.zeros(8, dtype=np.float32))
+    x = rt.register(np.ones(8, dtype=np.float32))
+    with pytest.raises(UnrecoverableTaskError) as err:
+        rt.submit(cl, [(y, "rw"), (x, "r")], ctx={"n": 8}, scalar_args=(1.0,))
+    (fault,) = rt.trace.faults
+    assert err.value.task_id == fault.task_id
+    assert err.value.task_name == f"{cl.name}#{fault.task_id}"
+    assert err.value.attempts == 1
 
 
 def test_repeated_faults_blacklist_worker_but_never_the_last_one():

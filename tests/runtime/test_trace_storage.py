@@ -10,6 +10,7 @@ ordering state.  Readers must not be able to tell any of it.
 
 import gc
 import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.runtime.stats import (
     GeneratedName,
     TaskRecord,
 )
-from repro.runtime.task import DoneTask
 
 
 def _row(task_id: int, name: str = "", codelet: str = "c", workers=(0,)) -> tuple:
@@ -141,6 +141,7 @@ def test_trace_stores_only_given_names():
     names = trace._tasks.columns["name"]
     assert type(names) is DerivedNames
     assert names._given == [None, "explicit", None]
+    assert names._stems is None  # no <stem>#<n> name yet
     assert trace.columns("name") == ["c#5", "explicit", "c#7"]
     assert [type(r.name) for r in trace.tasks] == [GeneratedName, str, GeneratedName]
     assert names[-1] == "c#7" and names[-2] == "explicit"
@@ -152,8 +153,44 @@ def test_all_default_names_store_nothing_per_row():
     trace = ExecutionTrace()
     for i in range(100):
         trace.add_task(_row(i))
-    assert trace._tasks.columns["name"]._given is None
+    names = trace._tasks.columns["name"]
+    assert names._given is None and names._stems is None
     assert trace.tasks[42].name == "c#42"
+
+
+def test_served_names_are_stored_as_stem_and_number():
+    trace = ExecutionTrace()
+    given = [
+        "t0/sgemm#17",
+        "t0/sgemm#18",
+        "t1/bfs#0",
+        "a#007",  # a leading zero would not read back
+        "a#-1",
+        "a#",
+        "a#\u0661\u0662",  # non-ASCII digits
+        "a#" + "9" * 19,  # past int64
+        GeneratedName("c#3"),
+    ]
+    trace.add_task(_row(0))
+    for i, name in enumerate(given, 1):
+        trace.add_task(_row(i, name=name))
+    names = trace._tasks.columns["name"]
+    assert list(names._nums) == [0, 17, 18, 0] + [0] * 5 + [3]
+    # one table entry per stem, not per name; the rest kept whole
+    assert names._stems.values == [
+        None, (str, "t0/sgemm"), (str, "t1/bfs"), (GeneratedName, "c")
+    ]
+    assert names._given == [None] * 4 + given[3:8] + [None]
+    back = trace.columns("name")
+    assert back == ["c#0", *given]
+    assert [type(n) for n in back] == [GeneratedName] + [str] * 8 + [GeneratedName]
+    names[1] = ""
+    names[0] = "x#5"
+    assert names[0] == "x#5" and names[1] == "c#1"
+    names[2] = "kept whole"
+    del names[3:]
+    assert list(names) == ["x#5", "c#1", "kept whole"]
+    assert len(names._nums) == len(names._given) == 3
 
 
 def test_derived_names_are_byte_identical_in_every_export(machine):
@@ -219,12 +256,19 @@ def test_handle_read_by_many_tasks_pins_none_of_them(machine, scheduler):
     gc.disable()
     try:
         refs = []
+        ids = []
         for i in range(1000):
             y = rt.register(np.zeros(64, dtype=np.float32), f"y{i}")
-            refs.append(weakref.ref(rt.submit(cl, [(y, "w"), (x, "r")])))
+            task = rt.submit(cl, [(y, "w"), (x, "r")])
+            refs.append(weakref.ref(task))
+            ids.append(task.task_id)
+            del task
         rt.wait_for_all()
-        assert len(x.readers_since_write) == 1000
-        assert all(type(r) is DoneTask for r in x.readers_since_write)
+        # every reader's id in one array, in slot order: no Task or
+        # DoneTask is kept per reader
+        assert x.pending_readers == {}
+        assert type(x.reader_ids) is array
+        assert list(x.reader_ids) == ids
         assert [r() for r in refs] == [None] * 1000
     finally:
         if was_enabled:
