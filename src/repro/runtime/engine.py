@@ -939,6 +939,8 @@ class Engine:
         self._n_completed += 1
         self.trace.n_tasks_aborted += 1
         self._last_end = max(self._last_end, t)
+        for op in task.operands:
+            _task_done(op.handle, task, op.slot)
         if self._releasing:
             self._settle_releases(task.handles)
         for dependent in task.dependents:
@@ -1393,10 +1395,7 @@ class Engine:
                 reads.append(h.handle_id)
             if mode.writes:
                 writes.append(h.handle_id)
-                if h.last_writer is task:
-                    h.last_writer = DoneTask(task.task_id, end_time)
-            else:
-                h.reader_done(task, op.slot)
+            _task_done(h, task, op.slot)
         duration = end_time - start_time
         self.perf.record(task.footprint(), variant.name, float(size), duration)
         if len(workers) == 1:
@@ -1618,6 +1617,18 @@ class Engine:
         self._link_free[channel] = max(
             self._link_free.get(channel, 0.0), until
         )
+
+
+def _task_done(handle: DataHandle, task: Task, slot: int) -> None:
+    """``task``, which accessed ``handle`` at reader ``slot`` (-1 for a
+    write), finished: a :class:`DoneTask` replaces it as the last
+    writer, and it leaves the readers, of ``handle`` and of every child
+    partitioned off since, which copied that ordering state."""
+    if handle.last_writer is task:
+        handle.last_writer = DoneTask(task.task_id, task.end_time)
+    handle.reader_done(task, slot)
+    for child in handle.children:
+        _task_done(child, task, slot)
 
 
 def _pending(handle: DataHandle) -> bool:

@@ -14,11 +14,13 @@ dominated both the engine hot path and the memory a session keeps.
 Each field has one column:
 
 - ``array('d')`` for float fields (times, energy);
-- ``array('q')`` for the integer fields of the engine's hot-path
-  records (task and transfer ids, nodes, sizes, sequence numbers);
+- a narrow int array for the integer fields of the engine's hot-path
+  records: ``array('b')`` for the memory-node fields (``node``,
+  ``src_node``, ``dst_node``), ``array('i')`` for the rest (task and
+  transfer ids, sizes, sequence numbers);
 - a :class:`RaggedColumn` for the task id-tuple fields (``reads``,
-  ``writes``, ``deps``): one flat ``array('q')`` of ids plus an
-  ``array('q')`` of row ends, read back as the same tuples;
+  ``writes``, ``deps``): one flat ``array('i')`` of ids plus an
+  ``array('i')`` of row ends, read back as the same tuples;
 - a :class:`CodedColumn` for the task fields with a handful of distinct
   values (``codelet``, ``variant``, ``arch``, ``worker_ids``): one small
   code per row plus a table of the values;
@@ -26,11 +28,22 @@ Each field has one column:
   the names callers gave (a ``<stem>#<n>`` name as a coded stem plus a
   number), and derives ``codelet#<task_id>`` for the rest from the
   codelet and id columns;
+- a :class:`NameColumn` for the transfer and eviction ``handle_name``:
+  a name ending in a number (``data17``, a served ``t0:C17``) as a
+  coded stem plus the number, any other kept whole;
 - a plain list otherwise (the other kinds' names and ids).
+
+A value that does not fit a narrow int column (an id or size past
+2**31 - 1, a node past 127) makes the append raise ``OverflowError``;
+the store then rolls the row back, widens all its narrow int columns to
+``array('q')`` in place and writes the row again, so no int64 value is
+ever refused and the old all-``'q'`` layout is the worst case.  Readers
+see Python ints either way, and the trace's own NumPy folds read int
+columns as int64.
 
 Typed columns hold a task's ids in machine words instead of boxed ints
 and small tuples; a default-named task stores no string and no pointer
-at all, so its row is about twenty machine words.  The engine appends
+at all, so its row is about a hundred bytes.  The engine appends
 raw field rows (:meth:`ExecutionTrace.add_task`,
 :meth:`ExecutionTrace.add_transfer`) and never builds a record object
 on the no-subscriber fast path; a record built by indexing is cached,
@@ -50,7 +63,8 @@ The blessed access API (stable across future layout changes):
   they used to be (``len``, indexing, slicing, ``append``).
 - ``trace.columns("end_time")`` — the raw column for one field, the
   cheapest way to fold an aggregate over a large trace; typed columns
-  expose the buffer protocol, so ``np.frombuffer`` views them in place.
+  expose the buffer protocol, so ``np.frombuffer(col, col.typecode)``
+  views them in place.
 - ``TaskRecord.make(...)`` — the only way to build a record (tests,
   trace loaders); plus ``rec.replace(...)`` / ``rec.as_dict()`` /
   ``cls._fields`` standing in for the old dataclass conveniences.
@@ -103,11 +117,12 @@ class _Record:
 
     Subclasses declare ``__slots__`` (the field order), ``_defaults``
     (trailing optional fields) and the fields the columnar store keeps
-    typed: ``_float_fields`` in ``array('d')``, ``_int_fields`` in
-    ``array('q')``, ``_ragged_fields`` (id tuples) in a
-    :class:`RaggedColumn`, ``_coded_fields`` in a :class:`CodedColumn`
-    and ``_derived_names`` (field -> its prefix and id fields) in a
-    :class:`DerivedNames` column.  Equality, hashing, repr, ``replace`` and
+    typed: ``_float_fields`` in ``array('d')``, ``_int_fields`` in a
+    narrow int array, ``_ragged_fields`` (id tuples) in a
+    :class:`RaggedColumn`, ``_coded_fields`` in a :class:`CodedColumn`,
+    ``_name_fields`` in a :class:`NameColumn` and ``_derived_names``
+    (field -> its prefix and id fields) in a :class:`DerivedNames`
+    column.  Equality, hashing, repr, ``replace`` and
     ``as_dict`` all derive from ``_fields`` so they match the old
     frozen-dataclass behaviour field for field.
     """
@@ -119,6 +134,7 @@ class _Record:
     _int_fields: frozenset = frozenset()
     _ragged_fields: frozenset = frozenset()
     _coded_fields: frozenset = frozenset()
+    _name_fields: frozenset = frozenset()
     _derived_names: dict = {}
 
     def __init__(self, *args, **kwargs):
@@ -273,6 +289,7 @@ class TransferRecord(_Record):
     _int_fields = frozenset(
         {"handle_id", "src_node", "dst_node", "nbytes", "seq"}
     )
+    _name_fields = frozenset({"handle_name"})
 
     @property
     def is_h2d(self) -> bool:
@@ -301,6 +318,7 @@ class EvictionRecord(_Record):
     _fields = __slots__
     _defaults = {"seq": -1}
     _float_fields = frozenset({"time"})
+    _name_fields = frozenset({"handle_name"})
 
 
 #: host-access kinds (see :meth:`ExecutionTrace.record_access`)
@@ -480,16 +498,24 @@ class RaggedColumn(Sequence):
     """A column of int tuples stored flat.
 
     Row ``i`` is ``tuple(values[ends[i - 1]:ends[i]])`` (from 0 for the
-    first row): two ``array('q')`` in place of one tuple object per row,
-    and both NumPy-viewable.  Indexing and iteration yield the tuples the
-    records carry; outside the store the column is read-only.
+    first row): two ``array('i')`` (``'q'`` once :meth:`widen`) in place
+    of one tuple object per row, and both NumPy-viewable.  Indexing and
+    iteration yield the tuples the records carry; outside the store the
+    column is read-only.
     """
 
     __slots__ = ("values", "ends")
 
     def __init__(self) -> None:
-        self.values = array("q")
-        self.ends = array("q")
+        self.values = array("i")
+        self.ends = array("i")
+
+    def widen(self) -> bool:
+        """Move both arrays to ``'q'``; False if they already were."""
+        if self.ends.typecode == "q":
+            return False
+        self.values, self.ends = array("q", self.values), array("q", self.ends)
+        return True
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -520,7 +546,8 @@ class RaggedColumn(Sequence):
         if i < 0:
             i += len(ends)
         start = ends[i - 1] if i else 0
-        new = array("q", row)  # TypeError before anything moves
+        # TypeError or OverflowError before anything moves
+        new = array(self.values.typecode, row)
         self.values[start:end] = new
         shift = len(new) - (end - start)
         if shift:
@@ -598,74 +625,92 @@ class CodedColumn(Sequence):
             del self.codes[n:]
 
 
-def _split_name(name) -> tuple | None:
-    """A given name ``<stem>#<n>`` as ``((type, stem), n)``, when ``n``
-    is a decimal int that gives its digits back exactly; else None."""
+def _split_name(name, sep: str = "") -> tuple | None:
+    """A name ``<stem><sep><n>`` as ``((type, stem), n)``, when ``n``, the
+    ASCII digits that end the name, is a decimal int that gives its
+    digits back exactly; else None."""
     typ = type(name)
     if typ is str or typ is GeneratedName:
-        stem, sep, digits = name.rpartition("#")
+        head = name.rstrip("0123456789")
+        digits = name[len(head) :]
         if (
-            sep
-            and digits.isascii()
-            and digits.isdigit()
+            digits
+            and head.endswith(sep)
             and len(digits) < 19  # fits an int64
             and str(int(digits)) == digits
         ):
-            return (typ, stem), int(digits)
+            return (typ, head[: len(head) - len(sep)]), int(digits)
     return None
 
 
-class DerivedNames(Sequence):
-    """A name column that stores only the names callers gave.
+class NameColumn(Sequence):
+    """A name column that keeps a name ending in a number as a stem code
+    plus the number.
 
-    A row appended with an empty name reads back as
-    ``GeneratedName(f"{prefix}#{id}")`` from the same row of the
-    ``prefixes`` and ``ids`` columns (the task's codelet and id), so a
-    default-named row costs nothing here.  A given name ``<stem>#<n>``
-    (:func:`_split_name`; the serving layer's ``t0/sgemm#17``) is kept as
-    a code into a table of stems plus a number, and reads back as the
-    same plain ``str``; any other given name is kept whole.  Each form's
+    A name ``<stem><n>`` (:func:`_split_name`: a handle's ``data17``, a
+    served ``t0:C17``) is kept as a code into a table of ``(type,
+    stem)`` plus ``n`` in ``_nums`` (``array('i')``, ``'q'`` once
+    :meth:`widen`), and reads back as the same ``str`` or
+    :class:`GeneratedName`; any other name is kept whole.  Each form's
     columns are built at its first name, with an empty row for every
     row before it.
     """
 
-    __slots__ = ("_n", "_given", "_stems", "_nums", "_prefixes", "_ids")
+    __slots__ = ("_n", "_given", "_stems", "_nums")
+    #: what separates a stored stem from its number
+    _sep = ""
 
-    def __init__(self, prefixes: Sequence, ids: Sequence) -> None:
+    def __init__(self) -> None:
         self._n = 0
         self._given: list | None = None
         self._stems: CodedColumn | None = None
         self._nums: array | None = None
-        self._prefixes = prefixes
-        self._ids = ids
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, i: int) -> str:
-        # the sibling columns have this one's length, so an index past
-        # either end raises IndexError from them (or a given column)
         name = None if self._given is None else self._given[i]
         if name is not None:
             return name
         key = None if self._stems is None else self._stems[i]
         if key is None:
-            return GeneratedName(f"{self._prefixes[i]}#{self._ids[i]}")
+            return self._default(i)
         typ, stem = key
-        return typ(f"{stem}#{self._nums[i]}")
+        return typ(f"{stem}{self._sep}{self._nums[i]}")
+
+    def _default(self, i: int):
+        """Row ``i``'s name when neither form holds it: a None name."""
+        if not -self._n <= i < self._n:
+            raise IndexError("name index out of range")
+        return None
+
+    def _whole(self, name):
+        """What the given column keeps of a name that does not split."""
+        return name
 
     def _split(self, name) -> tuple:
         """``name`` as (whole name, stem key, number), building the
         columns its form needs."""
-        split = _split_name(name) if name else None
-        if split is not None and self._stems is None:
-            self._stems = CodedColumn()
-            self._stems.code(None)
-            self._stems.codes = array("B", bytes(self._n))
-            self._nums = array("q", bytes(8 * self._n))
-        elif name and split is None and self._given is None:
+        split = _split_name(name, self._sep) if name else None
+        if split is not None:
+            if self._stems is None:
+                self._stems = CodedColumn()
+                self._stems.code(None)
+                self._stems.codes = array("B", bytes(self._n))
+                self._nums = array("i", [0]) * self._n
+            return (None, *split)
+        whole = self._whole(name)
+        if whole is not None and self._given is None:
             self._given = [None] * self._n
-        return (None, *split) if split else (name or None, None, 0)
+        return whole, None, 0
+
+    def widen(self) -> bool:
+        """Move the numbers to ``'q'``; False if they were not narrow."""
+        if self._nums is None or self._nums.typecode == "q":
+            return False
+        self._nums = array("q", self._nums)
+        return True
 
     def append(self, name) -> None:
         whole, key, n = self._split(name)
@@ -693,6 +738,51 @@ class DerivedNames(Sequence):
         self._n = n
 
 
+class DerivedNames(NameColumn):
+    """A name column that stores only the names callers gave.
+
+    A row appended with an empty name reads back as
+    ``GeneratedName(f"{prefix}#{id}")`` from the same row of the
+    store's prefix and id columns (the task's codelet and id), so a
+    default-named row costs nothing here.  A given name ``<stem>#<n>``
+    (the serving layer's ``t0/sgemm#17``) is kept as a stem plus a
+    number, as in a :class:`NameColumn`; any other given name whole.
+    The siblings are read through the store's column list, which
+    :func:`_widen` updates in place.
+    """
+
+    __slots__ = ("_cols", "_prefix", "_id")
+    _sep = "#"
+
+    def __init__(self, cols: list, prefix: int, ident: int) -> None:
+        super().__init__()
+        self._cols, self._prefix, self._id = cols, prefix, ident
+
+    def _default(self, i: int) -> str:
+        # the siblings have this column's length, so an index past
+        # either end raises IndexError from them
+        cols = self._cols
+        return GeneratedName(f"{cols[self._prefix][i]}#{cols[self._id][i]}")
+
+    def _whole(self, name):
+        return name or None  # an empty name is derived, not kept
+
+
+def _widen(cols: list) -> bool:
+    """Move every narrow int column in a store's ``cols`` to ``'q'``, in
+    place (an array by a new one, a ragged or name column inside);
+    False if none was narrow."""
+    narrow = False
+    for k, col in enumerate(cols):
+        if type(col) is array:
+            if col.typecode in "bi":
+                cols[k] = array("q", col)
+                narrow = True
+        elif hasattr(col, "widen"):
+            narrow = col.widen() or narrow
+    return narrow
+
+
 @functools.cache
 def _stamped_appender(cls: type) -> FunctionType:
     """The ``append_stamped`` template for one record class.
@@ -709,7 +799,7 @@ def _stamped_appender(cls: type) -> FunctionType:
     sparing one tuple concatenation per task/transfer.  Compiling the
     source costs ~0.15 ms, so it happens once per class; each store then
     binds its own columns' methods as the defaults of a copy (see
-    :meth:`_ColumnStore.__init__`).
+    :meth:`_ColumnStore._stamped`).
     """
     if cls._fields[-1] != "seq":
         raise ValueError(f"{cls.__name__} records carry no trailing seq")
@@ -740,6 +830,10 @@ def _stamped_appender(cls: type) -> FunctionType:
     return ns["append_stamped"]
 
 
+#: the memory-node fields: node ids fit one signed byte
+_NODE_FIELDS = frozenset({"node", "src_node", "dst_node"})
+
+
 @functools.cache
 def _column_layout(cls: type) -> tuple[tuple, tuple]:
     """One column factory per field of ``cls``, in field order, and the
@@ -757,12 +851,14 @@ def _column_layout(cls: type) -> tuple[tuple, tuple]:
     factories = tuple(
         functools.partial(array, "d")
         if name in cls._float_fields
-        else functools.partial(array, "q")
+        else functools.partial(array, "b" if name in _NODE_FIELDS else "i")
         if name in cls._int_fields
         else RaggedColumn
         if name in cls._ragged_fields
         else CodedColumn
         if name in cls._coded_fields
+        else NameColumn
+        if name in cls._name_fields
         else None
         if name in cls._derived_names
         else list
@@ -777,7 +873,9 @@ def _row_class(cls: type) -> type:
 
     A row has the record's API (its properties, ``as_dict``, ``repr``),
     but each field reads and writes the store's column at the row, so
-    an assignment is seen by every later read of the store.  Rows of
+    an assignment is seen by every later read of the store; a value a
+    narrow int column refuses widens the store's columns, as an append
+    does.  Rows of
     one store compare equal only at the same row (identity, cheaply,
     for ``in`` and ``remove`` on lists of live rows); ``replace`` and
     pickling give a plain ``cls`` record.
@@ -788,11 +886,18 @@ def _row_class(cls: type) -> type:
             return row._cols[k][row._i]
 
         def put(row, value):
-            row._cols[k][row._i] = value
+            cols = row._cols
+            try:
+                cols[k][row._i] = value
+            except OverflowError:
+                # rows stores are never stamped: no append_stamped to rebind
+                if not _widen(cols):
+                    raise
+                cols[k][row._i] = value
 
         return property(get, put)
 
-    def __init__(self, cols: tuple, i: int) -> None:
+    def __init__(self, cols: list, i: int) -> None:
         self._cols = cols
         self._i = i
 
@@ -834,7 +939,9 @@ class _ColumnStore:
     column would not give back as they came (an int in a float field).
     The committed row count is the length of the last column, which
     every append fills last: a row a typed column refused part-way is
-    rolled back, so the columns never disagree.  A store built with
+    rolled back, so the columns never disagree; one a narrow int column
+    refused is written again once the store has moved to ``'q'``
+    (:meth:`refused`).  A store built with
     ``rows=True`` caches nothing: a read returns a new write-through
     row (:func:`_row_class`), for records whose owner still changes them
     after they are appended.
@@ -845,7 +952,6 @@ class _ColumnStore:
         "_fields",
         "_cols",
         "append_stamped",
-        "columns",
         "_cache",
         "_rows",
     )
@@ -857,38 +963,52 @@ class _ColumnStore:
         self._rows = _row_class(cls) if rows else None
         self._fields = cls._fields
         factories, derived = _column_layout(cls)
-        cols = [make() if make else None for make in factories]
+        # a list: widening swaps its arrays in place, where derived names
+        # and write-through rows find them
+        cols = self._cols = [make() if make else None for make in factories]
         for i, prefix, ident in derived:
-            cols[i] = DerivedNames(cols[prefix], cols[ident])
-        self._cols = tuple(cols)
-        self.columns: dict = dict(zip(cls._fields, cols))
+            cols[i] = DerivedNames(cols, prefix, ident)
         self._cache: dict = {}
         # only the engine's hot-path stores (tasks, transfers) get one
-        if stamped:
-            # the bound methods the template calls, in its argument order
-            binds = []
-            for col in cols:
-                if type(col) is RaggedColumn:
-                    binds += (col.values.extend, col.ends.append, col.values)
-                elif type(col) is CodedColumn:
-                    binds.append(col)
-                else:
-                    binds.append(col.append)
-            tmpl = _stamped_appender(cls)
-            self.append_stamped = FunctionType(
-                tmpl.__code__, tmpl.__globals__, tmpl.__name__, tuple(binds)
-            )
-        else:
-            self.append_stamped = None
+        self.append_stamped = self._stamped() if stamped else None
 
-    def __len__(self) -> int:
-        return len(self._cols[-1])
+    def _stamped(self) -> FunctionType:
+        """The store's ``append_stamped``: the class template with the
+        bound methods it calls, in its argument order, as defaults."""
+        binds = []
+        for col in self._cols:
+            if type(col) is RaggedColumn:
+                binds += (col.values.extend, col.ends.append, col.values)
+            elif type(col) is CodedColumn:
+                binds.append(col)
+            else:
+                binds.append(col.append)
+        tmpl = _stamped_appender(self.cls)
+        return FunctionType(
+            tmpl.__code__, tmpl.__globals__, tmpl.__name__, tuple(binds)
+        )
 
-    def rollback(self) -> None:
-        """Trim every column back to the committed row count."""
+    @property
+    def columns(self) -> dict:
+        """Field name -> its column, as stored now."""
+        return dict(zip(self._fields, self._cols))
+
+    def refused(self, exc: BaseException) -> bool:
+        """Trim every column back to the committed row count after
+        ``exc`` refused a row.  True if the row may be written again:
+        ``exc`` is an ``OverflowError`` and the store's narrow int
+        columns have just moved to ``'q'``."""
         n = len(self)
         for col in self._cols:
             del col[n:]
+        if not isinstance(exc, OverflowError) or not _widen(self._cols):
+            return False
+        if self.append_stamped is not None:
+            self.append_stamped = self._stamped()
+        return True
+
+    def __len__(self) -> int:
+        return len(self._cols[-1])
 
     def _check(self, rec) -> None:
         if type(rec) is not self.cls and type(rec) is not self._rows:
@@ -901,9 +1021,10 @@ class _ColumnStore:
         try:
             for name, col in zip(self._fields, self._cols):
                 col.append(getattr(rec, name))
-        except BaseException:
-            self.rollback()
-            raise
+        except BaseException as exc:
+            if not self.refused(exc):
+                raise
+            return self.append_record(rec)
         if self._rows is None:
             self._cache[len(self) - 1] = rec
 
@@ -955,9 +1076,11 @@ class _ColumnStore:
         old = self.build(i) if self._rows else self.get(i)
         try:
             self._write(i, rec)
-        except BaseException:
+        except BaseException as exc:
             self._write(i, old)
-            raise
+            if not self.refused(exc):
+                raise
+            return self.set(i, rec)
         if self._rows is None:
             self._cache[i] = rec
 
@@ -1189,9 +1312,11 @@ class ExecutionTrace:
         return self._view(kind)._store.columns[field]
 
     def _array(self, kind: str, field: str) -> np.ndarray:
-        """A NumPy copy of a float or int column (not a view: a live
-        view would stop the column from growing)."""
-        return np.array(self._column(kind, field))
+        """A NumPy copy of a float or int column, float64 or int64
+        whatever width it is stored at (not a view: a live view would
+        stop the column from growing)."""
+        col = self._column(kind, field)
+        return np.array(col, np.float64 if col.typecode == "d" else np.int64)
 
     # -- blessed column access ----------------------------------------------
 
@@ -1199,15 +1324,18 @@ class ExecutionTrace:
         """The raw column for one record field — a read-only view.
 
         The cheapest way to fold an aggregate over a large trace:
-        ``array('d')`` for float fields, ``array('q')`` for int fields
-        (both viewable in place with ``np.frombuffer``), a
+        ``array('d')`` for float fields, a narrow int array for int
+        fields (``'b'`` for nodes, ``'i'`` for the rest, ``'q'`` once a
+        value outgrew them; see the module docstring), both viewable in
+        place with ``np.frombuffer(col, col.typecode)``, a
         :class:`RaggedColumn` yielding tuples for the task id-tuple
         fields, a plain list otherwise.  The task fields stored coded
-        (``codelet``, ``variant``, ``arch``, ``worker_ids``) or derived
-        (``name``) come back as a new list of the same values.  Do not
-        mutate the returned column, and drop NumPy views before the
-        trace grows again (an array cannot resize while a view of it is
-        alive).
+        (``codelet``, ``variant``, ``arch``, ``worker_ids``) or as names
+        (``name``, ``handle_name``) come back as a new list of the same
+        values.  Do not mutate the returned column, and drop it and its
+        NumPy views before the trace grows again (an array cannot resize
+        while a view of it is alive, and a widening trace moves to new
+        arrays).
         """
         if kind not in self.RECORD_KINDS:
             raise KeyError(
@@ -1221,7 +1349,7 @@ class ExecutionTrace:
                 f"{kind} records have no field {field!r}; fields are "
                 f"{store.cls._fields}"
             ) from None
-        return list(col) if type(col) in (CodedColumn, DerivedNames) else col
+        return list(col) if isinstance(col, (CodedColumn, NameColumn)) else col
 
     def state_dict(self) -> dict:
         """Comparable full state: record dicts plus counters.
@@ -1245,24 +1373,30 @@ class ExecutionTrace:
         ``values`` holds every :class:`TaskRecord` field except the
         trailing ``seq`` in declaration order.  No record object is
         built; one materializes lazily if somebody indexes the row.  A
-        row a typed column refuses raises and leaves no trace behind.
+        row a typed column refuses raises and leaves no trace behind,
+        unless it only outgrew a narrow int column (see
+        :meth:`_ColumnStore.refused`).
         """
         seq = self.next_seq
+        store = self._tasks
         try:
-            self._tasks.append_stamped(values, seq)
-        except BaseException:
-            self._tasks.rollback()
-            raise
+            store.append_stamped(values, seq)
+        except BaseException as exc:
+            if not store.refused(exc):
+                raise
+            return self.add_task(values)
         self.next_seq = seq + 1
 
     def add_transfer(self, values: tuple) -> None:
         """Hot-path append: one transfer row, ``seq`` stamped in place."""
         seq = self.next_seq
+        store = self._transfers
         try:
-            self._transfers.append_stamped(values, seq)
-        except BaseException:
-            self._transfers.rollback()
-            raise
+            store.append_stamped(values, seq)
+        except BaseException as exc:
+            if not store.refused(exc):
+                raise
+            return self.add_transfer(values)
         self.next_seq = seq + 1
 
     def _stamp(self, rec):

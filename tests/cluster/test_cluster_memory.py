@@ -24,8 +24,10 @@ from repro.runtime.data import DataHandle
 N_NODES = 8
 N_REQUESTS = 6_000
 RATE_HZ = 12_000.0
-#: retained bytes per request, ~15% over the measured ~682 B (x86-64
-#: Linux, CPython 3.11).  While attempts were record objects, each
+#: retained bytes per request, ~15% over the measured ~539 B (x86-64
+#: Linux, CPython 3.11).  With 8-byte int and id trace columns and
+#: served handle names stored whole, ~651 B.  While attempts were
+#: record objects, each
 #: shared input kept a DoneTask per completed reader and served task
 #: names were whole strings, ~868 B; while every finished request's
 #: output handle stayed in its node engine's residency table, ~1,220 B;
@@ -33,7 +35,7 @@ RATE_HZ = 12_000.0
 #: and the trace cached every transfer record the serving layer read,
 #: ~1,534 B; keeping every finished request's router state as well,
 #: ~2,420 B.
-GATE_BYTES_PER_REQUEST = 785
+GATE_BYTES_PER_REQUEST = 620
 
 
 def _chaos_cluster(n_requests: int, seed: int):

@@ -138,9 +138,9 @@ def test_dep_ids_follow_the_access_mode_rule(n_handles, steps, scheduler):
         assert deps_in_trace[task.task_id] == task.dep_ids
         for dep in task.dep_ids:
             assert task.start_time >= by_id[dep].end_time
-    # every reader completed: no handle keeps a task per reader (a
-    # partition's children copy the pending readers they inherit, and
-    # keep them until a write or the unpartition drops them)
+    # every reader completed: no handle keeps a task per reader, nor
+    # does a partition child, which copied its parent's readers
     for h in handles:
-        assert not h.pending_readers
+        for x in (h, *h.children):
+            assert not x.pending_readers
     rt.shutdown()

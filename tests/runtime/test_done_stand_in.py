@@ -19,7 +19,7 @@ import pytest
 from repro.hw.presets import platform_c2050
 from repro.runtime import Runtime
 from repro.runtime.data import DataHandle
-from repro.runtime.task import DoneTask, TaskState
+from repro.runtime.task import DoneTask, Task, TaskState
 
 from tests.conftest import make_axpy_codelet
 
@@ -128,3 +128,28 @@ def test_readers_leave_the_pending_map_in_any_order():
     assert h.record_access(late, writes=False) == 0
     h.reader_done(readers[0], 0)
     assert h.pending_readers == {0: late} and h.done_readers_end == 0.0
+
+
+def test_partition_children_keep_no_finished_task():
+    """A read held in a lookahead window while its handle is partitioned:
+    each child copies the handle's ordering state, task included, and
+    the read's completion must fold it there too (the Hypothesis case
+    ``test_prop_reader_fold`` found at seed 1)."""
+    rt = Runtime(
+        platform_c2050(),
+        scheduler="lookahead",
+        scheduler_options={"window_size": 2},
+        noise_sigma=0.0,
+        run_kernels=False,
+    )
+    cl = make_axpy_codelet()
+    h_x = rt.register(np.ones(64, dtype=np.float32), "x")
+    h_y = rt.register(np.zeros(64, dtype=np.float32), "y")
+    rt.submit(cl, [(h_y, "rw"), (h_x, "r")], ctx={"n": 64}, scalar_args=(1.0,))
+    children = rt.partition_equal(h_x, 2) + rt.partition_equal(h_y, 2)
+    rt.wait_for_all()
+    for child in children:
+        assert child.pending_readers == {}
+        assert not isinstance(child.last_writer, Task)
+    assert isinstance(children[2].last_writer, DoneTask)
+    rt.shutdown()

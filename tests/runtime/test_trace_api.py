@@ -4,8 +4,9 @@ The million-task refactor made record layout an engine internal:
 records live in a columnar store and everything outside the engine
 reads them through ``trace.tasks()`` / ``trace.columns(...)`` or forges
 them with ``Record.make(...)``.  These tests pin the stable surface,
-the typed columns behind it (``array('q')`` ints, ragged id tuples)
-— and that the metrics-off hot path builds no event payloads at all.
+the typed columns behind it (narrow int arrays that widen to
+``array('q')`` when a value outgrows them, ragged id tuples) — and that
+the metrics-off hot path builds no event payloads at all.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.runtime.stats import (
     RaggedColumn,
     TaskRecord,
     TransferRecord,
+    _ColumnStore,
 )
 from repro.runtime.trace_export import load_trace_json, save_trace_json
 
@@ -133,26 +135,35 @@ def _rec(task_id=5, **fields) -> TaskRecord:
     )
 
 
-def test_int_columns_are_int64_arrays():
+def _start_typecode(name: str) -> str:
+    return "b" if name in ("node", "src_node", "dst_node") else "i"
+
+
+def test_int_columns_start_narrow():
     rt = _run_small(10)
     trace = rt.engine.trace
     seq = trace.columns("seq")
-    assert isinstance(seq, array) and seq.typecode == "q"
+    assert isinstance(seq, array) and seq.typecode == "i"
     assert len(seq) == 10 and list(seq) == sorted(set(seq))
     for name in TaskRecord._int_fields:
-        assert trace.columns(name).typecode == "q"
+        assert trace.columns(name).typecode == _start_typecode(name)
     for name in TransferRecord._int_fields:
-        assert trace.columns(name, "transfers").typecode == "q"
+        assert trace.columns(name, "transfers").typecode == _start_typecode(name)
+    for name in TaskRecord._ragged_fields:
+        col = trace.columns(name)
+        assert col.values.typecode == col.ends.typecode == "i"
     assert all(type(r.task_id) is int for r in trace.tasks())
+    # the trace's own folds read every int column as int64
+    assert trace._array("tasks", "node").dtype == np.int64
     rt.shutdown()
 
 
 def test_numpy_views_share_memory_with_the_trace():
     rt = _run_small(10)
     trace = rt.engine.trace
-    for name, dtype in (("seq", np.int64), ("end_time", np.float64)):
+    for name in ("seq", "node", "end_time"):
         col = trace.columns(name)
-        view = np.frombuffer(col, dtype=dtype)
+        view = np.frombuffer(col, col.typecode)
         assert view.__array_interface__["data"][0] == col.buffer_info()[0]
         assert view.tolist() == list(col)
         del view  # a live view would pin the array's size
@@ -204,7 +215,7 @@ def test_forged_rows_canonical_form_and_trace_json_round_trip(tmp_path):
     rt = _run_small(10)
     trace = rt.engine.trace
     canon = trace.canonicalized()
-    assert canon.columns("task_id").typecode == "q"
+    assert canon.columns("task_id").typecode == "i"
     assert list(canon.columns("task_id")) == list(range(10))
     assert list(canon.columns("deps")) == [()] + [(i,) for i in range(9)]
     assert canon.canonicalized().state_dict() == canon.state_dict()
@@ -243,6 +254,140 @@ def test_non_int_in_an_int_field_raises_and_leaves_no_row(field, bad):
     assert all(len(col) == 1 for col in trace._tasks.columns.values())
     assert list(trace.columns(field)) == [getattr(good, field)]
     assert trace.columns("reads").values.tolist() == [1]
+
+
+# -- widening -----------------------------------------------------------------
+
+BIG = 1 << 40  # past every narrow width, well inside int64
+
+
+def _write(trace: ExecutionTrace, kind: str, how: str, rec) -> int:
+    """Write ``rec`` into ``trace``'s ``kind`` store ``how``; its row."""
+    view = getattr(trace, kind)
+    if how == "add":
+        trace.next_seq = rec.seq
+        add = trace.add_task if kind == "tasks" else trace.add_transfer
+        add(rec._astuple()[:-1])
+    elif how == "append":
+        view.append(rec)
+    else:
+        view[0] = rec
+        return 0
+    return len(view) - 1
+
+
+@pytest.mark.parametrize("how", ["add", "append", "assign"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("task_id", BIG),
+        ("node", 128),
+        ("submit_seq", -BIG),
+        ("seq", BIG),
+        ("reads", (1, BIG)),
+        ("deps", (BIG,)),
+        ("name", f"t#{BIG}"),
+    ],
+)
+def test_task_values_past_a_narrow_width_widen_the_store(how, field, value):
+    trace = ExecutionTrace()
+    first = _rec(1, reads=(1,), deps=(0,), seq=1).replace(name="")
+    trace.tasks.append(first)
+    assert trace.columns("task_id").typecode == "i"
+    rec = first.replace(name="t#0", seq=2).replace(**{field: value})
+    row = _write(trace, "tasks", how, rec)
+    assert trace._tasks.build(row) == rec
+    if how != "assign":
+        # the default name is derived from the widened id column
+        assert trace._tasks.build(0) == first.replace(name="c#1")
+        assert trace.n_tasks == 2
+    # every narrow int column moved, not just the one that overflowed
+    assert trace.columns("task_id").typecode == "q"
+    assert trace.columns("node").typecode == "q"
+    assert trace.columns("reads").values.typecode == "q"
+
+
+@pytest.mark.parametrize("how", ["add", "append", "assign"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("handle_id", BIG),
+        ("src_node", 300),
+        ("dst_node", -129),
+        ("nbytes", 1 << 31),
+        ("handle_name", f"h{BIG}"),
+    ],
+)
+def test_transfer_values_past_a_narrow_width_widen_the_store(how, field, value):
+    trace = ExecutionTrace()
+    first = TransferRecord.make(7, "data7", 0, 1, 64, 0.0, 1.0, seq=0)
+    trace.transfers.append(first)
+    rec = first.replace(**{field: value}, seq=1)
+    row = _write(trace, "transfers", how, rec)
+    assert trace._transfers.build(row) == rec
+    if how != "assign":
+        assert trace._transfers.build(0) == first
+    assert trace.columns("src_node", "transfers").typecode == "q"
+    assert trace.columns("nbytes", "transfers").typecode == "q"
+
+
+def test_write_through_rows_widen_their_store():
+    store = _ColumnStore(TransferRecord, rows=True)
+    store.append_record(TransferRecord.make(7, "data7", 0, 1, 64, 0.0, 1.0))
+    row = store.get(0)
+    row.nbytes = 1 << 33
+    row.dst_node = 200
+    assert (row.nbytes, row.dst_node) == (1 << 33, 200)
+    assert store.columns["src_node"].typecode == "q"
+    assert store.get(0).as_dict() == TransferRecord.make(
+        7, "data7", 0, 200, 1 << 33, 0.0, 1.0
+    ).as_dict()
+
+
+def test_a_row_that_is_too_wide_and_not_an_int_leaves_no_row():
+    trace = ExecutionTrace()
+    trace.tasks.append(_rec(1, seq=0))
+    bad = _rec(BIG, reads=(1, "x"), seq=1)
+    for write in (
+        lambda: trace.tasks.append(bad),
+        lambda: trace.add_task(bad._astuple()[:-1]),
+        lambda: trace.tasks.__setitem__(0, bad),
+    ):
+        with pytest.raises(TypeError):
+            write()
+    assert trace.n_tasks == 1 and trace.next_seq == 0
+    assert all(len(col) == 1 for col in trace._tasks.columns.values())
+    assert trace.tasks[0] == _rec(1, seq=0)
+    # past int64 is refused, as it always was
+    with pytest.raises(OverflowError):
+        trace.tasks.append(_rec(1 << 63, seq=1))
+    assert trace.n_tasks == 1
+
+
+def test_a_widened_trace_reads_as_one_wide_from_the_start(tmp_path):
+    rt = _run_small(10)
+    recs = [*rt.engine.trace.tasks, _rec(BIG, reads=(BIG,), seq=BIG)]
+    xfers = [
+        TransferRecord.make(hid, f"data{hid}", 0, 1, hid, 0.0, 1.0, seq=seq)
+        for hid, seq in ((7, 10), (BIG, BIG + 1))
+    ]
+    grown, wide = ExecutionTrace(), ExecutionTrace()
+    for store in (wide._tasks, wide._transfers):
+        assert store.refused(OverflowError())
+    for trace in (grown, wide):
+        trace.tasks.extend(recs)
+        trace.transfers.extend(xfers)
+    assert grown.columns("task_id").typecode == "q"
+    assert grown.state_dict() == wide.state_dict()
+    assert grown.canonicalized().state_dict() == wide.canonicalized().state_dict()
+    paths = [
+        save_trace_json(t, rt.machine, tmp_path / f"{i}.json")
+        for i, t in enumerate((grown, wide))
+    ]
+    assert paths[0].read_text() == paths[1].read_text()
+    loaded, _ = load_trace_json(paths[0])
+    assert list(loaded.tasks) == recs and list(loaded.transfers) == xfers
+    rt.shutdown()
 
 
 def test_transfer_int_fields_refuse_floats():

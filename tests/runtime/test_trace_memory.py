@@ -3,7 +3,8 @@
 Every task of a session stays in the execution trace and feeds the
 regression model's samples until the session ends, so the bytes those
 two keep per task bound how long a run fits in memory.  Integer and id
-fields live in typed arrays and samples in flat float arrays; boxed
+fields live in 4-byte typed arrays (nodes in 1-byte ones) that widen
+only when a value outgrows them, and samples in flat float arrays; boxed
 ints and small tuples per task would roughly double the figure.  The
 codelet, variant, arch and worker columns hold one byte-wide code per
 task, and a default task name is derived on read, not stored.
@@ -20,11 +21,12 @@ from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 N_TASKS = 20_000
 N_HANDLES = 256
-#: retained bytes per completed task (coded columns and derived names
-#: measure ~258 B on x86-64 Linux, CPython 3.11; storing every name and
-#: one pointer per coded field measured ~377 B, boxed ints and per-task
-#: tuples ~720 B)
-GATE_BYTES_PER_TASK = 320
+#: retained bytes per completed task, ~15% over the measured ~166 B
+#: (x86-64 Linux, CPython 3.11) with int and id columns at 4 bytes and
+#: nodes at 1.  With every int and id column 8 bytes wide it measured
+#: ~233 B, and earlier ~258 B; storing every name and one pointer per
+#: coded field ~377 B, boxed ints and per-task tuples ~720 B
+GATE_BYTES_PER_TASK = 190
 
 
 def _stream(seed: int, n_tasks: int) -> list:

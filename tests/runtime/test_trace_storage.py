@@ -21,6 +21,7 @@ from repro.runtime.stats import (
     DerivedNames,
     ExecutionTrace,
     GeneratedName,
+    NameColumn,
     TaskRecord,
 )
 
@@ -191,6 +192,34 @@ def test_served_names_are_stored_as_stem_and_number():
     del names[3:]
     assert list(names) == ["x#5", "c#1", "kept whole"]
     assert len(names._nums) == len(names._given) == 3
+
+
+def test_handle_names_are_stored_as_stem_and_number():
+    given = [
+        "t0:C17",  # a served output
+        "t0:C18",
+        GeneratedName("data3"),
+        "x",
+        "",
+        "a007",  # a leading zero would not read back
+        "17",
+        "b" + "9" * 19,  # past int64
+    ]
+    trace = ExecutionTrace()
+    for i, name in enumerate(given):
+        trace.add_transfer((10 + i, name, 0, 1, 64, 0.0, 1.0))
+    names = trace._transfers.columns["handle_name"]
+    assert type(names) is NameColumn
+    assert names._stems.values == [
+        None, (str, "t0:C"), (GeneratedName, "data"), (str, "")
+    ]
+    assert list(names._nums) == [17, 18, 3, 0, 0, 0, 17, 0]
+    assert names._given == [None] * 3 + given[3:6] + [None, given[7]]
+    back = trace.columns("handle_name", "transfers")
+    assert back == given
+    assert [type(n) for n in back] == [type(n) for n in given]
+    # still a GeneratedName: the canonical form renumbers it (12 -> 2)
+    assert trace.canonicalized().transfers[2].handle_name == "data2"
 
 
 def test_derived_names_are_byte_identical_in_every_export(machine):
