@@ -1,9 +1,11 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one of the paper's tables/figures.  Formatted
-result tables are printed *and* written to ``benchmarks/results/`` so the
-rows survive pytest's output capture; ``bench_output.txt`` plus that
-directory together document a full reproduction run.
+Every benchmark regenerates one of the paper's tables or figures.  The
+``report`` fixture prints each rendered table and writes it into
+EXPERIMENTS.md, between that table's ``<!-- table:<name> -->`` and
+``<!-- /table:<name> -->`` markers, so the committed document always
+holds the numbers the last ``pytest benchmarks/test_*.py`` measured.
+The prose around the markers is hand-written.
 """
 
 from __future__ import annotations
@@ -12,16 +14,25 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+
+
+def write_table(name: str, text: str) -> None:
+    """Replace the body of ``name``'s marked block in EXPERIMENTS.md."""
+    start, end = f"<!-- table:{name} -->\n", f"<!-- /table:{name} -->"
+    head, found, rest = EXPERIMENTS.read_text().partition(start)
+    _, found_end, tail = rest.partition(end)
+    if not (found and found_end):
+        raise KeyError(f"EXPERIMENTS.md has no {start.strip()} ... {end} block")
+    EXPERIMENTS.write_text(f"{head}{start}{text}\n{end}{tail}")
 
 
 @pytest.fixture
 def report():
-    """Callable saving a formatted experiment table to disk + stdout."""
+    """Callable printing a rendered table and writing it into EXPERIMENTS.md."""
 
     def _report(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
+        write_table(name, text)
 
     return _report

@@ -9,6 +9,7 @@ the OpenMP/CUDA winner differs per app and shifts between platforms.
 import pytest
 
 from repro.experiments import fig6
+from repro.experiments.runner import table
 
 
 def _check(result: fig6.Fig6Result):
@@ -46,12 +47,18 @@ def test_fig6_winner_flips_for_irregular_apps(benchmark, report):
         )
 
     r2050, r1060 = benchmark.pedantic(both, rounds=1, iterations=1)
-    lines = ["Figure 6 winner comparison (OpenMP vs CUDA) across platforms:"]
-    for app in apps:
-        w2050 = "CUDA" if r2050[app]["cuda"] < r2050[app]["openmp"] else "OpenMP"
-        w1060 = "CUDA" if r1060[app]["cuda"] < r1060[app]["openmp"] else "OpenMP"
-        lines.append(f"  {app:<16s} c2050: {w2050:<6s} c1060: {w1060}")
-    report("fig6_winner_flips", "\n".join(lines))
+
+    def winner(row: dict) -> str:
+        return "CUDA" if row["cuda"] < row["openmp"] else "OpenMP"
+
+    report(
+        "fig6_winner_flips",
+        table(
+            "Figure 6 winner comparison (OpenMP vs CUDA) across platforms",
+            ("app", "c2050", "c1060"),
+            [(app, winner(r2050[app]), winner(r1060[app])) for app in apps],
+        ),
+    )
     # regular compute-bound apps stay GPU-won on both platforms
     assert r2050["sgemm"]["cuda"] < r2050["sgemm"]["openmp"]
     assert r1060["sgemm"]["cuda"] < r1060["sgemm"]["openmp"]

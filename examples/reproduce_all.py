@@ -1,11 +1,13 @@
 """Reproduce the paper's full evaluation in one command.
 
 Runs every experiment harness (Table I, Figures 3/5/6/7, the §V-E
-overhead micro-benchmark and the five ablations) and writes a combined
+overhead micro-benchmark and the six ablations) and writes a combined
 report to ``reproduction_report.txt`` (or the path given as argv[1]).
 
-Equivalent to ``pytest benchmarks/ --benchmark-only`` but as a plain
-script, with a ``--quick`` mode for small-scale smoke runs.
+Equivalent to ``pytest benchmarks/test_*.py`` but as a plain script: at
+full size it runs each experiment with the benchmark's arguments and
+renders it with the same ``format_*`` printer, so its tables are the
+ones in EXPERIMENTS.md.  ``--quick`` runs small sizes for smoke tests.
 
 Run:  python examples/reproduce_all.py [output.txt] [--quick]
 """
@@ -55,12 +57,14 @@ def main() -> None:
     section(
         "ABL1 — scheduling policies",
         ablations.format_scheduler_study(
-            ablations.scheduler_study(scale=min(scale, 0.5))
+            ablations.scheduler_study(scale=scale, matrix="Simulation")
         ),
     )
     section(
         "ABL2 — smart containers vs raw parameters",
-        ablations.format_container_study(ablations.container_study()),
+        ablations.format_container_study(
+            ablations.container_study(nrows=100_000 if quick else 500_000)
+        ),
     )
     section(
         "ABL3 — user-guided static narrowing",
@@ -72,7 +76,7 @@ def main() -> None:
     )
     section(
         "ABL5 — multi-GPU scaling",
-        ablations.format_multigpu_study(ablations.multigpu_study(scale=min(scale, 0.5))),
+        ablations.format_multigpu_study(ablations.multigpu_study(scale=scale)),
     )
     section(
         "ABL6 — composition stages (static / multi-stage / dynamic)",

@@ -1,10 +1,12 @@
 """Experiment harnesses reproducing every table and figure of the paper.
 
 Each module owns one artefact (see DESIGN.md's per-experiment index) and
-exposes ``run(...) -> result`` plus a ``format_*`` printer producing the
-same rows/series the paper reports.  The pytest benchmarks under
-``benchmarks/`` are thin wrappers over these harnesses.  The modules run
-as ``python -m repro.experiments.<name> [--smoke]`` also expose
+exposes ``run(...) -> result`` plus a ``format_*`` function that renders
+the rows/series the paper reports as a Markdown table, through the one
+renderer :func:`~repro.experiments.runner.table`.  The pytest benchmarks
+under ``benchmarks/`` are thin wrappers over these harnesses and write
+the rendered tables into EXPERIMENTS.md.  The modules run as
+``python -m repro.experiments.<name> [--smoke]`` also expose
 ``study(smoke) -> Study``; :mod:`~repro.experiments.runner` is their
 shared command line.
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.apps import sgemm, spmv
 from repro.composer.glue import lower_component
+from repro.experiments.runner import table
 from repro.hw.presets import platform_c2050, platform_dual_c2050
 from repro.runtime import Runtime
 from repro.runtime.perfmodel import PerfModel
@@ -77,14 +78,16 @@ def scheduler_study(
 
 def format_scheduler_study(results: dict[str, float]) -> str:
     best = min(results.values())
-    lines = ["ABL1: scheduling policies on hybrid SpMV (virtual makespan)"]
-    for policy, t in sorted(results.items(), key=lambda kv: kv[1]):
-        lines.append(f"  {policy:<8s} {t * 1e3:8.3f} ms   ({t / best:4.2f}x best)")
-    lines.append(
-        "expected: availability/model-aware policies (eager/dm/dmda) cluster "
-        "at the front; random trails badly"
+    return table(
+        "ABL1: scheduling policies on hybrid SpMV (virtual makespan)",
+        ("policy", "makespan (ms)", "vs best"),
+        [
+            (policy, f"{t * 1e3:.3f}", f"{t / best:.2f}x")
+            for policy, t in sorted(results.items(), key=lambda kv: kv[1])
+        ],
+        ["expected: availability/model-aware policies (eager/dm/dmda) cluster "
+         "at the front; random trails badly"],
     )
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +178,17 @@ def container_study(
 
 
 def format_container_study(result: ContainerStudyResult) -> str:
-    return (
-        f"ABL2: {result.calls} repeated GPU spmv calls\n"
-        f"  smart containers : {result.smart_s * 1e3:8.3f} ms, "
-        f"{result.smart_transfers} transfers\n"
-        f"  raw parameters   : {result.raw_s * 1e3:8.3f} ms, "
-        f"{result.raw_transfers} transfers\n"
-        f"  container speedup: {result.speedup:.2f}x "
-        "(locality reuse across invocations)"
+    return table(
+        f"ABL2: {result.calls} repeated GPU spmv calls",
+        ("parameters", "makespan (ms)", "transfers"),
+        [
+            ("smart containers", f"{result.smart_s * 1e3:.3f}",
+             result.smart_transfers),
+            ("raw, copied every call", f"{result.raw_s * 1e3:.3f}",
+             result.raw_transfers),
+        ],
+        [f"container speedup: {result.speedup:.2f}x "
+         "(locality reuse across invocations)"],
     )
 
 
@@ -245,12 +251,17 @@ def narrowing_study(
 
 
 def format_narrowing_study(result: NarrowingStudyResult) -> str:
-    return (
-        f"ABL3: {result.calls} sgemm({result.size}) calls, GPU statically known best\n"
-        f"  full dynamic composition : {result.dynamic_s * 1e3:8.3f} ms "
-        f"({result.dynamic_wrong_picks} non-CUDA picks during calibration)\n"
-        f"  user-guided narrowing    : {result.narrowed_s * 1e3:8.3f} ms\n"
-        f"  narrowing speedup        : {result.speedup:.2f}x on a cold model"
+    return table(
+        f"ABL3: {result.calls} sgemm({result.size}) calls, GPU statically "
+        "known best",
+        ("composition", "makespan (ms)", "non-CUDA picks"),
+        [
+            ("full dynamic (dmda)", f"{result.dynamic_s * 1e3:.3f}",
+             result.dynamic_wrong_picks),
+            ("user-guided narrowing", f"{result.narrowed_s * 1e3:.3f}",
+             "0 (CUDA only)"),
+        ],
+        [f"narrowing speedup: {result.speedup:.2f}x on a cold model"],
     )
 
 
@@ -330,14 +341,17 @@ def energy_study(calls: int = 24, n: int = 2048, seed: int = 0) -> EnergyStudyRe
 
 
 def format_energy_study(result: EnergyStudyResult) -> str:
-    return (
-        f"ABL4: optimization goal on {result.calls} nw calls\n"
-        f"  min_exec_time : {result.time_goal_makespan_s * 1e3:9.3f} ms, "
-        f"{result.time_goal_energy_j:8.3f} J\n"
-        f"  min_energy    : {result.energy_goal_makespan_s * 1e3:9.3f} ms, "
-        f"{result.energy_goal_energy_j:8.3f} J\n"
-        f"  energy saving : {result.energy_saving_percent:.1f}% for a "
-        f"{result.slowdown:.2f}x slowdown"
+    return table(
+        f"ABL4: optimization goal on {result.calls} nw calls",
+        ("goal", "makespan (ms)", "energy (J)"),
+        [
+            ("min_exec_time", f"{result.time_goal_makespan_s * 1e3:.3f}",
+             f"{result.time_goal_energy_j:.3f}"),
+            ("min_energy", f"{result.energy_goal_makespan_s * 1e3:.3f}",
+             f"{result.energy_goal_energy_j:.3f}"),
+        ],
+        [f"energy saving: {result.energy_saving_percent:.1f}% for a "
+         f"{result.slowdown:.2f}x slowdown"],
     )
 
 
@@ -385,11 +399,12 @@ def multigpu_study(
 def format_multigpu_study(results: dict[str, float]) -> str:
     one = results["cpus+1gpu"]
     two = results["cpus+2gpu"]
-    return (
-        "ABL5: hybrid SpMV multi-GPU scaling\n"
-        f"  4 CPUs + 1 GPU : {one * 1e3:8.3f} ms\n"
-        f"  4 CPUs + 2 GPU : {two * 1e3:8.3f} ms\n"
-        f"  second-GPU speedup: {one / two:.2f}x"
+    return table(
+        "ABL5: hybrid SpMV multi-GPU scaling",
+        ("machine", "makespan (ms)"),
+        [("4 CPUs + 1 GPU", f"{one * 1e3:.3f}"),
+         ("4 CPUs + 2 GPU", f"{two * 1e3:.3f}")],
+        [f"second-GPU speedup: {one / two:.2f}x"],
     )
 
 
@@ -466,16 +481,18 @@ def multistage_study(
 
 
 def format_multistage_study(result: MultiStageResult) -> str:
-    return (
+    return table(
         f"ABL6: composition stages on {result.calls} streaming "
-        f"spmv(nnz={result.size}) calls\n"
-        f"  pure static ({result.static_pick:<16s})        : "
-        f"{result.pure_static_s * 1e3:8.3f} ms\n"
-        f"  multi-stage ({'+'.join(result.narrowed_to)}, dmda): "
-        f"{result.multistage_s * 1e3:8.3f} ms\n"
-        f"  pure dynamic (all variants, dmda)      : "
-        f"{result.pure_dynamic_s * 1e3:8.3f} ms\n"
-        "expected: kernel-only predictions keep the GPU pick (and drop the\n"
-        "OpenMP variant) in both static modes; only fully dynamic composition\n"
-        "discovers the transfer-inclusive winner - hence dynamic by default"
+        f"spmv(nnz={result.size}) calls",
+        ("composition", "variants", "makespan (ms)"),
+        [
+            ("pure static", result.static_pick,
+             f"{result.pure_static_s * 1e3:.3f}"),
+            ("multi-stage (dmda)", "+".join(result.narrowed_to),
+             f"{result.multistage_s * 1e3:.3f}"),
+            ("pure dynamic (dmda)", "all", f"{result.pure_dynamic_s * 1e3:.3f}"),
+        ],
+        ["expected: kernel-only predictions keep the GPU pick (and drop the "
+         "OpenMP variant) in both static modes; only fully dynamic composition "
+         "discovers the transfer-inclusive winner - hence dynamic by default"],
     )

@@ -34,7 +34,7 @@ from repro.apps import sgemm, spmv
 from repro.composer.glue import lower_component
 from repro.errors import SchedulingError
 from repro.exec import ThreadPoolBackend
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.presets import platform_c2050
 from repro.runtime.runtime import Runtime
 
@@ -226,23 +226,28 @@ def run(
 
 
 def format_diff(diffs: Sequence[ComponentDiff]) -> str:
-    lines = ["analytical vs measured (thread backend) differential"]
-    for d in diffs:
+
+    def mean_error(d: ComponentDiff) -> str:
         errs = d.errors()
-        mean_err = sum(errs) / len(errs) if errs else float("nan")
-        lines.append(
-            f"  {d.component:<8s} rows={len(d.rows):3d}  "
-            f"scale={d.scale:9.3g}  "
-            f"scaled rel err mean={mean_err:6.1%}  "
-            f"variant-choice agreement={d.agreement:6.1%}"
-        )
-        for a, m in d.choices:
-            if a != m:
-                lines.append(
-                    f"           disagreement: analytical picks {a!r}, "
-                    f"wall-clock picks {m!r}"
-                )
-    return "\n".join(lines)
+        return f"{sum(errs) / len(errs):.1%}" if errs else "n/a"
+
+    return table(
+        "analytical vs measured (thread backend) differential",
+        ("component", "rows", "scale", "scaled rel err mean",
+         "variant-choice agreement"),
+        [
+            (d.component, len(d.rows), f"{d.scale:.3g}", mean_error(d),
+             f"{d.agreement:.1%}")
+            for d in diffs
+        ],
+        [
+            f"{d.component} disagreement: analytical picks {a!r}, "
+            f"wall-clock picks {m!r}"
+            for d in diffs
+            for a, m in d.choices
+            if a != m
+        ],
+    )
 
 
 def study(smoke: bool) -> Study:

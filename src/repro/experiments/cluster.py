@@ -45,7 +45,7 @@ from repro.cluster import (
     recovery_stats,
 )
 from repro.cluster.slo import RecoveryStats
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.serve.slo import SloReport, format_slo_report
 
 #: protected tenants' latency budget: well above the healthy tail,
@@ -336,47 +336,39 @@ def run_chaos_ablation(
     return result, base_report, chaos_report
 
 
-def format_chaos_ablation(
-    result: ChaosAblationResult,
-    base_report: SloReport,
-    chaos_report: SloReport,
-) -> str:
+def format_chaos_ablation(result: ChaosAblationResult) -> str:
     r = result.recovery
-    lines = [
+    return table(
         f"Chaos ablation: {result.n_nodes} nodes, "
         f"{result.n_requests} requests at {result.rate_hz:.0f} req/s "
         f"(seed {result.seed})",
-        f"crash at t={result.crash_time * 1e3:.1f}ms, detected "
-        f"{result.detection_latency_s * 1e3:.2f}ms later; "
-        f"{result.n_failovers} failovers, {result.n_hedges} hedges, "
-        f"{result.n_duplicates_suppressed} duplicates suppressed, "
-        f"{result.n_brownout_shed} brown-out sheds, "
-        f"{result.chaos_failed} requests failed",
-        f"protected p99: peak {r.p99_peak_s * 1e3:.2f}ms -> "
-        f"recovered under {r.slo_s * 1e3:.1f}ms budget in "
-        f"{r.recovery_s * 1e3:.1f}ms (steady state "
-        f"{r.p99_after_s * 1e3:.2f}ms)"
-        if r and r.recovered
-        else "protected p99 never recovered under budget",
-        f"invariants: {result.n_violations} violations; same-seed chaos "
-        f"runs {'identical' if result.deterministic else 'DIVERGED'} "
-        f"(digest {result.digest[:16]})",
-        "",
-        f"{'tenant':<8s} {'prio':>4s} {'base p99':>10s} {'chaos p99':>10s} "
-        f"{'base shed':>10s} {'chaos shed':>11s} {'done':>12s}",
-    ]
-    for t in result.tenants:
-        lines.append(
-            f"{t.tenant:<8s} {t.priority:4d} {t.baseline_p99_ms:8.2f}ms "
-            f"{t.chaos_p99_ms:8.2f}ms {t.baseline_shed_rate:9.1%} "
-            f"{t.chaos_shed_rate:10.1%} "
-            f"{t.baseline_completed}/{t.chaos_completed:>5d}"
-        )
-    lines.append("")
-    lines.append(format_slo_report(base_report, title="baseline"))
-    lines.append("")
-    lines.append(format_slo_report(chaos_report, title="under chaos"))
-    return "\n".join(lines)
+        ("tenant", "prio", "base p99 (ms)", "chaos p99 (ms)", "base shed",
+         "chaos shed", "done (base/chaos)"),
+        [
+            (t.tenant, t.priority, f"{t.baseline_p99_ms:.2f}",
+             f"{t.chaos_p99_ms:.2f}", f"{t.baseline_shed_rate:.1%}",
+             f"{t.chaos_shed_rate:.1%}",
+             f"{t.baseline_completed}/{t.chaos_completed}")
+            for t in result.tenants
+        ],
+        [
+            f"crash at t={result.crash_time * 1e3:.1f}ms, detected "
+            f"{result.detection_latency_s * 1e3:.2f}ms later; "
+            f"{result.n_failovers} failovers, {result.n_hedges} hedges, "
+            f"{result.n_duplicates_suppressed} duplicates suppressed, "
+            f"{result.n_brownout_shed} brown-out sheds, "
+            f"{result.chaos_failed} requests failed",
+            f"protected p99: peak {r.p99_peak_s * 1e3:.2f}ms -> "
+            f"recovered under {r.slo_s * 1e3:.1f}ms budget in "
+            f"{r.recovery_s * 1e3:.1f}ms (steady state "
+            f"{r.p99_after_s * 1e3:.2f}ms)"
+            if r and r.recovered
+            else "protected p99 never recovered under budget",
+            f"invariants: {result.n_violations} violations; same-seed chaos "
+            f"runs {'identical' if result.deterministic else 'DIVERGED'} "
+            f"(digest {result.digest[:16]})",
+        ],
+    )
 
 
 def study(smoke: bool) -> Study:
@@ -386,12 +378,16 @@ def study(smoke: bool) -> Study:
         )
     else:
         result, base_report, chaos_report = run_chaos_ablation()
-    table = format_chaos_ablation(result, base_report, chaos_report)
+    text = "\n\n".join([
+        format_chaos_ablation(result),
+        format_slo_report(base_report, title="baseline"),
+        format_slo_report(chaos_report, title="under chaos"),
+    ])
     return Study(
-        report=table,
+        report=text,
         doc={"smoke": smoke, "chaos": result.to_dict()},
         bench="cluster",
-        tables={"cluster_chaos": table},
+        tables={"cluster_chaos": text},
         gates=result.gates(),
     )
 

@@ -40,10 +40,12 @@ chains for CI.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.apps.costkit import gpu_time, ncores_of, openmp_time
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.devices import AccessPattern
 from repro.hw.model import KernelProfile
 from repro.hw.presets import machine
@@ -337,23 +339,17 @@ def run(smoke: bool = False) -> dict:
 
 
 def format_results(doc: dict) -> str:
-    lines = ["device-model fidelity ablation (steady-state scheduler choices)"]
-    for preset in doc["presets"]:
-        lines.append(f"  {preset}:")
-        for app in doc["apps"]:
-            for scheduler in doc["schedulers"]:
-                c = doc["arms"][f"{preset}/{app}/{scheduler}/coarse"]
-                d = doc["arms"][f"{preset}/{app}/{scheduler}/detailed"]
-                marker = "  << FLIP" if c["choice_variant"] != d["choice_variant"] else ""
-                lines.append(
-                    f"    {app:<9s} {scheduler:<10s} "
-                    f"coarse={c['choice_arch']:<7s} "
-                    f"detailed={d['choice_arch']:<7s}{marker}"
-                )
-    for name, g in doc["gates"].items():
-        flag = "ok" if g["ok"] else "** FAILED **"
-        lines.append(f"  gate {name}: {g['value']} {flag}")
-    return "\n".join(lines)
+    rows = []
+    for cell in itertools.product(doc["presets"], doc["apps"], doc["schedulers"]):
+        key = "/".join(cell)
+        c, d = doc["arms"][f"{key}/coarse"], doc["arms"][f"{key}/detailed"]
+        flip = "FLIP" if c["choice_variant"] != d["choice_variant"] else ""
+        rows.append((*cell, c["choice_arch"], d["choice_arch"], flip))
+    return table(
+        "device-model fidelity ablation (steady-state scheduler choices)",
+        ("preset", "app", "scheduler", "coarse", "detailed", "flip"),
+        rows,
+    )
 
 
 def study(smoke: bool) -> Study:

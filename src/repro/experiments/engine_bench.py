@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -172,14 +172,15 @@ def run(smoke: bool = False, seed: int = 0) -> list[WorkloadResult]:
 
 
 def format_results(results: list[WorkloadResult]) -> str:
-    lines = [f"engine throughput (floor {THROUGHPUT_FLOOR:.0f} tasks/s)"]
-    for r in results:
-        flag = "" if r.tasks_per_s >= THROUGHPUT_FLOOR else "  ** UNDER FLOOR **"
-        lines.append(
-            f"  {r.workload:<8s} {r.n_tasks:6d} tasks in {r.wall_s:7.3f}s "
-            f"= {r.tasks_per_s:9.0f} tasks/s (best of {r.reps}){flag}"
-        )
-    return "\n".join(lines)
+    return table(
+        f"engine throughput (floor {THROUGHPUT_FLOOR:.0f} tasks/s)",
+        ("workload", "tasks", "wall (s)", "tasks/s", "best of", "floor"),
+        [
+            (r.workload, r.n_tasks, f"{r.wall_s:.3f}", f"{r.tasks_per_s:.0f}",
+             r.reps, "ok" if r.tasks_per_s >= THROUGHPUT_FLOOR else "UNDER")
+            for r in results
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

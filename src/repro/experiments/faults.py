@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import InvariantViolation, PeppherError, UnrecoverableTaskError
 from repro.experiments.fig6 import SCENARIOS, AppScenario
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.faults import FaultModel
 from repro.hw.presets import platform_c2050
 from repro.runtime import RecoveryPolicy, Runtime
@@ -182,21 +182,18 @@ def fault_study(
 
 
 def format_fault_study(result: FaultStudyResult) -> str:
-    lines = [
+    return table(
         f"ABL-F1: fault sweep on {result.app} (size {result.size}, "
         f"{result.reps} reps/cell; inflation is vs. the same policy at rate 0)",
-        f"{'policy':<8s} {'rate':>6s} {'ok':>5s} {'makespan':>12s} "
-        f"{'inflate':>8s} {'faults':>7s} {'retries':>8s} {'fallbk':>7s} "
-        f"{'lost':>5s}",
-    ]
-    for c in result.cells:
-        lines.append(
-            f"{c.policy:<8s} {c.rate:6.2f} {c.success_rate:5.0%} "
-            f"{c.makespan_s * 1e3:10.3f}ms {c.inflation:8.3f} "
-            f"{c.n_faults:7d} {c.n_retries:8d} {c.n_fallbacks:7d} "
-            f"{c.n_lost:5d}"
-        )
-    return "\n".join(lines)
+        ("policy", "rate", "ok", "makespan (ms)", "inflate", "faults",
+         "retries", "fallbacks", "lost"),
+        [
+            (c.policy, f"{c.rate:.2f}", f"{c.success_rate:.0%}",
+             f"{c.makespan_s * 1e3:.3f}", f"{c.inflation:.3f}", c.n_faults,
+             c.n_retries, c.n_fallbacks, c.n_lost)
+            for c in result.cells
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +272,18 @@ def device_loss_study(
 
 
 def format_device_loss_study(rows: list[DeviceLossRow]) -> str:
-    lines = [
+    return table(
         "ABL-F2: scripted GPU loss mid-run (inflation vs. fault-free makespan)",
-        f"{'policy':<8s} {'lost@':>6s} {'done':>5s} {'makespan':>12s} "
-        f"{'inflate':>8s} {'replicas':>9s} {'retries':>8s}  tasks-by-arch",
-    ]
-    for r in rows:
-        arch = ", ".join(f"{a}: {n}" for a, n in sorted(r.tasks_by_arch.items()))
-        lines.append(
-            f"{r.policy:<8s} {r.loss_fraction:6.2f} "
-            f"{'yes' if r.completed else 'NO':>5s} "
-            f"{r.makespan_s * 1e3:10.3f}ms {r.inflation:8.3f} "
-            f"{r.n_replicas_recovered:9d} {r.n_retries:8d}  {arch}"
-        )
-    return "\n".join(lines)
+        ("policy", "lost at", "done", "makespan (ms)", "inflate", "replicas",
+         "retries", "tasks by arch"),
+        [
+            (r.policy, f"{r.loss_fraction:.2f}", "yes" if r.completed else "NO",
+             f"{r.makespan_s * 1e3:.3f}", f"{r.inflation:.3f}",
+             r.n_replicas_recovered, r.n_retries,
+             ", ".join(f"{a}: {n}" for a, n in sorted(r.tasks_by_arch.items())))
+            for r in rows
+        ],
+    )
 
 
 def study(smoke: bool) -> Study:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.containers import Vector
+from repro.experiments.runner import table
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -128,11 +129,15 @@ def run(n: int = 100_000, seed: int = 0) -> Fig3Result:
 
 
 def format_result(result: Fig3Result) -> str:
-    return (
-        "Figure 3: smart-container copy elision (4 calls, 1 vector, GPU)\n"
-        f"  smart containers : {result.smart_copies} copies "
-        f"({result.smart_h2d} h2d / {result.smart_d2h} d2h)   [paper: 2]\n"
-        f"  copy-every-call  : {result.naive_copies} copies   [paper: 7]\n"
-        f"  independent reads overlap: {result.readers_overlap}\n"
-        f"  values consistent: {result.values_ok}"
+    return table(
+        "Figure 3: smart-container copy elision (4 calls, 1 vector, GPU)",
+        ("Strategy", "Paper", "Measured"),
+        [
+            ("smart containers", "2 copies",
+             f"{result.smart_copies} copies ({result.smart_h2d} h2d, "
+             f"{result.smart_d2h} d2h)"),
+            ("copy every call", "7 copies", f"{result.naive_copies} copies"),
+        ],
+        [f"independent reads overlap: {result.readers_overlap}; "
+         f"values consistent: {result.values_ok}"],
     )

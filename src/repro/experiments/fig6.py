@@ -26,6 +26,7 @@ import numpy as np
 from repro.apps import bfs, cfd, hotspot, lud, nw, particlefilter, pathfinder, sgemm
 from repro.apps import odesolver as ode
 from repro.composer.glue import lower_component, make_backend_adapter
+from repro.experiments.runner import table
 from repro.hw.description import Machine
 from repro.hw.presets import platform_c1060, platform_c2050
 from repro.runtime import Runtime
@@ -385,8 +386,6 @@ class Fig6Result:
     platform: str
     #: app -> mode -> mean virtual seconds over the size sweep
     means: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: app -> mode -> per-size times
-    per_size: dict[str, dict[str, list[float]]] = field(default_factory=dict)
 
     def normalised(self) -> dict[str, dict[str, float]]:
         """Times normalised to TGPA = 1 per app (the figure's y-axis)."""
@@ -417,48 +416,31 @@ def run(
                 run_once=scenario.run_once,
                 make_codelets=scenario.make_codelets,
             )
-        result.per_size[app] = {}
-        result.means[app] = {}
-        for mode in MODES:
-            times = measure_app(scenario, factory, mode, seed=seed)
-            result.per_size[app][mode] = times
-            result.means[app][mode] = float(np.mean(times))
+        result.means[app] = {
+            mode: float(np.mean(measure_app(scenario, factory, mode, seed=seed)))
+            for mode in MODES
+        }
     return result
 
 
-def format_result(result: Fig6Result, per_size: bool = False) -> str:
-    """The figure's series as a text table (normalised to TGPA = 1).
-
-    ``per_size=True`` appends the per-problem-size times, which is where
-    TGPA's "appropriate decisions for each problem size" show up.
-    """
-    norm = result.normalised()
-    lines = [
+def format_result(result: Fig6Result) -> str:
+    """The figure's series as a table (normalised to TGPA = 1)."""
+    norm = dict(sorted(result.normalised().items()))
+    adapt_wins = [
+        app for app, row in norm.items() if min(row["openmp"], row["cuda"]) > 1.0
+    ]
+    return table(
         f"Figure 6 ({result.platform}): normalised mean execution time "
         "(TGPA = 1.0)",
-        f"{'app':<16s} {'OpenMP':>8s} {'CUDA':>8s} {'TGPA':>8s}   best-static",
-    ]
-    adapt_wins = []
-    for app in sorted(norm):
-        row = norm[app]
-        best = "OpenMP" if row["openmp"] <= row["cuda"] else "CUDA"
-        lines.append(
-            f"{app:<16s} {row['openmp']:8.3f} {row['cuda']:8.3f} "
-            f"{row['tgpa']:8.3f}   {best}"
-        )
-        if min(row["openmp"], row["cuda"]) > 1.0:
-            adapt_wins.append(app)
-    if adapt_wins:
-        lines.append(
+        ("app", "OpenMP", "CUDA", "TGPA", "best static"),
+        [
+            (app, f"{row['openmp']:.3f}", f"{row['cuda']:.3f}",
+             f"{row['tgpa']:.3f}",
+             "OpenMP" if row["openmp"] <= row["cuda"] else "CUDA")
+            for app, row in norm.items()
+        ],
+        [
             "TGPA beats both static builds by adapting per problem size: "
             + ", ".join(adapt_wins)
-        )
-    if per_size:
-        lines.append("per-size virtual times (ms):")
-        for app in sorted(result.per_size):
-            for mode in MODES:
-                times = ", ".join(
-                    f"{t * 1e3:.3f}" for t in result.per_size[app][mode]
-                )
-                lines.append(f"  {app:<16s} {mode:<7s} [{times}]")
-    return "\n".join(lines)
+        ] if adapt_wins else (),
+    )

@@ -25,6 +25,7 @@ from repro.apps import mains
 from repro.apps import odesolver as ode
 from repro.composer.recipe import Recipe
 from repro.direct import odesolver_direct
+from repro.experiments.runner import table
 
 #: the paper's x-axis: problem sizes of the ODE system
 SIZES = (250, 500, 750, 1000)
@@ -104,20 +105,17 @@ def run(
 
 
 def format_result(points: list[Fig7Point]) -> str:
-    lines = [
-        "Figure 7: Runge-Kutta ODE solver execution time vs problem size",
+    return table(
+        "Figure 7: Runge-Kutta ODE solver execution time vs problem size "
         f"({points[0].invocations if points else '?'} invocations of 9 "
         "components per run; log-scale in the paper)",
-        f"{'size':>6s} {'Direct-CPU(s)':>14s} {'Direct-CUDA(s)':>15s} "
-        f"{'Tool-CUDA(s)':>13s} {'tool overhead':>14s}",
-    ]
-    for p in points:
-        lines.append(
-            f"{p.size:>6d} {p.direct_cpu_s:>14.4f} {p.direct_cuda_s:>15.4f} "
-            f"{p.tool_cuda_s:>13.4f} {p.tool_overhead_percent:>13.2f}%"
-        )
-    lines.append(
-        "expected shape: CPU >> CUDA at size; tool-CUDA ~ direct-CUDA "
-        "(negligible overhead)"
+        ("size", "Direct-CPU (s)", "Direct-CUDA (s)", "Tool-CUDA (s)",
+         "tool overhead"),
+        [
+            (p.size, f"{p.direct_cpu_s:.4f}", f"{p.direct_cuda_s:.4f}",
+             f"{p.tool_cuda_s:.4f}", f"{p.tool_overhead_percent:.2f}%")
+            for p in points
+        ],
+        ["expected shape: CPU >> CUDA at size; tool-CUDA ~ direct-CUDA "
+         "(negligible overhead)"],
     )
-    return "\n".join(lines)

@@ -8,10 +8,11 @@ performance-aware scheduling.  We measure both views of our runtime:
   submitted task (submission + wrapper packing), which is what the
   simulated timelines in every figure include;
 - **implementation (wall-clock) overhead**: the real Python time one
-  empty-task submit/schedule/complete cycle costs, reported for
-  transparency (a Python simulator is orders of magnitude slower than
-  StarPU's C fast path; the *modeled* number is the one calibrated to
-  the paper).
+  empty-task submit/schedule/complete cycle costs, kept in the BENCH
+  document for transparency but out of the table, which holds only
+  reproducible numbers (a Python simulator is orders of magnitude slower
+  than StarPU's C fast path; the *modeled* number is the one calibrated
+  to the paper).
 
 The module also benchmarks the :mod:`repro.obs` layer: engine
 throughput with the default metrics suite (registry + samplers at the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -77,13 +78,11 @@ def run(n_tasks: int = 2000, seed: int = 0) -> OverheadResult:
 
 
 def format_result(result: OverheadResult) -> str:
-    return (
-        "Section V-E: per-task runtime overhead "
-        f"({result.n_tasks} empty tasks)\n"
-        f"  modeled (virtual) overhead : {result.virtual_us_per_task:.3f} us/task"
-        "   [paper: < 2 us]\n"
-        f"  simulator wall-clock cost  : {result.wall_us_per_task:.1f} us/task"
-        "   (Python implementation cost, not modeled time)"
+    return table(
+        f"Section V-E: per-task runtime overhead ({result.n_tasks} empty tasks)",
+        ("quantity", "Paper", "Measured"),
+        [("modeled (virtual) overhead", "< 2 us",
+          f"{result.virtual_us_per_task:.3f} us/task")],
     )
 
 
@@ -215,16 +214,16 @@ def run_obs_overhead(
 
 def format_obs_result(result: ObsOverheadResult) -> str:
     verdict = "within" if result.within_budget else "OVER"
-    return (
+    return table(
         "Observability overhead "
-        f"({result.n_tasks} empty tasks, {result.reps} alternating pairs)\n"
-        f"  metrics off : {result.base_us_per_task:.1f} us/task CPU (best run)\n"
-        f"  metrics on  : {result.obs_us_per_task:.1f} us/task CPU "
-        "(registry + samplers at default period)\n"
-        f"  overhead    : {result.overhead * 100.0:+.2f}% "
-        "(ratio of best runs; median pair "
-        f"{result.median_pair_overhead * 100.0:+.2f}%)  "
-        f"[{verdict} the {result.budget * 100.0:.0f}% budget]"
+        f"({result.n_tasks} empty tasks, {result.reps} alternating pairs)",
+        ("metrics", "us/task CPU (best run)"),
+        [("off", f"{result.base_us_per_task:.1f}"),
+         ("on (registry + samplers at default period)",
+          f"{result.obs_us_per_task:.1f}")],
+        [f"overhead: {result.overhead * 100.0:+.2f}% (ratio of best runs; "
+         f"median pair {result.median_pair_overhead * 100.0:+.2f}%), "
+         f"{verdict} the {result.budget * 100.0:.0f}% budget"],
     )
 
 

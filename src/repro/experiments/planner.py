@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.description import HOST_NODE
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
@@ -287,29 +287,16 @@ def run(smoke: bool = False) -> dict:
 
 
 def format_results(doc: dict) -> str:
-    lines = ["planner ablation (virtual makespans, pre-calibrated model)"]
-    for workload in ("chain", "fanout"):
-        lines.append(f"  {workload}:")
-        for arm, r in doc[workload].items():
-            extra = ""
-            if arm.startswith("lookahead"):
-                extra = (
-                    f"  [{r['n_planned_windows']} planned windows, "
-                    f"{r['n_fused_edges']} fused edges]"
-                )
-            lines.append(
-                f"    {arm:<22s} {r['makespan_s'] * 1e3:9.3f} ms{extra}"
-            )
-    for name, g in doc["gates"].items():
-        bound = (
-            f" (>= {g['min']})" if "min" in g
-            else f" (<= {g['max']})" if "max" in g
-            else ""
-        )
-        value = f" {g['value']:.3f}" if "value" in g else ""
-        flag = "ok" if g["ok"] else "** FAILED **"
-        lines.append(f"  gate {name}:{value}{bound} {flag}")
-    return "\n".join(lines)
+    return table(
+        "planner ablation (virtual makespans, pre-calibrated model)",
+        ("workload", "arm", "makespan (ms)", "planned windows", "fused edges"),
+        [
+            (workload, arm, f"{r['makespan_s'] * 1e3:.3f}",
+             r["n_planned_windows"], r["n_fused_edges"])
+            for workload in ("chain", "fanout")
+            for arm, r in doc[workload].items()
+        ],
+    )
 
 
 def study(smoke: bool) -> Study:

@@ -11,7 +11,11 @@ this module owns everything around it, once:
 - printing :attr:`Study.report`, writing each table as ``<name>.txt``
   and the BENCH document as ``BENCH_<bench>.json``, one ``wrote`` line
   per file;
-- exit status 1 when any gate fails, naming each failed gate.
+- printing each gate and its outcome, and exit status 1 when any gate
+  fails.
+
+It also owns :func:`table`, the one renderer every experiment's
+``format_*`` printer builds its output with.
 """
 
 from __future__ import annotations
@@ -21,9 +25,26 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+
+
+def table(
+    title: str,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    notes: Sequence[str] = (),
+) -> str:
+    """``rows`` under ``header`` as a GitHub-flavoured Markdown table.
+
+    ``title`` is a paragraph above the table and each note a paragraph
+    below it; cells are rendered with ``str``, so a caller formats its
+    numbers before passing them in.
+    """
+    lines = [f"| {' | '.join(header)} |", "|" + "---|" * len(header)]
+    lines += [f"| {' | '.join(map(str, row))} |" for row in rows]
+    return "\n\n".join([title, "\n".join(lines), *notes])
 
 
 @dataclass
@@ -75,7 +96,6 @@ def cli(
     for name, text in files.items():
         (outdir / name).write_text(text)
         print(f"wrote {outdir / name}")
-    failed = [name for name, ok in result.gates.items() if not ok]
-    for name in failed:
-        print(f"FAILED gate: {name}")
-    return 1 if failed else 0
+    for name, ok in result.gates.items():
+        print(f"gate {name}: ok" if ok else f"FAILED gate: {name}")
+    return 0 if all(result.gates.values()) else 1

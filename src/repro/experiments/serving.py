@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.description import Machine
 from repro.hw.presets import platform_c2050
 from repro.runtime.perfmodel import PerfModel
@@ -220,22 +220,21 @@ def run_serving_study(
 
 
 def format_serving_study(result: ServingStudyResult) -> str:
-    lines = [
+    return table(
         f"Serving study ({result.platform}): goodput / tail latency "
         f"under admission (quota {TENANT_QUOTA}/tenant, batch <= "
         f"{BATCH.max_batch})",
-        f"{'sched':<6s} {'rate':>8s} {'ten':>4s} {'goodput':>9s} "
-        f"{'shed':>7s} {'p50':>9s} {'p99':>9s} {'spread':>7s} {'batch':>6s}",
-    ]
-    for c in result.cells:
-        spread = "n/a" if c.p99_spread != c.p99_spread else f"{c.p99_spread:.2f}x"
-        lines.append(
-            f"{c.scheduler:<6s} {c.rate_hz:8.0f} {c.n_tenants:4d} "
-            f"{c.goodput_rps:7.0f}/s {c.shed_rate:6.1%} "
-            f"{c.p50_ms:7.2f}ms {c.p99_ms:7.2f}ms {spread:>7s} "
-            f"{c.mean_batch:6.2f}"
-        )
-    return "\n".join(lines)
+        ("sched", "rate (req/s)", "tenants", "goodput (req/s)", "shed",
+         "p50 (ms)", "p99 (ms)", "spread", "batch"),
+        [
+            (c.scheduler, f"{c.rate_hz:.0f}", c.n_tenants,
+             f"{c.goodput_rps:.0f}", f"{c.shed_rate:.1%}", f"{c.p50_ms:.2f}",
+             f"{c.p99_ms:.2f}",
+             "n/a" if c.p99_spread != c.p99_spread else f"{c.p99_spread:.2f}x",
+             f"{c.mean_batch:.2f}")
+            for c in result.cells
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +319,27 @@ def admission_ablation(
 
 
 def format_admission_ablation(result: AdmissionAblationResult) -> str:
-    lines = [
-        f"Admission ablation ({result.platform}): one tenant offering "
-        f"{result.rate_hz:.0f} req/s (over capacity)",
-        f"{'policy':<14s} {'p99':>9s} {'queue-wait':>11s} {'shed':>7s} "
-        f"{'goodput':>9s}",
-    ]
-    for c in result.cells:
-        lines.append(
-            f"{c.label:<14s} {c.p99_ms:7.2f}ms {c.mean_queue_wait_ms:9.2f}ms "
-            f"{c.shed_rate:6.1%} {c.goodput_rps:7.0f}/s"
-        )
+    notes = []
     bounded = [c for c in result.cells if c.label != "unbounded"]
     if bounded:
         un = result.cell("unbounded")
         best = min(bounded, key=lambda c: c.p99_ms)
-        lines.append(
+        notes.append(
             f"bounded admission cuts p99 {un.p99_ms / best.p99_ms:.1f}x "
             f"({un.p99_ms:.2f}ms -> {best.p99_ms:.2f}ms) by shedding "
             f"{best.shed_rate:.0%} of arrivals"
         )
-    return "\n".join(lines)
+    return table(
+        f"Admission ablation ({result.platform}): one tenant offering "
+        f"{result.rate_hz:.0f} req/s (over capacity)",
+        ("policy", "p99 (ms)", "queue wait (ms)", "shed", "goodput (req/s)"),
+        [
+            (c.label, f"{c.p99_ms:.2f}", f"{c.mean_queue_wait_ms:.2f}",
+             f"{c.shed_rate:.1%}", f"{c.goodput_rps:.0f}")
+            for c in result.cells
+        ],
+        notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,27 +412,27 @@ def fairness_ablation(
 
 
 def format_fairness_ablation(result: FairnessAblationResult) -> str:
-    lines = [
+    notes = []
+    cells = {c.scheduler: c for c in result.cells}
+    if "eager" in cells and "fair" in cells:
+        greedy, fair = cells["eager"], cells["fair"]
+        notes.append(
+            f"greedy dispatch starves the light tenant "
+            f"({greedy.light_p99_ms:.2f}ms p99, {greedy.p99_spread:.1f}x "
+            f"spread); weighted fair queueing holds the spread to "
+            f"{fair.p99_spread:.2f}x"
+        )
+    return table(
         f"Fairness ablation ({result.platform}): flooding heavy tenant vs "
         "light tenant, same per-request cost",
-        f"{'sched':<6s} {'heavy p99':>10s} {'light p99':>10s} "
-        f"{'spread':>7s} {'shed':>7s}",
-    ]
-    for c in result.cells:
-        lines.append(
-            f"{c.scheduler:<6s} {c.heavy_p99_ms:8.2f}ms {c.light_p99_ms:8.2f}ms "
-            f"{c.p99_spread:6.2f}x {c.shed_rate:6.1%}"
-        )
-    try:
-        greedy, fair = result.cell("eager"), result.cell("fair")
-    except KeyError:
-        return "\n".join(lines)
-    lines.append(
-        f"greedy dispatch starves the light tenant "
-        f"({greedy.light_p99_ms:.2f}ms p99, {greedy.p99_spread:.1f}x spread); "
-        f"weighted fair queueing holds the spread to {fair.p99_spread:.2f}x"
+        ("sched", "heavy p99 (ms)", "light p99 (ms)", "spread", "shed"),
+        [
+            (c.scheduler, f"{c.heavy_p99_ms:.2f}", f"{c.light_p99_ms:.2f}",
+             f"{c.p99_spread:.2f}x", f"{c.shed_rate:.1%}")
+            for c in result.cells
+        ],
+        notes,
     )
-    return "\n".join(lines)
 
 
 def study(smoke: bool) -> Study:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.apps import sgemm
 from repro.composer.glue import lower_component
-from repro.experiments.runner import Study, cli
+from repro.experiments.runner import Study, cli, table
 from repro.hw.presets import platform_c2050
 from repro.session import Session
 from repro.tuning import PerfModelStore, calibrate_component
@@ -204,29 +204,25 @@ def run_tuning_ablation(
 
 
 def format_tuning_ablation(result: TuningAblationResult) -> str:
-    lines = [
+    cal = result.calibration
+    return table(
         f"Tuning ablation ({result.platform}): sgemm stream, sizes "
         f"{list(result.sizes)} x {result.tasks_per_size} tasks",
-        f"{'batch':<10s} {'makespan':>11s} {'exploration':>12s}",
-    ]
-    for c in result.cold + [result.warm]:
-        lines.append(
-            f"{c.label:<10s} {c.makespan_ms:9.3f}ms "
-            f"{c.exploration_decisions:12d}"
-        )
-    cal = result.calibration
-    lines.append(
-        f"calibration: {cal['total_runs']} adaptive runs over "
-        f"{cal['rungs']} rungs"
+        ("batch", "makespan (ms)", "exploration decisions"),
+        [
+            (c.label, f"{c.makespan_ms:.3f}", c.exploration_decisions)
+            for c in result.cold + [result.warm]
+        ],
+        [
+            f"calibration: {cal['total_runs']} adaptive runs over "
+            f"{cal['rungs']} rungs",
+            f"warm vs cold steady tail: {result.warm_over_tail:.3f}x "
+            f"(tail {result.cold_tail_ms:.3f}ms, tol ±{result.tolerance:.0%}); "
+            f"warm exploration decisions: "
+            f"{result.warm.exploration_decisions} -> "
+            f"{'OK' if result.ok else 'FAIL'}",
+        ],
     )
-    verdict = "OK" if result.ok else "FAIL"
-    lines.append(
-        f"warm vs cold steady tail: {result.warm_over_tail:.3f}x "
-        f"(tail {result.cold_tail_ms:.3f}ms, tol ±{result.tolerance:.0%}); "
-        f"warm exploration decisions: "
-        f"{result.warm.exploration_decisions} -> {verdict}"
-    )
-    return "\n".join(lines)
 
 
 def study(smoke: bool, store: Path | None = None) -> Study:

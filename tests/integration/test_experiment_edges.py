@@ -12,13 +12,6 @@ def test_fig6_rejects_unknown_mode():
         )
 
 
-def test_fig6_per_size_report_lists_all_sizes():
-    result = fig6.run("c2050", apps=("sgemm",), size_scale=0.2)
-    text = fig6.format_result(result, per_size=True)
-    assert "per-size virtual times" in text
-    assert text.count("sgemm") >= 4  # summary row + three mode rows
-
-
 def test_fig6_adapt_win_note_when_tgpa_beats_both():
     result = fig6.run("c2050", apps=("bfs",), size_scale=0.25)
     norm = result.normalised()["bfs"]

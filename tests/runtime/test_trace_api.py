@@ -403,8 +403,30 @@ def test_transfer_int_fields_refuse_floats():
 
 def test_metrics_off_run_builds_zero_event_payloads(monkeypatch):
     """With no subscribers, the want-gates must skip payload
-    construction entirely: no event object is ever allocated."""
+    construction entirely: no event object is ever allocated, and no
+    per-task emitter is even called (``emit_flush`` and ``emit_fault``
+    are called ungated by design)."""
     constructed = []
+    emitted = []
+
+    def _recording(name):
+        emit = getattr(events_mod.EngineEvents, name)
+
+        def wrapper(self, *a, **k):
+            emitted.append(name)
+            return emit(self, *a, **k)
+
+        return wrapper
+
+    for name in (
+        "emit_submit",
+        "emit_schedule",
+        "emit_start",
+        "emit_complete",
+        "emit_transfer",
+        "emit_evict",
+    ):
+        monkeypatch.setattr(events_mod.EngineEvents, name, _recording(name))
 
     def _counting(cls):
         class Counting(cls):
@@ -429,12 +451,25 @@ def test_metrics_off_run_builds_zero_event_payloads(monkeypatch):
         )
 
     rt = _run_small(30)
+    # GPU-only tasks and a host read-back, so the transfer path runs too
+    gpu = Codelet(
+        "api_gpu_only",
+        [ImplVariant("gpu_only", Arch.CUDA, lambda ctx, *a: None, lambda c, d: 1e-7)],
+    )
+    h = rt.register(np.zeros(32, dtype=np.float32), "g")
+    for i in range(5):
+        rt.submit(gpu, [(h, "rw")], name=f"g{i}")
+    rt.acquire(h, "r")
+    rt.wait_for_all()
     ev = rt.engine.events
     assert ev.n_subscribers() == 0
+    assert rt.trace.n_transfers > 0
     assert constructed == []
+    assert emitted == []
     assert ev._ring == []
     rt.shutdown()
     assert constructed == []
+    assert emitted == []
 
 
 def test_subscribed_run_builds_payloads():
