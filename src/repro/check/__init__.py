@@ -40,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
             "DecisionLog",
             "DecisionRecord",
             "DecisionRecorder",
-            "RecordingScheduler",
             "ReplayScheduler",
             "assert_traces_identical",
             "record_and_replay",
@@ -54,7 +53,6 @@ __all__ = [
     "DecisionRecorder",
     "InvariantViolation",
     "ReplayDivergence",
-    "RecordingScheduler",
     "ReplayScheduler",
     "TraceChecker",
     "assert_trace_legal",

@@ -1,12 +1,13 @@
 """Deterministic replay of scheduling decisions.
 
-Recording wraps any scheduler and logs every ``choose`` call — task
-codelet, chosen variant, worker ids — in call order into a compact,
-JSON-serializable :class:`DecisionLog`.  The ``replay`` scheduler
-re-executes such a log verbatim: run the same workload again with it and
-the engine makes bit-identical placements, so the resulting trace (after
-canonical renumbering) must equal the recorded one exactly.  Divergence
-— a different task stream, an unknown variant, an exhausted log — raises
+Recording (:class:`DecisionRecorder`, on the engine's event stream)
+logs every ``choose`` call — task codelet, chosen variant, worker ids —
+in call order into a compact, JSON-serializable :class:`DecisionLog`.
+The ``replay`` scheduler re-executes such a log verbatim: run the same
+workload again with it and the engine makes bit-identical placements,
+so the resulting trace (after canonical renumbering) must equal the
+recorded one exactly.  Divergence — a different task stream, an
+unknown variant, an exhausted log — raises
 :class:`~repro.errors.ReplayDivergence` instead of silently improvising.
 """
 
@@ -93,35 +94,14 @@ class DecisionLog:
         return cls.from_jsonable(json.loads(Path(path).read_text()))
 
 
-class RecordingScheduler(Scheduler):
-    """Wrap any scheduler and log every decision it makes."""
-
-    name = "recording"
-
-    def __init__(self, inner: Scheduler, log: DecisionLog | None = None) -> None:
-        self.inner = inner
-        self.log = log if log is not None else DecisionLog()
-
-    def choose(self, task: "Task", view: EngineView) -> Decision:
-        decision = self.inner.choose(task, view)
-        self.log.append(
-            DecisionRecord(
-                codelet=task.codelet.name,
-                variant=decision.variant.name,
-                worker_ids=tuple(u.unit_id for u in decision.workers),
-            )
-        )
-        return decision
-
-
 class DecisionRecorder:
     """Record scheduling decisions from the engine's typed event stream.
 
     The engine emits one ``schedule`` event per ``Scheduler.choose``
     call (fault-recovery retries included), so subscribing this observer
-    yields exactly the decision stream :class:`RecordingScheduler` used
-    to capture by wrapping the policy — without touching the scheduler
-    object at all.  ``Runtime(record=True)`` attaches one automatically.
+    yields every decision the policy makes without touching the
+    scheduler object at all.  ``Runtime(record=True)`` attaches one
+    automatically.
     """
 
     def __init__(self, log: DecisionLog | None = None) -> None:

@@ -55,7 +55,7 @@ from repro.hw.faults import FaultModel
 from repro.runtime.engine import RecoveryPolicy
 from repro.serve.admission import AdmissionOutcome, AdmissionPolicy
 from repro.serve.batching import BatchPolicy, Coalescer
-from repro.serve.client import TenantSpec
+from repro.serve.client import ArrivalSchedule, TenantSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.metrics import ClusterMetrics
@@ -313,7 +313,7 @@ class Cluster:
         }
         #: (key, node) pairs whose queued dispatch is a hedge
         self._queued_hedge: set[tuple[tuple[str, int], int]] = set()
-        self._issued: dict[int, int] = {}
+        self._schedules: list[ArrivalSchedule] = []
         self._total_offered = sum(s.n_requests for s in tenants)
         self._finalized = 0
         self._planned_drains: list[tuple[float, int]] = []
@@ -427,22 +427,10 @@ class Cluster:
             self._push(
                 self.heartbeat_s * (idx + 1) / (n + 1), _HEARTBEAT, nid
             )
-        for idx, spec in enumerate(self.tenants):
-            if spec.rate_hz is not None:
-                rng = np.random.default_rng(spec.seed + 0xC11E)
-                gaps = rng.exponential(
-                    1.0 / spec.rate_hz, size=spec.n_requests
-                )
-                for i, t in enumerate(np.cumsum(gaps)):
-                    self._push(float(t), _ARRIVAL, (idx, i))
-            else:
-                rng = np.random.default_rng(spec.seed + 0xC105ED)
-                first = min(spec.concurrency, spec.n_requests)
-                for i in range(first):
-                    self._push(
-                        float(rng.exponential(1e-4)), _ARRIVAL, (idx, i)
-                    )
-                self._issued[idx] = first
+        self._schedules = [ArrivalSchedule(spec) for spec in self.tenants]
+        for idx, schedule in enumerate(self._schedules):
+            for i, t in enumerate(schedule.initial()):
+                self._push(t, _ARRIVAL, (idx, i))
         for nid, t in sorted(self.node_faults.crash_at.items()):
             self._push(t, _CONTROL, ("crash", nid))
         for nid, (t, factor) in sorted(self.node_faults.slow_at.items()):
@@ -732,14 +720,10 @@ class Cluster:
         st.served_by = attempt.node
         st.batch_size = attempt.batch_size
         self._finalize(st, t, "completed")
-        spec = st.spec
-        if spec.rate_hz is None:
-            issued = self._issued.get(st.tenant_idx, 0)
-            if issued < spec.n_requests:
-                self._issued[st.tenant_idx] = issued + 1
-                self._push(
-                    t + spec.think_time_s, _ARRIVAL, (st.tenant_idx, issued)
-                )
+        nxt = self._schedules[st.tenant_idx].reissue(t)
+        if nxt is not None:
+            req_id, at = nxt
+            self._push(at, _ARRIVAL, (st.tenant_idx, req_id))
 
     def _finalize(
         self, st: _ReqState, t: float, outcome: str, shed_reason: str = ""

@@ -1601,7 +1601,8 @@ class Engine:
                     flushed=flushed,
                 )
             )
-            self.events.emit_evict(t, rec)
+            if self.events.want_evict:
+                self.events.emit_evict(t, rec)
         return t
 
     def link_available(self, channel: tuple[int, str]) -> float:

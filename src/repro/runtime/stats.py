@@ -74,11 +74,14 @@ The blessed access API (stable across future layout changes):
 
 from __future__ import annotations
 
+import copy
 import functools
+import math
 from array import array
 from collections import Counter
 from collections.abc import Sequence
 from itertools import chain, repeat
+from operator import itemgetter
 from types import FunctionType, MappingProxyType
 
 import numpy as np
@@ -106,10 +109,21 @@ class GeneratedName(str):
 
 def _restore(cls: type, values: tuple):
     """Unpickle helper: rebuild a record from its field-value tuple."""
-    rec = cls.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        setattr(rec, name, value)
-    return rec
+    return _maker(cls)(*values)
+
+
+@functools.cache
+def _maker(cls: type) -> FunctionType:
+    """``make(*values)``: a new ``cls`` record from its field values in
+    order.  One slot store per field, compiled once per class, builds a
+    record about twice as fast as a ``setattr`` loop."""
+    fields = cls._fields
+    args = ", ".join(f"v{k}" for k in range(len(fields)))
+    body = "".join(f"    rec.{name} = v{k}\n" for k, name in enumerate(fields))
+    src = f"def make({args}):\n    rec = new(cls)\n{body}    return rec\n"
+    ns = {"new": cls.__new__, "cls": cls}
+    exec(src, ns)  # noqa: S102 - static template, no external input
+    return ns["make"]
 
 
 class _Record:
@@ -670,12 +684,17 @@ class NameColumn(Sequence):
         return self._n
 
     def __getitem__(self, i: int) -> str:
+        name = self._kept(i)
+        return self._default(i) if name is None else name
+
+    def _kept(self, i: int):
+        """Row ``i``'s name as this column keeps it; None if it keeps none."""
         name = None if self._given is None else self._given[i]
         if name is not None:
             return name
         key = None if self._stems is None else self._stems[i]
         if key is None:
-            return self._default(i)
+            return None
         typ, stem = key
         return typ(f"{stem}{self._sep}{self._nums[i]}")
 
@@ -1040,11 +1059,7 @@ class _ColumnStore:
     def build(self, i: int):
         """A new record object for row ``i``."""
         i = self._row(i)
-        cls = self.cls
-        rec = cls.__new__(cls)
-        for name, col in zip(self._fields, self._cols):
-            setattr(rec, name, col[i])
-        return rec
+        return _maker(self.cls)(*[col[i] for col in self._cols])
 
     def get(self, i: int):
         """Row ``i``'s record, built once and cached (or a new row)."""
@@ -1057,13 +1072,15 @@ class _ColumnStore:
         return rec
 
     def __iter__(self):
-        """Every row's record: the cached one, or a new one left uncached."""
+        """Every row's record: the cached one, or a new one left uncached
+        (built from one pass down the columns, not a lookup per field)."""
         if self._rows is not None:
             return map(self._rows, repeat(self._cols), range(len(self)))
-        cache, build = self._cache, self.build
-        return (
-            build(i) if (rec := cache.get(i)) is None else rec
-            for i in range(len(self))
+        make, cached = _maker(self.cls), self._cache.get
+        return map(
+            lambda i, *row: cached(i) or make(*row),
+            range(len(self)),
+            *self._cols,
         )
 
     def _write(self, i: int, rec) -> None:
@@ -1182,6 +1199,81 @@ def _grouped(col: CodedColumn, weights: np.ndarray | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# canonical renumbering
+# ---------------------------------------------------------------------------
+
+#: what :meth:`ExecutionTrace.canonicalized` renumbers, per record kind
+#: in causal tie order: (id field, its id space, whether it holds a
+#: tuple of ids, the generated name made from it).  "task" and "handle"
+#: ids are numbered by first appearance in causal (seq) order, "late
+#: task" ids after every stamped record: they may name a task that left
+#: no row (an aborted dependency, a request's task).
+_RENUMBERED = {
+    "tasks": (
+        ("task_id", "task", False, "name"),
+        ("reads", "handle", True, None),
+        ("writes", "handle", True, None),
+        ("deps", "late task", True, None),
+    ),
+    "transfers": (("handle_id", "handle", False, "handle_name"),),
+    "evictions": (("handle_id", "handle", False, "handle_name"),),
+    "accesses": (
+        ("handle_id", "handle", False, "handle_name"),
+        ("related", "handle", True, None),
+    ),
+    "faults": (
+        ("task_id", "task", False, "task_name"),
+        ("handle_id", "handle", False, "handle_name"),
+    ),
+    "requests": (("task_id", "late task", False, None),),
+}
+
+
+def _id_rows(col, many: bool):
+    """Each row's ids in an id column, as a sequence (a None id: none)."""
+    return col if many else [() if v is None else (v,) for v in col]
+
+
+def _renumbered(col, number: dict, many: bool):
+    """An id column with every id mapped through ``number`` (a ragged
+    column in place); a row of ``many`` ids becomes a tuple, a None id
+    stays None."""
+    get = number.__getitem__
+    if type(col) is array:
+        return array(col.typecode, map(get, col))
+    if type(col) is RaggedColumn:
+        col.values = _renumbered(col.values, number, False)
+        return col
+    return [
+        tuple(map(get, v)) if many else None if v is None else get(v)
+        for v in col
+    ]
+
+
+def _renamed(name, new, space: str):
+    """``name`` for the new id ``new``: a :class:`GeneratedName` is made
+    again from it (``<prefix>#<new>`` for a task, ``data<new>`` for a
+    handle); any other name, or one with no id, stays."""
+    if type(name) is not GeneratedName or new is None:
+        return name
+    return GeneratedName(
+        f"{name.rpartition('#')[0]}#{new}" if space == "task" else f"data{new}"
+    )
+
+
+def _rename(names, ids, space: str) -> None:
+    """Make again, in place, every generated name ``names`` keeps, from
+    its row's new id in ``ids``.  A derived name is not kept: it follows
+    the renumbered id column by itself."""
+    kept = names._kept if isinstance(names, NameColumn) else names.__getitem__
+    for i, new in enumerate(ids):
+        name = kept(i)
+        renamed = _renamed(name, new, space)
+        if renamed is not name:
+            names[i] = renamed
+
+
+# ---------------------------------------------------------------------------
 # the trace
 # ---------------------------------------------------------------------------
 
@@ -1227,62 +1319,46 @@ class ExecutionTrace:
     #: the full comparable state, in old dataclass field order
     STATE_FIELDS = RECORD_KINDS + COUNTER_FIELDS
 
-    def __init__(
-        self,
-        *,
-        n_submitted: int = 0,
-        submitted_by_codelet: dict[str, int] | None = None,
-        decisions_by_codelet: dict[str, int] | None = None,
-        retries_by_codelet: dict[str, int] | None = None,
-        n_tasks_aborted: int = 0,
-        next_seq: int = 0,
-        n_task_retries: int = 0,
-        n_tasks_recovered: int = 0,
-        n_tasks_lost: int = 0,
-        n_fallbacks: int = 0,
-        n_exploration_decisions: int = 0,
-        blacklisted_workers: set[int] | None = None,
-        lost_workers: set[int] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._tasks = _ColumnStore(TaskRecord, stamped=True)
         self._transfers = _ColumnStore(TransferRecord, stamped=True)
         self.tasks = RecordsView(self._tasks)
         self.transfers = RecordsView(self._transfers)
         #: tasks accepted by ``Engine.submit`` (conservation basis:
         #: ``n_submitted == n_tasks + n_tasks_aborted``)
-        self.n_submitted = n_submitted
+        self.n_submitted = 0
         #: tasks accepted per codelet name — native bookkeeping kept by
         #: the engine itself; the obs metric catalogue reads these by
         #: diffing rather than subscribing to per-task events
-        self.submitted_by_codelet = dict(submitted_by_codelet or {})
+        self.submitted_by_codelet: dict[str, int] = {}
         #: ``Scheduler.choose`` calls per codelet name (one per placement
         #: attempt, so fault-recovery retries count again)
-        self.decisions_by_codelet = dict(decisions_by_codelet or {})
+        self.decisions_by_codelet: dict[str, int] = {}
         #: placement attempts after a fault (attempt > 0) per codelet name
-        self.retries_by_codelet = dict(retries_by_codelet or {})
+        self.retries_by_codelet: dict[str, int] = {}
         #: tasks aborted without executing (unplaceable, retries exhausted)
-        self.n_tasks_aborted = n_tasks_aborted
+        self.n_tasks_aborted = 0
         #: monotone recording sequence shared by task/transfer/eviction/
         #: access/fault records — the trace's causal order
-        self.next_seq = next_seq
+        self.next_seq = 0
         #: task-level retries the recovery layer performed (one per failed
         #: execution attempt that was rescheduled)
-        self.n_task_retries = n_task_retries
+        self.n_task_retries = 0
         #: tasks that faulted at least once but eventually completed
-        self.n_tasks_recovered = n_tasks_recovered
+        self.n_tasks_recovered = 0
         #: tasks abandoned after exhausting the retry budget
-        self.n_tasks_lost = n_tasks_lost
+        self.n_tasks_lost = 0
         #: recovered tasks whose final placement used a different backend
         #: architecture than the first failed attempt (e.g. GPU -> CPU)
-        self.n_fallbacks = n_fallbacks
+        self.n_fallbacks = 0
         #: placement decisions made while the performance model was still
         #: uncalibrated for the task (scheduler exploration / calibration
         #: phase); a warm-started run should keep this at zero
-        self.n_exploration_decisions = n_exploration_decisions
+        self.n_exploration_decisions = 0
         #: workers disabled after repeated transient faults
-        self.blacklisted_workers = set(blacklisted_workers or ())
+        self.blacklisted_workers: set[int] = set()
         #: workers whose device was permanently lost
-        self.lost_workers = set(lost_workers or ())
+        self.lost_workers: set[int] = set()
         #: :meth:`clear` calls so far: a reader that remembers how far it
         #: has read compares this to tell a refilled trace from a grown one
         self.n_clears = 0
@@ -1426,18 +1502,6 @@ class ExecutionTrace:
     def newest(self, kind: str):
         """The last ``kind`` record, built but not cached (event payloads)."""
         return self._view(kind)._store.build(-1)
-
-    def records_in_seq_order(self) -> list:
-        """Task/transfer/eviction/access/fault records, causal order."""
-        out = [
-            *self.tasks,
-            *self.transfers,
-            *self._view("evictions"),
-            *self._view("accesses"),
-            *self._view("faults"),
-        ]
-        out.sort(key=lambda r: r.seq)
-        return out
 
     # -- serving views -------------------------------------------------------
 
@@ -1632,128 +1696,55 @@ class ExecutionTrace:
         so equal runs compare equal.  This is the basis of replay
         bit-identity and byte-identical canonical trace JSON.
         """
-        task_map: dict[int, int] = {}
-        handle_map: dict[int, int] = {}
+        stores = {kind: self._view(kind)._store for kind in _RENUMBERED}
+        tasks: dict = {}
+        numbers = {"task": tasks, "late task": tasks, "handle": {}}
+        # each row's ids under its seq (late ids under +inf), stably
+        # sorted: ties keep the table's kind order, then row order
+        rows = []
+        for kind, fields in _RENUMBERED.items():
+            cols = stores[kind].columns
+            for late in (False, True):
+                group = [
+                    (numbers[space], _id_rows(cols[field], many))
+                    for field, space, many, _ in fields
+                    if (space == "late task") is late
+                ]
+                if group:
+                    spaces, ids = zip(*group)
+                    seqs = repeat(math.inf) if late else cols["seq"]
+                    rows += zip(seqs, repeat(spaces), zip(*ids))
+        rows.sort(key=itemgetter(0))
+        for _, spaces, row in rows:
+            for number, ids in zip(spaces, row):
+                for i in ids:
+                    if i not in number:
+                        number[i] = len(number)
 
-        def tid(old: int) -> int:
-            return task_map.setdefault(old, len(task_map))
-
-        def hid(old: int) -> int:
-            return handle_map.setdefault(old, len(handle_map))
-
-        for rec in self.records_in_seq_order():
-            if isinstance(rec, TaskRecord):
-                tid(rec.task_id)
-                for h in (*rec.reads, *rec.writes):
-                    hid(h)
-            elif isinstance(rec, (TransferRecord, EvictionRecord)):
-                hid(rec.handle_id)
-            elif isinstance(rec, AccessRecord):
-                hid(rec.handle_id)
-                for h in rec.related:
-                    hid(h)
-            elif isinstance(rec, FaultRecord):
-                if rec.task_id is not None:
-                    tid(rec.task_id)
-                if rec.handle_id is not None:
-                    hid(rec.handle_id)
-        # references that may point outside the record stream (aborted
-        # dependencies, request task ids) get ids too, in stable order
-        for trec in self.tasks:
-            for d in trec.deps:
-                tid(d)
-        for rrec in self._view("requests"):
-            if rrec.task_id is not None:
-                tid(rrec.task_id)
-
-        def task_name(name: str, old: int) -> str:
-            if type(name) is not GeneratedName:
-                return name
-            return GeneratedName(f"{name.rpartition('#')[0]}#{task_map[old]}")
-
-        def handle_name(name: str, old: int) -> str:
-            if type(name) is not GeneratedName:
-                return name
-            return GeneratedName(f"data{handle_map[old]}")
-
-        out = ExecutionTrace(
-            n_submitted=self.n_submitted,
-            submitted_by_codelet=dict(self.submitted_by_codelet),
-            decisions_by_codelet=dict(self.decisions_by_codelet),
-            retries_by_codelet=dict(self.retries_by_codelet),
-            n_tasks_aborted=self.n_tasks_aborted,
-            next_seq=self.next_seq,
-            n_task_retries=self.n_task_retries,
-            n_tasks_recovered=self.n_tasks_recovered,
-            n_tasks_lost=self.n_tasks_lost,
-            n_fallbacks=self.n_fallbacks,
-            n_exploration_decisions=self.n_exploration_decisions,
-            blacklisted_workers=set(self.blacklisted_workers),
-            lost_workers=set(self.lost_workers),
-        )
-        for trec in self.tasks:
-            out.tasks.append(
-                trec.replace(
-                    task_id=task_map[trec.task_id],
-                    name=task_name(trec.name, trec.task_id),
-                    reads=tuple(handle_map[h] for h in trec.reads),
-                    writes=tuple(handle_map[h] for h in trec.writes),
-                    deps=tuple(task_map[d] for d in trec.deps),
-                )
-            )
-        for xrec in self.transfers:
-            out.transfers.append(
-                xrec.replace(
-                    handle_id=handle_map[xrec.handle_id],
-                    handle_name=handle_name(xrec.handle_name, xrec.handle_id),
-                )
-            )
-        for erec in self._view("evictions"):
-            out.evictions.append(
-                erec.replace(
-                    handle_id=handle_map[erec.handle_id],
-                    handle_name=handle_name(erec.handle_name, erec.handle_id),
-                )
-            )
-        for arec in self._view("accesses"):
-            out.accesses.append(
-                arec.replace(
-                    handle_id=handle_map[arec.handle_id],
-                    handle_name=handle_name(arec.handle_name, arec.handle_id),
-                    related=tuple(handle_map[h] for h in arec.related),
-                )
-            )
-        for frec in self._view("faults"):
-            out.faults.append(
-                frec.replace(
-                    task_id=(
-                        None if frec.task_id is None else task_map[frec.task_id]
-                    ),
-                    task_name=(
-                        frec.task_name
-                        if frec.task_id is None
-                        else task_name(frec.task_name, frec.task_id)
-                    ),
-                    handle_id=(
-                        None
-                        if frec.handle_id is None
-                        else handle_map[frec.handle_id]
-                    ),
-                    handle_name=(
-                        frec.handle_name
-                        if frec.handle_id is None
-                        else handle_name(frec.handle_name, frec.handle_id)
-                    ),
-                )
-            )
-        for rrec in self._view("requests"):
-            out.requests.append(
-                rrec.replace(
-                    task_id=(
-                        None if rrec.task_id is None else task_map[rrec.task_id]
-                    ),
-                )
-            )
+        out = ExecutionTrace()
+        for name in self.COUNTER_FIELDS:
+            setattr(out, name, copy.copy(getattr(self, name)))
+        for kind, fields in _RENUMBERED.items():
+            src = stores[kind]
+            if not len(src):
+                continue
+            dst = getattr(out, "_" + kind)
+            cols = dst._cols = copy.deepcopy(src._cols)
+            index = src.cls._fields.index
+            for field, space, many, name in fields:
+                k = index(field)
+                cols[k] = _renumbered(cols[k], numbers[space], many)
+                if name:
+                    _rename(cols[index(name)], cols[k], space)
+            if dst.append_stamped is not None:
+                dst.append_stamped = dst._stamped()  # bound to the new columns
+            for i, rec in src._cache.items():
+                new = {f: cols[index(f)][i] for f, *_ in fields}
+                for field, space, _, name in fields:
+                    if name:
+                        old = getattr(rec, name)
+                        new[name] = _renamed(old, new[field], space)
+                dst._cache[i] = rec.replace(**new)
         return out
 
     def clear(self) -> None:

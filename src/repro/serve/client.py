@@ -296,7 +296,64 @@ WORKLOADS: dict[str, type[_Session]] = {
 # load generators
 # ---------------------------------------------------------------------------
 
-class OpenLoopClient:
+class ArrivalSchedule:
+    """A tenant's seeded request times, numbered from 0 in issue order.
+
+    :meth:`initial` draws the first wave: every request of an open loop
+    (exponential interarrivals at ``rate_hz``), or one per closed-loop
+    user (with seeded jitter so users do not arrive in lockstep);
+    :meth:`reissue` gives a finishing user's next request until all
+    ``n_requests`` are issued, which an open loop is at once.  The
+    serving clients and the cluster router both follow this one
+    schedule.
+    """
+
+    def __init__(self, spec: TenantSpec) -> None:
+        self.spec = spec
+        self.issued = 0
+        salt = 0xC105ED if spec.rate_hz is None else 0xC11E
+        self._rng = np.random.default_rng(spec.seed + salt)
+
+    def initial(self) -> list[float]:
+        spec, rng = self.spec, self._rng
+        if spec.rate_hz is not None:
+            gaps = rng.exponential(1.0 / spec.rate_hz, size=spec.n_requests)
+            times = np.cumsum(gaps).tolist()
+        else:
+            n = min(spec.concurrency, spec.n_requests)
+            times = [float(rng.exponential(1e-4)) for _ in range(n)]
+        self.issued = len(times)
+        return times
+
+    def reissue(self, end_s: float) -> tuple[int, float] | None:
+        """(id, time) of the request a user finishing at ``end_s``
+        issues next, or None once every request is issued."""
+        if self.issued >= self.spec.n_requests:
+            return None
+        self.issued += 1
+        return self.issued - 1, end_s + self.spec.think_time_s
+
+
+class _Client:
+    """A tenant session driven by its :class:`ArrivalSchedule`."""
+
+    def __init__(self, runtime: "Runtime", spec: TenantSpec) -> None:
+        self.spec = spec
+        self.session = WORKLOADS[spec.workload](runtime, spec)
+        self.schedule = ArrivalSchedule(spec)
+
+    def arrivals(self) -> list[Request]:
+        """The first wave of requests, in arrival order."""
+        make = self.session.make_request
+        return [make(i, t) for i, t in enumerate(self.schedule.initial())]
+
+    def on_complete(self, request: Request, end_s: float) -> Request | None:
+        """The finishing user's next request, or None when spent."""
+        nxt = self.schedule.reissue(end_s)
+        return None if nxt is None else self.session.make_request(*nxt)
+
+
+class OpenLoopClient(_Client):
     """Poisson arrivals at ``spec.rate_hz``, independent of completions."""
 
     def __init__(self, runtime: "Runtime", spec: TenantSpec) -> None:
@@ -304,53 +361,11 @@ class OpenLoopClient:
             raise PeppherError(
                 f"tenant {spec.name!r}: open-loop client needs rate_hz"
             )
-        self.spec = spec
-        self.session = WORKLOADS[spec.workload](runtime, spec)
-        self._rng = np.random.default_rng(spec.seed + 0xC11E)
-
-    def arrivals(self) -> list[Request]:
-        """The full seeded arrival schedule (exponential interarrivals)."""
-        gaps = self._rng.exponential(
-            1.0 / self.spec.rate_hz, size=self.spec.n_requests
-        )
-        times = np.cumsum(gaps)
-        return [
-            self.session.make_request(i, float(t)) for i, t in enumerate(times)
-        ]
-
-    def on_complete(self, request: Request, end_s: float) -> Request | None:
-        return None  # open loop: completions do not generate load
+        super().__init__(runtime, spec)
 
 
-class ClosedLoopClient:
+class ClosedLoopClient(_Client):
     """``concurrency`` users; each reissues ``think_time_s`` after completion."""
-
-    def __init__(self, runtime: "Runtime", spec: TenantSpec) -> None:
-        self.spec = spec
-        self.session = WORKLOADS[spec.workload](runtime, spec)
-        self._rng = np.random.default_rng(spec.seed + 0xC105ED)
-        self._issued = 0
-
-    def arrivals(self) -> list[Request]:
-        """Initial wave: one request per logical user, with seeded jitter
-        so users do not arrive in lockstep."""
-        n = min(self.spec.concurrency, self.spec.n_requests)
-        out = []
-        for _ in range(n):
-            jitter = float(self._rng.exponential(1e-4))
-            out.append(self.session.make_request(self._issued, jitter))
-            self._issued += 1
-        return out
-
-    def on_complete(self, request: Request, end_s: float) -> Request | None:
-        """The finishing user's next request, or None when spent."""
-        if self._issued >= self.spec.n_requests:
-            return None
-        req = self.session.make_request(
-            self._issued, end_s + self.spec.think_time_s
-        )
-        self._issued += 1
-        return req
 
 
 def make_client(runtime: "Runtime", spec: TenantSpec):

@@ -213,7 +213,7 @@ class CompositionServer:
             if kind == _COMPLETION:
                 self._on_completion(t, payload)
             else:
-                self._on_arrival(t, payload)
+                self._admit(t, payload, self._delayed)
             self._retry_delayed(t)
             self._dispatch(t)
         if self.metrics is not None:
@@ -238,7 +238,8 @@ class CompositionServer:
     def _push(self, time: float, kind: int, payload: object) -> None:
         heapq.heappush(self._events, (time, next(self._event_seq), kind, payload))
 
-    def _on_arrival(self, t: float, req: Request) -> None:
+    def _admit(self, t: float, req: Request, held: list[Request]) -> None:
+        """Admit ``req`` at ``t``, hold it back on ``held`` or shed it."""
         outcome = self.admission.decide(
             req.tenant, t, req.arrival_s, self._predicted_backlog(t)
         )
@@ -250,7 +251,7 @@ class CompositionServer:
             if not req.delayed:
                 req.delayed = True
                 self.admission.note_delayed()
-            self._delayed.append(req)
+            held.append(req)
         else:
             self.admission.note_shed()
             self.trace.record_request(
@@ -279,27 +280,7 @@ class CompositionServer:
             return
         still: list[Request] = []
         for req in sorted(self._delayed, key=lambda r: r.arrival_s):
-            outcome = self.admission.decide(
-                req.tenant, t, req.arrival_s, self._predicted_backlog(t)
-            )
-            if outcome is AdmissionOutcome.ADMIT:
-                self.admission.note_admitted(req.tenant)
-                self.wfq.activate(req.tenant)
-                self.coalescer.push(req)
-            elif outcome is AdmissionOutcome.DELAY:
-                still.append(req)
-            else:
-                self.admission.note_shed()
-                self.trace.record_request(
-                    RequestRecord.make(
-                        tenant=req.tenant,
-                        req_id=req.req_id,
-                        codelet=req.codelet_name,
-                        arrival_time=req.arrival_s,
-                        shed=True,
-                        delayed=True,
-                    )
-                )
+            self._admit(t, req, still)
         self._delayed = still
 
     # -- dispatch -----------------------------------------------------------

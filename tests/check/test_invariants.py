@@ -183,7 +183,7 @@ def _synthetic(machine, tasks=(), transfers=(), evictions=(), requests=()):
     trace.evictions.extend(evictions)
     trace.requests.extend(requests)
     trace.n_submitted = len(trace.tasks)
-    seqs = [r.seq for r in trace.records_in_seq_order()]
+    seqs = [r.seq for r in (*tasks, *transfers, *evictions)]
     trace.next_seq = max(seqs, default=-1) + 1
     return trace
 

@@ -84,7 +84,6 @@ def test_unwritten_kinds_read_empty_without_being_built():
     assert trace.requests_for("t") == []
     assert len(trace.columns("tenant", "requests")) == 0
     assert len(trace.columns("time", "accesses")) == 0
-    assert trace.records_in_seq_order() == []
     state = trace.state_dict()
     assert all(state[kind] == [] for kind in LAZY_KINDS)
     assert "faults" not in trace.summary()

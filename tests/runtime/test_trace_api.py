@@ -11,12 +11,15 @@ the metrics-off hot path builds no event payloads at all.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from array import array
 
 import numpy as np
 import pytest
 
+from repro.hw.description import make_machine
+from repro.hw.devices import tesla_c2050, xeon_e5520_core
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 from repro.runtime import events as events_mod
@@ -467,6 +470,23 @@ def test_metrics_off_run_builds_zero_event_payloads(monkeypatch):
     assert constructed == []
     assert emitted == []
     assert ev._ring == []
+    rt.shutdown()
+    assert constructed == []
+    assert emitted == []
+
+    # a 10 MB GPU and three 4 MB operands, so the eviction path runs too
+    mb = 1 << 20
+    tiny = make_machine(
+        "tiny-gpu",
+        cpu=xeon_e5520_core(),
+        n_cpu_cores=4,
+        gpus=[dataclasses.replace(tesla_c2050(), memory_bytes=10 * mb)],
+    )
+    rt = Runtime(tiny, scheduler="eager", seed=0, noise_sigma=0.0)
+    for name in "abc":
+        h = rt.register(np.zeros(4 * mb // 4, dtype=np.float32), name)
+        rt.submit(gpu, [(h, "r")], sync=True)
+    assert rt.trace.n_evictions == 1
     rt.shutdown()
     assert constructed == []
     assert emitted == []
