@@ -34,7 +34,6 @@ local kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -261,16 +260,6 @@ def register(repo) -> None:
 # ---------------------------------------------------------------------------
 # the solver driver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SolveResult:
-    """Outcome of one integration."""
-
-    y: np.ndarray  # final state (host copy)
-    sample: np.ndarray  # observables extracted by ode_output
-    invocations: int  # component calls performed
-    norms: list[float]  # per-sampled-step error norms
-
 
 def solve(
     invoke: Mapping[str, Callable],

@@ -57,9 +57,6 @@ class ParamDecl:
         t = self.ctype.replace("const", " ").replace("*", " ")
         return " ".join(t.split())
 
-    def uses_type_param(self, type_params: tuple[str, ...]) -> bool:
-        return self.base_type in type_params
-
 
 @dataclass(frozen=True)
 class InterfaceDescriptor:

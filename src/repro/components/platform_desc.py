@@ -47,9 +47,6 @@ class PlatformDescriptor:
         if not self.name:
             raise DescriptorError("platform descriptor needs a name")
 
-    def property_map(self) -> dict[str, str]:
-        return dict(self.properties)
-
 
 def standard_platforms() -> list[PlatformDescriptor]:
     """The platform set used throughout the paper's evaluation."""

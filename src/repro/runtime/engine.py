@@ -1432,7 +1432,7 @@ class Engine:
         )
         ev = self.events
         if ev.want_complete:
-            ev.emit_complete(end, task, trace.newest("tasks"))
+            ev.emit_complete(end, task, trace.tasks[-1])
         if self._releasing:
             self._settle_releases(task.handles)
         for dependent in task.dependents:
@@ -1524,7 +1524,7 @@ class Engine:
         )
         ev = self.events
         if ev.want_transfer:
-            ev.emit_transfer(end, trace.newest("transfers"), self._staging_task)
+            ev.emit_transfer(end, trace.transfers[-1], self._staging_task)
         return end
 
     # -- device-memory management (LRU eviction) -----------------------------

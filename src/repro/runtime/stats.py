@@ -31,7 +31,10 @@ Each field has one column:
 - a :class:`NameColumn` for the transfer and eviction ``handle_name``:
   a name ending in a number (``data17``, a served ``t0:C17``) as a
   coded stem plus the number, any other kept whole;
-- a plain list otherwise (the other kinds' names and ids).
+- a plain list otherwise: the other kinds' names and ids, and every
+  field of the kinds only ever appended as whole records (evictions,
+  faults, accesses, requests), so each value reads back as it was given
+  (an int in a float field, the shared NaN of a shed request).
 
 A value that does not fit a narrow int column (an id or size past
 2**31 - 1, a node past 127) makes the append raise ``OverflowError``;
@@ -46,12 +49,15 @@ and small tuples; a default-named task stores no string and no pointer
 at all, so its row is about a hundred bytes.  The engine appends
 raw field rows (:meth:`ExecutionTrace.add_task`,
 :meth:`ExecutionTrace.add_transfer`) and never builds a record object
-on the no-subscriber fast path; a record built by indexing is cached,
-sparsely (row -> record).  Those two stores are built with the trace; the eviction, fault,
-request and access stores, which most runs never write, are built with
-their views on first access, and the trace's own readers (counts,
-aggregates, ``columns``, ``state_dict``, the canonical form) read an
-unwritten kind as empty without building it.  Every aggregate
+on the no-subscriber fast path.  A row is stored once, in the columns:
+every read (an index, a slice, an iteration) builds a new record from
+them, so a record a caller changes changes nothing in the trace; a row
+is changed by assigning a record to it (``trace.tasks[i] =
+rec.replace(...)``).  Those two stores are built with the trace; the
+eviction, fault, request and access stores, which most runs never
+write, are built with their views on first access, and the trace's own
+readers (counts, aggregates, ``columns``, ``state_dict``, the canonical
+form) read an unwritten kind as empty without building it.  Every aggregate
 (``makespan``, ``tasks_by_arch()``, ...) is a fold over the columns on
 each read: the trace keeps no derived state.
 
@@ -331,7 +337,6 @@ class EvictionRecord(_Record):
     )
     _fields = __slots__
     _defaults = {"seq": -1}
-    _float_fields = frozenset({"time"})
     _name_fields = frozenset({"handle_name"})
 
 
@@ -367,7 +372,6 @@ class AccessRecord(_Record):
     )
     _fields = __slots__
     _defaults = {"related": (), "seq": -1}
-    _float_fields = frozenset({"time"})
 
 
 #: fault-record kinds (see :mod:`repro.hw.faults` for injection and the
@@ -417,7 +421,6 @@ class FaultRecord(_Record):
         "detail": "",
         "seq": -1,
     }
-    _float_fields = frozenset({"time"})
 
 
 #: shared by every default-constructed RequestRecord, so two traces
@@ -470,9 +473,6 @@ class RequestRecord(_Record):
         "batch_size": 1,
         "task_id": None,
     }
-    _float_fields = frozenset(
-        {"arrival_time", "dispatch_time", "start_time", "end_time", "transfer_s"}
-    )
 
     @property
     def completed(self) -> bool:
@@ -948,22 +948,16 @@ class _ColumnStore:
     """Struct-of-arrays backing for one record kind.
 
     One column per record field (typed per the record class's field
-    sets, see the module docstring) plus a sparse cache of record
-    objects (row -> record; an unread row costs nothing).  The engine's
-    hot path appends raw rows (:attr:`append_stamped`) and never pays
-    for a record object; a row materializes when somebody indexes it.
-    Forged records appended wholesale (:meth:`append_record`) are cached
-    as given and keep their identity, which matters for the shared-nan
-    equality of default RequestRecord fields and for values a typed
-    column would not give back as they came (an int in a float field).
+    sets, see the module docstring) and nothing else.  The engine's hot
+    path appends raw rows (:attr:`append_stamped`) and never pays for a
+    record object; every read builds a new record from the columns.
     The committed row count is the length of the last column, which
     every append fills last: a row a typed column refused part-way is
     rolled back, so the columns never disagree; one a narrow int column
     refused is written again once the store has moved to ``'q'``
-    (:meth:`refused`).  A store built with
-    ``rows=True`` caches nothing: a read returns a new write-through
-    row (:func:`_row_class`), for records whose owner still changes them
-    after they are appended.
+    (:meth:`refused`).  A store built with ``rows=True`` reads a new
+    write-through row (:func:`_row_class`) instead, for records whose
+    owner still changes them after they are appended.
     """
 
     __slots__ = (
@@ -971,7 +965,6 @@ class _ColumnStore:
         "_fields",
         "_cols",
         "append_stamped",
-        "_cache",
         "_rows",
     )
 
@@ -987,7 +980,6 @@ class _ColumnStore:
         cols = self._cols = [make() if make else None for make in factories]
         for i, prefix, ident in derived:
             cols[i] = DerivedNames(cols, prefix, ident)
-        self._cache: dict = {}
         # only the engine's hot-path stores (tasks, transfers) get one
         self.append_stamped = self._stamped() if stamped else None
 
@@ -1044,8 +1036,6 @@ class _ColumnStore:
             if not self.refused(exc):
                 raise
             return self.append_record(rec)
-        if self._rows is None:
-            self._cache[len(self) - 1] = rec
 
     def _row(self, i: int) -> int:
         """``i`` as a row number; negative counts from the end."""
@@ -1062,26 +1052,17 @@ class _ColumnStore:
         return _maker(self.cls)(*[col[i] for col in self._cols])
 
     def get(self, i: int):
-        """Row ``i``'s record, built once and cached (or a new row)."""
-        i = self._row(i)
+        """Row ``i``'s record, built anew (or a new write-through row)."""
         if self._rows is not None:
-            return self._rows(self._cols, i)
-        rec = self._cache.get(i)
-        if rec is None:
-            rec = self._cache[i] = self.build(i)
-        return rec
+            return self._rows(self._cols, self._row(i))
+        return self.build(i)
 
     def __iter__(self):
-        """Every row's record: the cached one, or a new one left uncached
-        (built from one pass down the columns, not a lookup per field)."""
+        """Every row's record, built from one pass down the columns (not
+        a lookup per field)."""
         if self._rows is not None:
             return map(self._rows, repeat(self._cols), range(len(self)))
-        make, cached = _maker(self.cls), self._cache.get
-        return map(
-            lambda i, *row: cached(i) or make(*row),
-            range(len(self)),
-            *self._cols,
-        )
+        return map(_maker(self.cls), *self._cols)
 
     def _write(self, i: int, rec) -> None:
         for name, col in zip(self._fields, self._cols):
@@ -1090,7 +1071,7 @@ class _ColumnStore:
     def set(self, i: int, rec) -> None:
         self._check(rec)
         i = self._row(i)
-        old = self.build(i) if self._rows else self.get(i)
+        old = self.build(i)
         try:
             self._write(i, rec)
         except BaseException as exc:
@@ -1098,11 +1079,8 @@ class _ColumnStore:
             if not self.refused(exc):
                 raise
             return self.set(i, rec)
-        if self._rows is None:
-            self._cache[i] = rec
 
     def clear(self) -> None:
-        self._cache.clear()
         for col in self._cols:
             del col[0:]
 
@@ -1113,8 +1091,8 @@ class RecordsView(Sequence):
     ``trace.tasks`` behaves like the list it used to be (``len``,
     indexing, slicing, iteration, ``append``/``extend``, item
     assignment), while ``trace.tasks()`` — the blessed iteration
-    spelling — returns the view itself.  Records materialize lazily out
-    of the columnar store on first access.
+    spelling — returns the view itself.  Every read builds new records
+    from the columnar store.
     """
 
     __slots__ = ("_store",)
@@ -1250,27 +1228,21 @@ def _renumbered(col, number: dict, many: bool):
     ]
 
 
-def _renamed(name, new, space: str):
-    """``name`` for the new id ``new``: a :class:`GeneratedName` is made
-    again from it (``<prefix>#<new>`` for a task, ``data<new>`` for a
-    handle); any other name, or one with no id, stays."""
-    if type(name) is not GeneratedName or new is None:
-        return name
-    return GeneratedName(
-        f"{name.rpartition('#')[0]}#{new}" if space == "task" else f"data{new}"
-    )
-
-
 def _rename(names, ids, space: str) -> None:
-    """Make again, in place, every generated name ``names`` keeps, from
-    its row's new id in ``ids``.  A derived name is not kept: it follows
-    the renumbered id column by itself."""
+    """Make again, in place, every :class:`GeneratedName` ``names`` keeps
+    from its row's new id in ``ids`` (``<prefix>#<new>`` for a task,
+    ``data<new>`` for a handle); any other name, or one with no id,
+    stays.  A derived name is not kept: it follows the renumbered id
+    column by itself."""
     kept = names._kept if isinstance(names, NameColumn) else names.__getitem__
     for i, new in enumerate(ids):
         name = kept(i)
-        renamed = _renamed(name, new, space)
-        if renamed is not name:
-            names[i] = renamed
+        if type(name) is GeneratedName and new is not None:
+            names[i] = GeneratedName(
+                f"{name.rpartition('#')[0]}#{new}"
+                if space == "task"
+                else f"data{new}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1400,12 +1372,13 @@ class ExecutionTrace:
         """The raw column for one record field — a read-only view.
 
         The cheapest way to fold an aggregate over a large trace:
-        ``array('d')`` for float fields, a narrow int array for int
-        fields (``'b'`` for nodes, ``'i'`` for the rest, ``'q'`` once a
-        value outgrew them; see the module docstring), both viewable in
-        place with ``np.frombuffer(col, col.typecode)``, a
-        :class:`RaggedColumn` yielding tuples for the task id-tuple
-        fields, a plain list otherwise.  The task fields stored coded
+        for tasks and transfers, ``array('d')`` for float fields, a
+        narrow int array for int fields (``'b'`` for nodes, ``'i'`` for
+        the rest, ``'q'`` once a value outgrew them; see the module
+        docstring), both viewable in place with ``np.frombuffer(col,
+        col.typecode)``, a :class:`RaggedColumn` yielding tuples for the
+        task id-tuple fields; a plain list otherwise, and for every
+        field of the other kinds.  The task fields stored coded
         (``codelet``, ``variant``, ``arch``, ``worker_ids``) or as names
         (``name``, ``handle_name``) come back as a new list of the same
         values.  Do not mutate the returned column, and drop it and its
@@ -1448,9 +1421,9 @@ class ExecutionTrace:
 
         ``values`` holds every :class:`TaskRecord` field except the
         trailing ``seq`` in declaration order.  No record object is
-        built; one materializes lazily if somebody indexes the row.  A
-        row a typed column refuses raises and leaves no trace behind,
-        unless it only outgrew a narrow int column (see
+        built; a read builds one from the columns.  A row a typed
+        column refuses raises and leaves no trace behind, unless it
+        only outgrew a narrow int column (see
         :meth:`_ColumnStore.refused`).
         """
         seq = self.next_seq
@@ -1498,10 +1471,6 @@ class ExecutionTrace:
     def record_request(self, rec: RequestRecord) -> RequestRecord:
         self._requests.append_record(rec)
         return rec
-
-    def newest(self, kind: str):
-        """The last ``kind`` record, built but not cached (event payloads)."""
-        return self._view(kind)._store.build(-1)
 
     # -- serving views -------------------------------------------------------
 
@@ -1738,13 +1707,6 @@ class ExecutionTrace:
                     _rename(cols[index(name)], cols[k], space)
             if dst.append_stamped is not None:
                 dst.append_stamped = dst._stamped()  # bound to the new columns
-            for i, rec in src._cache.items():
-                new = {f: cols[index(f)][i] for f, *_ in fields}
-                for field, space, _, name in fields:
-                    if name:
-                        old = getattr(rec, name)
-                        new[name] = _renamed(old, new[field], space)
-                dst._cache[i] = rec.replace(**new)
         return out
 
     def clear(self) -> None:

@@ -384,13 +384,6 @@ class Session:
         """Recorded decisions (``record=True`` sessions), else ``None``."""
         return self.runtime.decision_log
 
-    def check_now(self) -> None:
-        """Validate the trace-so-far against the run invariants,
-        raising the first :class:`~repro.errors.InvariantViolation`."""
-        from repro.check.invariants import assert_trace_legal
-
-        assert_trace_legal(self.trace, self.machine)
-
     # -- tuning shortcuts ----------------------------------------------------
 
     def calibrated_codelets(self) -> set[str]:

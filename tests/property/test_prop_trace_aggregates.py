@@ -2,11 +2,12 @@
 
 Hypothesis draws interleavings of task rows (gang tasks, several
 architectures and variants), transfers, faults, requests, aggregate
-reads, row overwrites and clears.  At every read, each
-:class:`ExecutionTrace` aggregate must equal a left-to-right loop over
-the records the trace holds right then: floats under ``==`` (so the sums
-must add in row order), dicts with the same keys in the same
-first-appearance order.
+reads, row overwrites, changes to a record a read returned, and clears.
+At every read, each record must be the row its columns hold (a changed
+record changes nothing in the trace), and each :class:`ExecutionTrace`
+aggregate must equal a left-to-right loop over those records: floats
+under ``==`` (so the sums must add in row order), dicts with the same
+keys in the same first-appearance order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,14 @@ _requests = st.builds(
     st.booleans(),
     st.booleans(),
 )
+#: (kind, field, new value): a change to a record a read returned
+_mutations = st.one_of(
+    st.tuples(st.just("tasks"), st.just("end_time"), _times),
+    st.tuples(st.just("tasks"), st.just("arch"), st.just("fpga")),
+    st.tuples(st.just("transfers"), st.just("nbytes"), st.integers(0, 1 << 40)),
+    st.tuples(st.just("faults"), st.just("kind"), st.just("kernel")),
+    st.tuples(st.just("requests"), st.just("shed"), st.booleans()),
+)
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("task"), _tasks),
@@ -72,6 +81,7 @@ _ops = st.lists(
         st.tuples(st.just("read")),
         st.tuples(st.just("set_task"), st.integers(0, 50), _tasks),
         st.tuples(st.just("set_transfer"), st.integers(0, 50), _transfers),
+        st.tuples(st.just("mutate"), st.integers(0, 50), _mutations),
         st.tuples(st.sampled_from(["clear_tasks", "clear_transfers", "clear"])),
     ),
     max_size=40,
@@ -122,6 +132,12 @@ def _same(got: dict, want: dict) -> bool:
 
 
 def _check(trace: ExecutionTrace) -> None:
+    for kind, cls in ExecutionTrace.RECORD_CLASSES.items():
+        cols = [trace.columns(field, kind) for field in cls._fields]
+        want = [cls.make(*row) for row in zip(*cols)]
+        view = getattr(trace, kind)
+        assert list(view) == want
+        assert [view[i] for i in range(len(view))] == want
     ref = _reference(trace)
     assert trace.makespan == ref["makespan"]
     assert trace.total_energy_j == ref["energy"]
@@ -157,8 +173,7 @@ def _check(trace: ExecutionTrace) -> None:
     for tenant in ("a", "b", "c"):
         want = [r for r in trace.requests if r.tenant == tenant]
         got = trace.requests_for(tenant)
-        assert len(got) == len(want)
-        assert all(g is w for g, w in zip(got, want))
+        assert got == want
 
 
 @given(ops=_ops)
@@ -180,6 +195,11 @@ def test_every_aggregate_is_the_fold_of_the_records(ops):
             view = trace.tasks if op == "set_task" else trace.transfers
             if len(view):
                 view[args[0] % len(view)] = args[1]
+        elif op == "mutate":
+            kind, field, value = args[1]
+            view = getattr(trace, kind)
+            if len(view):
+                setattr(view[args[0] % len(view)], field, value)
         elif op == "clear_tasks":
             trace.tasks.clear()
         elif op == "clear_transfers":

@@ -1,14 +1,16 @@
 """What a completed task leaves behind: coded columns, derived names,
-a sparse record cache, and no pinned Task objects.
+one copy of each row, and no pinned Task objects.
 
 The task ``codelet``/``variant``/``arch``/``worker_ids`` columns are
 dictionary-coded, a default task name is derived from the codelet and
-task id instead of stored, records materialize into a sparse cache only
-when indexed, and completion swaps a task out of every handle's
-ordering state.  Readers must not be able to tell any of it.
+task id instead of stored, a row is kept only in the columns (every
+read builds a new record from them), and completion swaps a task out of
+every handle's ordering state.  Readers must not be able to tell any of
+it.
 """
 
 import gc
+import math
 import weakref
 from array import array
 
@@ -19,9 +21,11 @@ from repro.runtime import Arch, Codelet, ImplVariant, Runtime, Task
 from repro.runtime.stats import (
     CodedColumn,
     DerivedNames,
+    EvictionRecord,
     ExecutionTrace,
     GeneratedName,
     NameColumn,
+    RequestRecord,
     TaskRecord,
 )
 
@@ -246,31 +250,69 @@ def test_canonical_form_renumbers_only_generated_names():
     canon = trace.canonicalized()
     assert canon.columns("name") == ["c#0", "c#41"]
     assert canon.canonicalized().state_dict() == canon.state_dict()
+    # a whole record with an empty name reads its derived name everywhere,
+    # and canonicalizes as the same row appended raw
+    whole = ExecutionTrace()
+    whole.tasks.append(TaskRecord.make(*_row(40), seq=0))
+    assert whole.tasks[0].name == "c#40" and whole.columns("name") == ["c#40"]
+    assert whole.state_dict()["tasks"][0]["name"] == "c#40"
+    raw = ExecutionTrace()
+    raw.add_task(_row(40))
+    canonical = [t.canonicalized().state_dict()["tasks"] for t in (whole, raw)]
+    assert canonical[0] == canonical[1]
 
 
-# -- sparse record cache ---------------------------------------------------------
+# -- one copy of each row --------------------------------------------------------
 
 
-def test_record_cache_is_sparse_and_normalizes_negative_indices():
+def test_reads_build_new_records_and_normalize_negative_indices():
     trace = ExecutionTrace()
     for i in range(10):
         trace.add_task(_row(i))
-    store = trace._tasks
-    assert store._cache == {}
-    last = store.get(-1)
-    assert store.get(9) is last and trace.tasks[-1] is last
-    assert list(store._cache) == [9]
+    last = trace.tasks[-1]
+    assert trace.tasks[9] == last and trace.tasks[9] is not last
+    assert trace.tasks[-10].task_id == 0
+    for i in (10, -11):
+        with pytest.raises(IndexError):
+            trace.tasks[i]
     assert [r.task_id for r in trace.tasks] == list(range(10))
-    assert list(store._cache) == [9]  # iteration caches nothing new
-    assert trace.newest("tasks") == last and trace.newest("tasks") is not last
+    assert trace.tasks[-3:] == list(trace.tasks)[7:]
+    # a changed record changes nothing in the trace; an assignment does
+    last.end_time = 99.0
+    assert trace.tasks[-1].end_time == 2.0 and trace.makespan == 2.0
+    trace.tasks[-1] = last
+    assert trace.tasks[-1] == last and trace.makespan == 99.0
 
 
-def test_wholesale_records_keep_their_identity():
+def test_appended_records_read_back_equal():
     trace = ExecutionTrace()
     rec = TaskRecord.make(3, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
     trace.tasks.append(rec)
-    assert trace.tasks[0] is rec and trace.tasks[-1] is rec
-    assert next(iter(trace.tasks)) is rec
+    assert trace.tasks[0] == rec and trace.tasks[-1] == rec
+    assert next(iter(trace.tasks)) == rec
+    # whole-record kinds keep each value as given: an int in a float
+    # field stays an int, a shed request's never-set times the shared NaN
+    evicted = trace.record_eviction(
+        EvictionRecord.make(
+            handle_id=1, handle_name="h", node=1, nbytes=8, time=2, flushed=False
+        )
+    )
+    assert trace.evictions[0] == evicted
+    assert trace.columns("time", "evictions") == [2]
+    served = RequestRecord.make(
+        tenant="t", req_id=0, codelet="c", arrival_time=0.5, dispatch_time=1.0,
+        start_time=1.0, end_time=2.0, transfer_s=0,
+    )
+    shed = RequestRecord.make(
+        tenant="t", req_id=1, codelet="c", arrival_time=0.5, shed=True
+    )
+    trace.record_request(served)
+    trace.record_request(shed)
+    assert list(trace.requests) == [served, shed]
+    assert type(trace.requests[0].transfer_s) is int
+    assert math.isnan(trace.requests[1].end_time)
+    assert trace.requests[1] == trace.requests[1] == shed
+    assert trace.canonicalized().requests == trace.requests
 
 
 # -- no pinned tasks ---------------------------------------------------------------
