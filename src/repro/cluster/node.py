@@ -152,6 +152,8 @@ class ClusterNode:
         whose device-level fault recovery is exhausted yields its
         :class:`UnrecoverableTaskError` instead of a task (the node
         answers the RPC with a failure; the router may fail it over).
+        A bulk policy defers every task, so the batch is then flushed as
+        one planning window, as the single-machine server does.
         Each request's private output is released as it completes."""
         clock = self.engine.clock
         clock.advance_to(t)
@@ -162,6 +164,19 @@ class ClusterNode:
                 out.append((req, req.submit(self.runtime, release=True)))
             except UnrecoverableTaskError as err:
                 out.append((req, err))
+        try:
+            self.engine.flush_window()
+        except UnrecoverableTaskError as err:
+            # the flush commits every plannable task before re-raising
+            # the first recovery failure: a task it left unplaced
+            # answers with that failure
+            out = [
+                (req, res)
+                if isinstance(res, UnrecoverableTaskError)
+                or res.chosen_variant is not None
+                else (req, err)
+                for req, res in out
+            ]
         return out
 
     def backlog_seconds(self, t: float) -> float:

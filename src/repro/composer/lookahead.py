@@ -21,11 +21,13 @@ consistency), scoring each prefix with
   dmda uses, so warm tuning-store models, ``measured``-provenance
   calibration and analytical history all flow in), and
 - modeled PCIe transfer costs seeded from the *current* MSI coherence
-  state of every operand, each copy walked hop by hop along
-  :func:`~repro.hw.description.copy_route` and serialized on the DMA
+  state of every operand, each copy priced by
+  :meth:`~repro.runtime.schedulers.base.EngineView.copy_arrival`, the
+  walk behind dmda's data-ready estimate too: hop by hop along
+  :func:`~repro.hw.description.copy_route`, serialized on the DMA
   channel the engine itself commits it to (a half-duplex link is one
-  channel shared by both directions), priced by the engine's memoized
-  ``transfer_time``.
+  channel shared by both directions), the plan's own queued copies
+  kept in the timeline's link dict.
 
 **Container-aware fusion** (``fusion=True``, the default) threads the
 projected residency of intermediates through the plan: when a
@@ -370,31 +372,6 @@ class LookaheadScheduler(BulkScheduler):
                     }
         return _SimState(avail, res)
 
-    def _transfer(
-        self,
-        state: _SimState,
-        src: int,
-        dst: int,
-        nbytes: int,
-        earliest: float,
-        view: EngineView,
-    ) -> float:
-        """Model one copy src→dst hop by hop along the engine's route,
-        each hop serialized on its DMA channel; returns the arrival
-        time."""
-        end = earliest
-        for hop_src, hop_dst, channel in view.route(src, dst):
-            busy_until = state.link.get(channel)
-            if busy_until is None:
-                # seed from the live DMA queue: transfers committed by
-                # earlier windows may still occupy the link
-                busy_until = view.link_available(channel)
-            end = max(end, busy_until) + view.transfer_time(
-                hop_src, hop_dst, nbytes
-            )
-            state.link[channel] = end
-        return end
-
     def _apply(
         self,
         state: _SimState,
@@ -450,13 +427,8 @@ class LookaheadScheduler(BulkScheduler):
                 for n, r in rmap.items():
                     if src_ready is None or r < src_ready:
                         src, src_ready = n, r
-                t = self._transfer(
-                    state,
-                    src,
-                    node,
-                    h.nbytes,
-                    max(ready, src_ready or 0.0),
-                    view,
+                t = view.copy_arrival(
+                    src, node, h.nbytes, max(ready, src_ready or 0.0), state.link
                 )
                 rmap[node] = t  # staged copy becomes SHARED there
                 if t > data_ready:

@@ -173,10 +173,6 @@ class MemoryHierarchy:
         )
         return 1.0 / cost_per_byte
 
-    def dram_fraction(self) -> float:
-        """Fraction of traffic that reaches DRAM (misses both caches)."""
-        return (1.0 - self.l1_hit_rate) * (1.0 - self.l2_hit_rate)
-
     def knobs(self) -> dict:
         return {
             "l1_hit_rate": self.l1_hit_rate,

@@ -142,9 +142,6 @@ class Codelet:
             )
         self.variants.append(variant)
 
-    def variants_for_arch(self, arch: Arch) -> list[ImplVariant]:
-        return [v for v in self.variants if v.arch is arch]
-
     def candidates(self, ctx: Mapping[str, object]) -> list[ImplVariant]:
         """Variants whose selectability guard passes for this context."""
         return [v for v in self.variants if v.selectable(ctx)]

@@ -335,51 +335,59 @@ class Engine:
     def estimate_data_ready(self, task: Task, node: int) -> float:
         """Earliest time the task's operands could be valid at ``node``.
 
-        Pending copies queue behind the host -> ``node`` DMA channel of
-        :func:`copy_route` and *serialize* (StarPU's dmda models per-link
+        Each pending copy is priced by :meth:`copy_arrival`, the walk
+        the planner uses too: every hop of its :func:`copy_route` queues
+        on that hop's DMA channel, behind committed copies and the
+        task's other pending copies (StarPU's dmda models per-link
         queues the same way); ignoring that would make multi-operand
-        accelerator tasks look systematically cheaper than they are.
+        tasks look systematically cheaper than they are.
         """
         ready = task.ready_time
         invalid = CopyState.INVALID
-        pending: list[DataHandle] | None = None
+        link: dict[tuple[int, str], float] = {}
         for op in task.operands:
             if not op.mode.reads:
                 continue
             h = op.handle
             if h._states[node] is not invalid:
                 r = h._ready_at[node]
-                if r > ready:
-                    ready = r
-            elif pending is None:
-                pending = [h]
             else:
-                pending.append(h)
-        if pending:
-            t_link = task.ready_time
-            if node != HOST_NODE:
-                (_, _, channel), = self.route(HOST_NODE, node)
-                t_link = max(t_link, self._link_free.get(channel, 0.0))
-            for h in pending:
                 src = h.pick_source()
-                t_src = h._ready_at[src]
-                if t_src > t_link:
-                    t_link = t_src
-                t_link += self.transfer_time(src, node, h.nbytes)
-            if t_link > ready:
-                ready = t_link
+                r = self.copy_arrival(
+                    src, node, h.nbytes,
+                    max(task.ready_time, h._ready_at[src]), link,
+                )
+            if r > ready:
+                ready = r
         return ready
 
-    def estimate_transfer_cost(self, task: Task, node: int) -> float:
-        cost = 0.0
-        invalid = CopyState.INVALID
-        for op in task.operands:
-            if not op.mode.reads:
-                continue
-            h = op.handle
-            if h._states[node] is invalid:
-                cost += self.transfer_time(h.pick_source(), node, h.nbytes)
-        return cost
+    def copy_arrival(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        earliest: float,
+        link: dict[tuple[int, str], float],
+    ) -> float:
+        """EngineView: when a copy ``src`` -> ``dst`` started no earlier
+        than ``earliest`` would arrive.
+
+        Walks :meth:`route` hop by hop, as :meth:`_commit_copy` commits
+        it: each hop starts once the previous one ends and its DMA
+        channel is free, by ``link`` if it holds the channel, else by
+        the live queue.  Each hop's end is written back into ``link``,
+        so copies priced against one dict serialize on shared channels.
+        """
+        end = earliest
+        for hop_src, hop_dst, channel in self.route(src, dst):
+            busy = link.get(channel)
+            if busy is None:
+                busy = self._link_free.get(channel, 0.0)
+            if busy > end:
+                end = busy
+            end += self.transfer_time(hop_src, hop_dst, nbytes)
+            link[channel] = end
+        return end
 
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """EngineView: memoized :meth:`Machine.transfer_time` (called per
@@ -1475,7 +1483,9 @@ class Engine:
         while True:
             # every attempt holds the channel for the whole copy
             start = max(
-                earliest, handle.ready_at(src), self.link_available(channel)
+                earliest,
+                handle.ready_at(src),
+                self._link_free.get(channel, 0.0),
             )
             end = start + dur
             self._occupy_link(channel, end)
@@ -1604,15 +1614,6 @@ class Engine:
             if self.events.want_evict:
                 self.events.emit_evict(t, rec)
         return t
-
-    def link_available(self, channel: tuple[int, str]) -> float:
-        """EngineView: when a :func:`copy_route` DMA channel frees up.
-
-        Bulk planners seed their simulated link occupancy from this so a
-        window planned while earlier transfers are still queued does not
-        model the PCIe link as idle.
-        """
-        return self._link_free.get(channel, 0.0)
 
     def _occupy_link(self, channel: tuple[int, str], until: float) -> None:
         self._link_free[channel] = max(

@@ -53,10 +53,6 @@ class RunningStats:
     def variance(self) -> float:
         return self.m2 / (self.n - 1) if self.n > 1 else 0.0
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
 
 #: footprint -> repr memo shared by every HistoryModel: repr() of the
 #: same footprint tuple is recomputed for every record/predict call on

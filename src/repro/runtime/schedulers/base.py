@@ -56,11 +56,24 @@ class EngineView(Protocol):
 
     def estimate_data_ready(self, task: "Task", node: int) -> float:
         """Earliest time all of ``task``'s operands could be valid at
-        ``node``, including estimated (not yet committed) transfers."""
+        ``node``, each pending copy priced by :meth:`copy_arrival`."""
         ...
 
-    def estimate_transfer_cost(self, task: "Task", node: int) -> float:
-        """Total seconds of copies needed to stage ``task`` at ``node``."""
+    def copy_arrival(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        earliest: float,
+        link: dict[tuple[int, str], float],
+    ) -> float:
+        """Arrival time of a copy ``src`` -> ``dst`` that starts no
+        earlier than ``earliest``: the one copy-pricing walk, behind
+        dmda's estimate and the bulk planner alike.  Each hop of
+        :meth:`route` queues on its DMA channel, whose busy-until time
+        is read from ``link`` if there, else from the engine's live
+        queue; each hop's end is written back into ``link``.  A
+        half-duplex link is one channel shared by both directions."""
         ...
 
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
@@ -72,14 +85,6 @@ class EngineView(Protocol):
         """The copy's hops ``(hop_src, hop_dst, channel)``: the memoized
         :func:`~repro.hw.description.copy_route`, the one definition of
         staging and DMA channels."""
-        ...
-
-    def link_available(self, channel: tuple[int, str]) -> float:
-        """Virtual time a :func:`~repro.hw.description.copy_route` DMA
-        channel frees up.  A half-duplex link is one channel shared by
-        both directions, in the engine, the planner and the checker
-        alike; bulk planners seed their simulated link occupancy from
-        this."""
         ...
 
     def predict_exec(

@@ -43,7 +43,6 @@ class DmdaScheduler(Scheduler):
         self,
         data_aware: bool = True,
         calibration_samples: int = 2,
-        beta: float = 1.0,
         objective: str = "min_exec_time",
     ) -> None:
         """
@@ -55,8 +54,6 @@ class DmdaScheduler(Scheduler):
         calibration_samples:
             Observations required per (size-bucket, variant) before the
             policy trusts the model instead of exploring.
-        beta:
-            Weight of the transfer-cost term (StarPU's ``STARPU_SCHED_BETA``).
         objective:
             ``min_exec_time`` ranks candidates by expected completion
             time; ``min_energy`` by predicted execution energy
@@ -71,7 +68,6 @@ class DmdaScheduler(Scheduler):
             )
         self.data_aware = data_aware
         self.calibration_samples = calibration_samples
-        self.beta = beta
         self.objective = objective
 
     def choose(self, task: "Task", view: EngineView) -> Decision:
@@ -126,31 +122,25 @@ class DmdaScheduler(Scheduler):
         }
         best: Decision | None = None
         best_key: tuple[float, int] | None = None
-        # data readiness/transfer cost depend only on the target memory
-        # node; candidates sharing a node share one estimate
-        node_est: dict[int, tuple[float, float]] = {}
+        # data readiness depends only on the target memory node;
+        # candidates sharing a node share one estimate
+        node_ready: dict[int, float] = {}
         for decision in candidates:
             node = decision.anchor.memory_node
             avail = max(
                 view.worker_available_at(u.unit_id) for u in decision.workers
             )
             if self.data_aware:
-                est = node_est.get(node)
-                if est is None:
-                    est = node_est[node] = (
-                        view.estimate_data_ready(task, node),
-                        view.estimate_transfer_cost(task, node),
+                data_ready = node_ready.get(node)
+                if data_ready is None:
+                    data_ready = node_ready[node] = view.estimate_data_ready(
+                        task, node
                     )
-                data_ready = est[0]
-                penalty = (self.beta - 1.0) * est[1]
             else:
                 data_ready = task.ready_time
-                penalty = 0.0
             exec_est = exec_ests[id(decision.variant)]
             assert exec_est is not None  # calibrated: model must answer
-            completion = (
-                max(task.ready_time, avail, data_ready) + exec_est + penalty
-            )
+            completion = max(task.ready_time, avail, data_ready) + exec_est
             if self.objective == "min_exec_time":
                 score = completion
             else:

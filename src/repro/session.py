@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import PeppherError, RuntimeSystemError
+from repro.errors import PeppherError
 from repro.hw.faults import FaultModel
 from repro.hw.description import Machine
 from repro.hw.presets import by_name
@@ -383,18 +383,3 @@ class Session:
     def decision_log(self):
         """Recorded decisions (``record=True`` sessions), else ``None``."""
         return self.runtime.decision_log
-
-    # -- tuning shortcuts ----------------------------------------------------
-
-    def calibrated_codelets(self) -> set[str]:
-        """Codelets with calibrated models for this machine (store-backed
-        plus whatever this session has already learned)."""
-        out = set(self.perfmodel.codelets())
-        if self.store is not None:
-            try:
-                warm = self.store.load(self.machine)
-            except RuntimeSystemError:
-                warm = None
-            if warm is not None:
-                out |= warm.codelets()
-        return out

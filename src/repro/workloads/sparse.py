@@ -54,14 +54,6 @@ class CSRMatrix:
             self.values.nbytes + self.colidxs.nbytes + self.rowptr.nbytes
         )
 
-    def to_dense(self) -> np.ndarray:
-        """Dense copy (testing aid; only for small matrices)."""
-        dense = np.zeros((self.nrows, self.ncols), dtype=np.float32)
-        for i in range(self.nrows):
-            lo, hi = self.rowptr[i], self.rowptr[i + 1]
-            np.add.at(dense[i], self.colidxs[lo:hi], self.values[lo:hi])
-        return dense
-
 
 @dataclass(frozen=True)
 class MatrixSpec:

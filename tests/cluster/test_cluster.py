@@ -12,6 +12,7 @@ from repro.cluster import (
     NodeFaultModel,
     chaos_schedule,
 )
+from repro.cluster.node import ClusterNode
 from repro.errors import PeppherError
 from repro.experiments.cluster import (
     build_cluster,
@@ -19,7 +20,9 @@ from repro.experiments.cluster import (
     targeted_chaos,
 )
 from repro.hw.faults import FaultModel
+from repro.hw.presets import platform_c2050
 from repro.runtime.engine import RecoveryPolicy
+from repro.serve.client import TenantSpec
 
 
 def tenants(n_requests=150, rate_hz=3000.0):
@@ -109,6 +112,54 @@ def test_tenants_route_to_their_ring_primary_when_healthy():
     for name in ("alpha", "beta", "gamma"):
         served = {r.served_by for r in tr.requests if r.tenant == name}
         assert served == {primary_of(name, 4)}
+    c.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# bulk (planning) policies
+# ---------------------------------------------------------------------------
+
+def test_node_submit_batch_places_every_task_under_a_bulk_policy():
+    """A bulk policy defers each task at submit; the node flushes the
+    batch as one planning window, so every task it returns is placed
+    (an unplaced one has no end time for the router to wait on)."""
+    node = ClusterNode(0, platform_c2050(), scheduler="lookahead")
+    spec = TenantSpec("t", workload="sgemm", size=48, rate_hz=None,
+                      n_requests=3)
+    batch = [node.make_request(spec, i, 0.0) for i in range(3)]
+    out = node.submit_batch(batch, 0.0)
+    placed = [
+        task.chosen_variant is not None and task.end_time >= task.start_time
+        for _, task in out
+    ]
+    node.close()  # shutting down would flush the window itself
+    assert [req for req, _ in out] == batch
+    assert placed == [True] * 3
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["healthy", "faults"])
+def test_lookahead_cluster_settles_every_request(faulty):
+    """Under a bulk policy every request settles and the run is legal.
+    With device retries exhausted, a node's window flush re-raises the
+    first recovery failure: the requests whose tasks it left unplaced
+    fail, the rest complete."""
+    specs = [
+        ClusterTenant("a", workload="sgemm", size=64, rate_hz=4000.0,
+                      n_requests=60, seed=1),
+        ClusterTenant("b", workload="bfs", size=200, rate_hz=4000.0,
+                      n_requests=40, seed=2),
+    ]
+    faults = (
+        dict(device_faults=FaultModel(kernel_fault_rate=0.3, seed=5),
+             recovery=RecoveryPolicy(max_retries=0))
+        if faulty else {}
+    )
+    c = make_cluster(n_nodes=3, specs=specs, scheduler="lookahead", **faults)
+    tr = c.run()
+    outcomes = [r.outcome for r in tr.requests]
+    assert len(outcomes) == 100
+    assert set(outcomes) == ({"completed", "failed"} if faulty else {"completed"})
+    assert check_cluster(c) == []
     c.shutdown()
 
 

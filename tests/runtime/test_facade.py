@@ -19,9 +19,9 @@ def test_scheduler_instance_is_an_unknown_policy():
 
 def test_scheduler_options_forwarded_by_name():
     rt = Runtime(
-        platform_c2050(), scheduler="dmda", scheduler_options={"beta": 3.0}
+        platform_c2050(), scheduler="dmda", scheduler_options={"calibration_samples": 3}
     )
-    assert rt.scheduler.beta == 3.0
+    assert rt.scheduler.calibration_samples == 3
     rt.shutdown()
 
 

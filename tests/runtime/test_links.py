@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.composer.lookahead import LookaheadScheduler, _SimState
 from repro.hw.description import HOST_NODE, copy_route
 from repro.hw.presets import (
     platform_c1060,
@@ -11,6 +10,8 @@ from repro.hw.presets import (
     platform_dual_c2050,
 )
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
+from repro.runtime.access import AccessMode
+from repro.runtime.task import Operand, Task
 
 
 def _noop_codelet(name="k", arch=Arch.CUDA, cost=1e-6):
@@ -86,6 +87,23 @@ def test_transfers_overlap_with_gpu_compute():
 _PLATFORMS = (platform_c2050, platform_c1060, platform_dual_c2050)
 
 
+def _busy_channels(engine):
+    """Occupy every DMA channel the machine's routes name, each until a
+    different time of the order of one 40 MB leg, both directions."""
+    n = engine.machine.n_memory_nodes
+    channels = sorted(
+        {
+            channel
+            for a in range(n)
+            for b in range(n)
+            for _, _, channel in engine.route(a, b)
+        }
+    )
+    leg = engine.machine.transfer_time(HOST_NODE, 1, NBYTES)
+    for k, channel in enumerate(channels):
+        engine._occupy_link(channel, leg * (1.0 + 0.5 * k))
+
+
 @pytest.mark.parametrize(
     "platform, src, dst",
     [
@@ -96,13 +114,17 @@ _PLATFORMS = (platform_c2050, platform_c1060, platform_dual_c2050)
     ],
 )
 def test_route_price_and_planner_agree_with_the_engine(platform, src, dst):
-    """copy_route is the one transfer model: its hop count, the machine's
-    price and the planner's idle-link arrival all match the copy the
-    engine commits for the same pair."""
+    """copy_route is the one transfer model and copy_arrival the one
+    price of a copy: on idle links the hop count, the machine's price
+    and the walk (the planner's price) all match the copy the engine
+    commits for the same pair; with every channel busy in both
+    directions, dmda's data-ready estimate for a one-operand reader and
+    the walk both equal the end the engine then commits."""
     rt = Runtime(
         platform(), scheduler="eager", seed=0, noise_sigma=0.0,
         run_kernels=False, check=False,
     )
+    engine = rt.engine
     machine = rt.machine
     route = copy_route(src, dst, machine.duplex)
     expected_hops = 0 if src == dst else 1 if HOST_NODE in (src, dst) else 2
@@ -115,12 +137,22 @@ def test_route_price_and_planner_agree_with_the_engine(platform, src, dst):
     )
     assert machine.transfer_time(src, dst, NBYTES) == legs
 
-    idle = _SimState([0.0] * len(machine.units), {})
-    planned = LookaheadScheduler()._transfer(
-        idle, src, dst, NBYTES, 0.0, rt.engine
-    )
-    h = rt.register(np.zeros(NBYTES // 4, dtype=np.float32), "moved")
-    h.mark_modified(src, 0.0)  # the sole valid copy sits at src
-    committed = rt.engine._commit_copy(h, dst, 0.0)
-    rt.shutdown()
+    def moved():
+        h = rt.register(np.zeros(NBYTES // 4, dtype=np.float32), "moved")
+        h.mark_modified(src, 0.0)  # the sole valid copy sits at src
+        return h
+
+    planned = engine.copy_arrival(src, dst, NBYTES, 0.0, {})
+    committed = engine._commit_copy(moved(), dst, 0.0)
     assert planned == committed == legs
+
+    _busy_channels(engine)
+    h = moved()
+    reader = Task(_noop_codelet(), [Operand(h, AccessMode.R)])
+    reader.ready_time = 0.0
+    estimated = engine.estimate_data_ready(reader, dst)
+    planned = engine.copy_arrival(src, dst, NBYTES, 0.0, {})
+    committed = engine._commit_copy(h, dst, 0.0)
+    rt.shutdown()
+    assert estimated == planned == committed
+    assert committed > legs or src == dst  # the busy channels delay it

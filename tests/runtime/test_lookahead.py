@@ -10,7 +10,7 @@ plan-vs-greedy guarantee, and fusion accounting.
 import numpy as np
 import pytest
 
-from repro.composer.lookahead import LookaheadScheduler, WindowPlan, _SimState
+from repro.composer.lookahead import LookaheadScheduler, WindowPlan
 from repro.hw.description import HOST_NODE
 from repro.hw.presets import platform_c1060, platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
@@ -276,10 +276,9 @@ def test_planner_shares_a_half_duplex_channel_between_directions(
     )
     nbytes = 40_000_000
     leg = rt.machine.transfer_time(HOST_NODE, 1, nbytes)
-    planner = LookaheadScheduler()
-    state = _SimState([0.0] * len(rt.machine.units), {})
-    h2d_end = planner._transfer(state, HOST_NODE, 1, nbytes, 0.0, rt.engine)
-    d2h_end = planner._transfer(state, 1, HOST_NODE, nbytes, 0.0, rt.engine)
+    link: dict = {}  # one planning timeline's channel occupancy
+    h2d_end = rt.engine.copy_arrival(HOST_NODE, 1, nbytes, 0.0, link)
+    d2h_end = rt.engine.copy_arrival(1, HOST_NODE, nbytes, 0.0, link)
     rt.shutdown()
     assert h2d_end == pytest.approx(leg)
     assert d2h_end == pytest.approx(legs * leg)

@@ -40,8 +40,8 @@ def test_fair_delegates_placement_and_validates():
 
 
 def test_factory_forwards_options():
-    sched = make_scheduler("dmda", calibration_samples=5, beta=2.0)
-    assert sched.calibration_samples == 5 and sched.beta == 2.0
+    sched = make_scheduler("dmda", calibration_samples=5, objective="min_energy")
+    assert sched.calibration_samples == 5 and sched.objective == "min_energy"
 
 
 def test_dmda_validates_calibration_samples():

@@ -22,9 +22,9 @@ def test_string_scheduler_paths_never_warn():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rt = Runtime(
-            platform_c2050(), scheduler="dmda", scheduler_options={"beta": 2.0}
+            platform_c2050(), scheduler="dmda", scheduler_options={"calibration_samples": 3}
         )
-        assert rt.scheduler.beta == 2.0
+        assert rt.scheduler.calibration_samples == 3
         rt.shutdown()
         server = CompositionServer(
             platform_c2050(), tenants=_tenants(), scheduler="fair"
@@ -34,7 +34,7 @@ def test_string_scheduler_paths_never_warn():
             platform_c2050(),
             tenants=_tenants(),
             scheduler="dmda",
-            scheduler_options={"beta": 1.5},
+            scheduler_options={"calibration_samples": 4},
         )
         server2.run()
     assert not [

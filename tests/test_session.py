@@ -77,7 +77,7 @@ def test_session_store_roundtrip_warm_starts_new_session(tmp_path):
     # shutdown persisted the learned model; a brand-new session warms up
     warm = Session("c2050", store=PerfModelStore(tmp_path), run_kernels=False)
     assert warm.perfmodel.codelets() == {"axpy"}
-    assert "axpy" in warm.calibrated_codelets()
+    assert "axpy" in warm.store.load(warm.machine).codelets()
     warm.shutdown()
 
 
@@ -85,11 +85,11 @@ def test_session_scheduler_options_and_trace_export(tmp_path):
     s = Session(
         "c2050",
         scheduler="dmda",
-        scheduler_options={"beta": 2.5},
+        scheduler_options={"calibration_samples": 3},
         run_kernels=False,
         trace_dir=tmp_path,
     )
-    assert s.runtime.scheduler.beta == 2.5
+    assert s.runtime.scheduler.calibration_samples == 3
     _run_axpy(s, n_tasks=2)
     out = s.save_trace("run.json")
     assert out == tmp_path / "run.json" and out.exists()
