@@ -17,6 +17,10 @@ supposed to threaten:
   overlap in time: a retry is dispatched only after its predecessor was
   resolved (delivered, failed, or declared lost).  Hedges are exempt —
   racing a live attempt is their entire point.
+- ``cluster.settled-dispatch`` — no attempt of a completed request is
+  dispatched after the request's completion was applied: a copy still
+  queued when its request settles is dropped before it reaches an
+  engine.
 - ``cluster.outcome-vocabulary`` / unresolved attempts — every attempt
   ends the run resolved, with a known outcome.
 
@@ -51,6 +55,7 @@ class ClusterChecker:
         self._check_dead_node_execution()
         self._check_exactly_once()
         self._check_attempt_overlap()
+        self._check_settled_dispatch()
         self._check_node_engines()
         return self.violations
 
@@ -169,6 +174,25 @@ class ClusterChecker:
                             f"attempt:{tenant}:{req_id}#{nxt.attempt}",
                         ),
                     )
+
+    # -- settled requests dispatch nothing ----------------------------------
+
+    def _check_settled_dispatch(self) -> None:
+        done = {
+            (r.tenant, r.req_id): r.end_time
+            for r in self.trace.requests
+            if r.outcome == "completed"
+        }
+        for a in self.trace.attempts:
+            end = done.get((a.tenant, a.req_id))
+            if end is not None and a.dispatch_time > end + EPS:
+                self._fail(
+                    "cluster.settled-dispatch",
+                    f"attempt #{a.attempt} dispatched at "
+                    f"t={a.dispatch_time:.9f} after its request completed "
+                    f"at t={end:.9f}",
+                    (f"attempt:{a.tenant}:{a.req_id}#{a.attempt}",),
+                )
 
     # -- per-node physical invariants ---------------------------------------
 

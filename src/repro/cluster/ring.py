@@ -57,6 +57,9 @@ class HashRing:
         #: from the shared layout because add and remove change them
         self._hashes: list[int] = list(hashes)
         self._owners: list[int] = list(owners)
+        #: key -> its full preference order; the ring is a pure function
+        #: of the member set, so add and remove drop it
+        self._prefs: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._members)
@@ -72,6 +75,7 @@ class HashRing:
         if node in self._members:
             return
         self._members.add(node)
+        self._prefs.clear()
         for p in _points(node, self.vnodes):
             i = bisect.bisect(self._hashes, p)
             self._hashes.insert(i, p)
@@ -81,6 +85,7 @@ class HashRing:
         if node not in self._members:
             return
         self._members.discard(node)
+        self._prefs.clear()
         points = set(_points(node, self.vnodes))
         keep = [
             (h, o)
@@ -95,21 +100,12 @@ class HashRing:
 
         Returns at most ``n`` nodes (all members when ``n`` is None).
         """
-        if not self._hashes:
-            return []
-        want = len(self._members) if n is None else min(n, len(self._members))
-        out: list[int] = []
-        seen: set[int] = set()
-        start = bisect.bisect(self._hashes, _h(key))
-        size = len(self._hashes)
-        for i in range(size):
-            owner = self._owners[(start + i) % size]
-            if owner not in seen:
-                seen.add(owner)
-                out.append(owner)
-                if len(out) >= want:
-                    break
-        return out
+        pref = self._prefs.get(key)
+        if pref is None:
+            start = bisect.bisect(self._hashes, _h(key))
+            walk = self._owners[start:] + self._owners[:start]
+            pref = self._prefs[key] = tuple(dict.fromkeys(walk))
+        return list(pref[:n])
 
     def primary(self, key: str) -> int | None:
         pref = self.preference(key, 1)

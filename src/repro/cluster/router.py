@@ -65,6 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # that died "now"; retries and hedges before fresh arrivals)
 _COMPLETION, _CONTROL, _HEARTBEAT, _RETRY, _HEDGE, _ARRIVAL = range(6)
 
+#: an attempt's identity in the outstanding maps
+_AttemptKey = tuple[str, int, int]
+
+
+def _attempt_key(a: AttemptRecord) -> _AttemptKey:
+    return (a.tenant, a.req_id, a.attempt)
+
 
 @dataclass(frozen=True)
 class ClusterTenant(TenantSpec):
@@ -91,7 +98,9 @@ class ClusterTenant(TenantSpec):
 class HedgePolicy:
     """Tail-latency hedging: race a second replica when slow."""
 
-    #: dispatch a hedge if no completion arrived this long after dispatch
+    #: dispatch a hedge if no completion arrived this long after dispatch,
+    #: whether the first copy is executing or still waiting in a node's
+    #: batch queue
     after_s: float
     #: hedges allowed per request
     max_hedges: int = 1
@@ -170,8 +179,9 @@ class _ReqState:
         self.codelet = spec.workload
         #: attempts made so far (the next one's number)
         self.n_attempts = 0
-        #: write-through rows of the attempts still unresolved
-        self.outstanding: list[AttemptRecord] = []
+        #: write-through rows of the attempts still unresolved, in
+        #: dispatch order
+        self.outstanding: dict[_AttemptKey, AttemptRecord] = {}
         self.tried: set[int] = set()
         self.n_dispatches = 0
         self.n_hedges = 0
@@ -186,6 +196,12 @@ class _ReqState:
         self.admitted_node: int | None = None
         #: copies of this request waiting in node coalescers
         self.queued = 0
+
+    @property
+    def live(self) -> bool:
+        """Has the request a copy that may still complete: an attempt
+        outstanding, or a copy queued in a node's coalescer?"""
+        return bool(self.outstanding) or self.queued > 0
 
 
 class Cluster:
@@ -308,8 +324,9 @@ class Cluster:
         self._heap_seq = count()
         self._ev_seq = count()
         self._reqs: dict[tuple[str, int], _ReqState] = {}
-        self._node_outstanding: dict[int, list[AttemptRecord]] = {
-            i: [] for i in range(n_nodes)
+        #: per node, its unresolved attempts in dispatch order
+        self._node_outstanding: dict[int, dict[_AttemptKey, AttemptRecord]] = {
+            i: {} for i in range(n_nodes)
         }
         #: (key, node) pairs whose queued dispatch is a hedge
         self._queued_hedge: set[tuple[tuple[str, int], int]] = set()
@@ -591,58 +608,72 @@ class Cluster:
 
     def _submit_batch(self, node: ClusterNode, batch, t: float) -> None:
         nid = node.node_id
+        live = []
+        for req in batch:
+            st, hedge = self._unqueue(nid, req)
+            if st.finalized:
+                # settled while it waited: the copy goes no further
+                self._retire(st)
+            else:
+                live.append((req, st, hedge))
+        if not live:
+            return
         if not node.reachable(t):
             # the dispatch RPC is blackholed (crash or partition): the
             # attempts never touch the engine and sit outstanding until
             # the failure detector resolves them
-            for req in batch:
-                st = self._reqs[(req.tenant, req.req_id)]
-                st.queued -= 1
-                hedge = (st.key, nid) in self._queued_hedge
-                self._queued_hedge.discard((st.key, nid))
-                a = self._new_attempt(
-                    st, nid, t, hedge=hedge, batch_size=len(batch)
+            for _, st, hedge in live:
+                self._hold(
+                    node, st, self._new_attempt(
+                        st, nid, t, hedge=hedge, batch_size=len(live)
+                    )
                 )
-                node.inflight += 1
-                st.outstanding.append(a)
-                self._node_outstanding[nid].append(a)
             return
-        for req, res in node.submit_batch(list(batch), t):
-            st = self._reqs[(req.tenant, req.req_id)]
-            st.queued -= 1
-            hedge = (st.key, nid) in self._queued_hedge
-            self._queued_hedge.discard((st.key, nid))
+        results = node.submit_batch([req for req, _, _ in live], t)
+        for (_, res), (_, st, hedge) in zip(results, live):
             a = self._new_attempt(
-                st, nid, t, hedge=hedge, batch_size=len(batch)
+                st, nid, t, hedge=hedge, batch_size=len(live)
             )
             if isinstance(res, UnrecoverableTaskError):
                 # the node answered with a failure (its device-level
                 # retries are exhausted); eligible for failover
                 a.outcome = "failed"
                 a.resolved_time = t
-                if not st.outstanding and not st.finalized:
-                    st.failed_over = True
-                    self._event(
-                        "failover",
-                        t,
-                        node=nid,
-                        tenant=st.spec.name,
-                        req_id=st.req_id,
-                        detail="node fault budget exhausted",
-                    )
-                    if self.metrics:
-                        self.metrics.note_failover(st.spec.name)
-                    self._schedule_retry(st, t)
-                self._retire(st)
+                self._copy_lost(st, nid, t, "node fault budget exhausted")
                 continue
             task = res
             a.start_time = task.start_time
             a.end_time = task.end_time
             a.task_seq = task.submit_seq
-            node.inflight += 1
-            st.outstanding.append(a)
-            self._node_outstanding[nid].append(a)
+            self._hold(node, st, a)
             self._push(task.end_time, _COMPLETION, (nid, a, False))
+
+    def _unqueue(self, nid: int, req) -> tuple[_ReqState, bool]:
+        """Take a request's copy off ``nid``'s batch queue: the
+        request's state, and whether the copy was a hedge."""
+        st = self._reqs[(req.tenant, req.req_id)]
+        st.queued -= 1
+        mark = (st.key, nid)
+        hedge = mark in self._queued_hedge
+        self._queued_hedge.discard(mark)
+        return st, hedge
+
+    def _empty_queue(self, node: ClusterNode) -> list[_ReqState]:
+        """Take every copy off ``node``'s batch queue (the node died or
+        drains): their requests' states, in queue order."""
+        queued = list(node.coalescer.iter_requests())
+        node.coalescer = Coalescer(node.coalescer.policy)
+        return [self._unqueue(node.node_id, req)[0] for req in queued]
+
+    def _hold(
+        self, node: ClusterNode, st: _ReqState, a: AttemptRecord
+    ) -> None:
+        """Count ``a`` outstanding: it holds a dispatch slot on ``node``
+        until it is resolved."""
+        key = _attempt_key(a)
+        node.inflight += 1
+        st.outstanding[key] = a
+        self._node_outstanding[node.node_id][key] = a
 
     # -- completions ---------------------------------------------------------
 
@@ -667,16 +698,24 @@ class Cluster:
             return  # node died before the healed link could deliver
         self._deliver(node, attempt, t)
 
-    def _release_slot(self, node: ClusterNode, attempt: AttemptRecord) -> None:
-        pending = self._node_outstanding[node.node_id]
-        if attempt in pending:
-            pending.remove(attempt)
+    def _release(
+        self, node: ClusterNode, attempt: AttemptRecord
+    ) -> "_ReqState | None":
+        """``attempt`` is resolved: it leaves the outstanding maps and
+        frees its dispatch slot.  Returns its request's state, None once
+        the state is retired."""
+        key = _attempt_key(attempt)
+        if self._node_outstanding[node.node_id].pop(key, None) is not None:
             node.inflight = max(node.inflight - 1, 0)
+        st = self._reqs.get(key[:2])
+        if st is not None:
+            st.outstanding.pop(key, None)
+        return st
 
     def _deliver(
         self, node: ClusterNode, attempt: AttemptRecord, t: float
     ) -> None:
-        st = self._reqs.get((attempt.tenant, attempt.req_id))
+        st = self._release(node, attempt)
         attempt.deliver_time = t
         if math.isnan(attempt.resolved_time):
             attempt.resolved_time = t
@@ -685,9 +724,6 @@ class Cluster:
         # updated below but the resolution instant stands, so failover
         # retries dispatched after the declaration do not read as
         # overlapping.
-        self._release_slot(node, attempt)
-        if st is not None and attempt in st.outstanding:
-            st.outstanding.remove(attempt)
         if st is None or st.finalized:
             # exactly-once: the key was already completed (or failed),
             # and its state may be gone — suppress, count, never
@@ -761,7 +797,7 @@ class Cluster:
         outstanding and no copy queued.  Later events for the key (a
         hedge or retry timer, a redelivery at heal) find no state and
         take the finalized branch."""
-        if st.finalized and not st.outstanding and not st.queued:
+        if st.finalized and not st.live:
             self._reqs.pop(st.key, None)
 
     # -- failure detection and failover --------------------------------------
@@ -799,19 +835,14 @@ class Cluster:
     def _handle_death(self, nid: int, t: float) -> None:
         node = self.nodes[nid]
         # queued-but-never-dispatched requests re-route immediately
-        queued = list(node.coalescer.iter_requests())
-        node.coalescer = Coalescer(node.coalescer.policy)
-        for req in queued:
-            st = self._reqs[(req.tenant, req.req_id)]
-            st.queued -= 1
-            self._queued_hedge.discard((st.key, nid))
-            if st.finalized:
-                self._retire(st)
-                continue
-            self._failover(st, nid, t, detail="requeued from dead node")
+        for st in self._empty_queue(node):
+            self._copy_lost(st, nid, t, "requeued from dead node")
         # outstanding attempts (blackholed or lost mid-execution) fail over
         self._lose_attempts(
-            nid, list(self._node_outstanding[nid]), t, "outstanding on dead node"
+            nid,
+            list(self._node_outstanding[nid].values()),
+            t,
+            "outstanding on dead node",
         )
         self._update_brownout(t)
 
@@ -820,20 +851,22 @@ class Cluster:
     ) -> None:
         """Resolve ``attempts`` outstanding on ``nid`` as lost, release
         their dispatch slots and fail their requests over."""
-        node = self.nodes[nid]
-        pending = self._node_outstanding[nid]
         for a in attempts:
-            pending.remove(a)
-            node.inflight = max(node.inflight - 1, 0)
-            st = self._reqs[(a.tenant, a.req_id)]
+            st = self._release(self.nodes[nid], a)
             a.outcome = "lost"
             a.resolved_time = t
-            if a in st.outstanding:
-                st.outstanding.remove(a)
-            if st.finalized or st.outstanding:
-                self._retire(st)
-                continue  # completed already, or a live hedge still races
-            self._failover(st, nid, t, detail=detail)
+            self._copy_lost(st, nid, t, detail)
+
+    def _copy_lost(
+        self, st: _ReqState, nid: int, t: float, detail: str
+    ) -> None:
+        """A copy of ``st`` on ``nid`` is gone: fail the request over,
+        unless it is settled or another copy still lives (a hedge races,
+        or a copy waits in a batch queue)."""
+        if st.finalized or st.live:
+            self._retire(st)
+        else:
+            self._failover(st, nid, t, detail)
 
     def _failover(
         self, st: _ReqState, nid: int, t: float, detail: str
@@ -869,7 +902,7 @@ class Cluster:
 
     def _on_retry(self, t: float, key: tuple[str, int]) -> None:
         st = self._reqs.get(key)
-        if st is None or st.finalized or st.outstanding:
+        if st is None or st.finalized or st.live:
             return
         nid = self._route(st.spec.name, st.tried)
         if nid is None:
@@ -879,7 +912,7 @@ class Cluster:
 
     def _on_hedge(self, t: float, key: tuple[str, int]) -> None:
         st = self._reqs.get(key)
-        if st is None or st.finalized or not st.outstanding:
+        if st is None or st.finalized or not st.live:
             return  # completed, or mid-failover (the retry path owns it)
         if self.hedge is None or st.n_hedges >= self.hedge.max_hedges:
             return
@@ -923,7 +956,9 @@ class Cluster:
                 # the engine and will never answer; when the link heals
                 # before the detector declares the node dead, nothing
                 # else would ever resolve them
-                lost = [a for a in self._node_outstanding[nid] if not a.ran]
+                lost = [
+                    a for a in self._node_outstanding[nid].values() if not a.ran
+                ]
                 self._lose_attempts(nid, lost, t, "blackholed by partition")
             self._pump(nid, t)
         elif kind == "drain":
@@ -934,13 +969,10 @@ class Cluster:
             return
         node.draining = True
         self._event("drain_start", t, node=node.node_id)
-        queued = list(node.coalescer.iter_requests())
-        node.coalescer = Coalescer(node.coalescer.policy)
-        for req in queued:
-            st = self._reqs[(req.tenant, req.req_id)]
-            st.queued -= 1
-            self._queued_hedge.discard((st.key, node.node_id))
-            if st.finalized:
+        for st in self._empty_queue(node):
+            if st.finalized or st.live:
+                # settled, or another copy still races: no re-dispatch,
+                # which would overlap that copy as a second primary
                 self._retire(st)
                 continue
             nxt = self._route(st.spec.name, st.tried)
@@ -988,15 +1020,20 @@ class Cluster:
     # -- teardown ------------------------------------------------------------
 
     def _finalize_leftovers(self) -> None:
-        """Resolve requests still open when the event heap drains (every
-        replica dead, or a never-healing partition ate the response)."""
+        """Resolve what is still open when the event heap drains: every
+        replica dead, a never-healing partition ate the response, or
+        the heartbeats stopped with every request settled before a
+        silent node was declared dead.  Outstanding attempts are lost,
+        queued copies dropped and unsettled requests failed."""
         t = self._now
-        for st in list(self._reqs.values()):
-            if st.finalized:
-                continue
-            for a in list(st.outstanding):
+        for nid, node in self.nodes.items():
+            self._empty_queue(node)
+            for a in self._node_outstanding[nid].values():
                 a.outcome = "lost"
                 a.resolved_time = t
-                self._release_slot(self.nodes[a.node], a)
-            st.outstanding.clear()
-            self._finalize(st, t, "failed")
+            self._node_outstanding[nid].clear()
+            node.inflight = 0
+        for st in list(self._reqs.values()):
+            if not st.finalized:
+                self._finalize(st, t, "failed")
+        self._reqs.clear()

@@ -22,6 +22,7 @@ from repro.experiments.cluster import (
 from repro.hw.faults import FaultModel
 from repro.hw.presets import platform_c2050
 from repro.runtime.engine import RecoveryPolicy
+from repro.serve.batching import BatchPolicy
 from repro.serve.client import TenantSpec
 
 
@@ -333,6 +334,31 @@ def test_partition_healing_before_detection_resolves_blackholed_requests():
     c.shutdown()
 
 
+def test_attempts_on_a_node_never_declared_dead_resolve_at_the_end():
+    """Three of five nodes drain at once and one of the two left is cut
+    off for good.  Its dispatches are blackholed, their hedges complete
+    on the last node, and the heartbeats stop with every request settled
+    before the silent node is declared dead: the end of the run resolves
+    its attempts as lost and drops every state (shrunk from a draw of
+    ``test_prop_cluster.py``)."""
+    c = make_cluster(
+        n_nodes=5,
+        specs=tenants(n_requests=20, rate_hz=2000.0),
+        replication=1,
+        node_faults=NodeFaultModel(partition_at={2: (0.0078125, float("inf"))}),
+        hedge=HedgePolicy(after_s=1.2e-3),
+        seed=0,
+    )
+    for nid in (0, 1, 3):
+        c.drain(nid, at=0.0)
+    tr = c.run()
+    assert not events(tr, "dead")
+    assert any(a.node == 2 and a.outcome == "lost" for a in tr.attempts)
+    assert all(r.outcome == "completed" for r in tr.requests)
+    assert not c._reqs
+    c.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # stragglers and hedging
 # ---------------------------------------------------------------------------
@@ -424,6 +450,43 @@ def test_straggler_triggers_hedges_and_all_requests_complete():
     c.shutdown()
 
 
+def test_a_copy_waiting_behind_a_straggler_is_hedged():
+    """With one dispatch slot per node, requests queue behind a 100x
+    straggler.  The hedge timer covers a copy still in the batch queue:
+    every request whose first copy waited there longer than ``after_s``
+    gets exactly one hedge, served by another replica within ``after_s``
+    plus that replica's service time."""
+    after = 2e-3
+    primary = primary_of("alpha", 3)
+    c = make_cluster(
+        n_nodes=3,
+        specs=[ClusterTenant("alpha", workload="sgemm", size=64,
+                             rate_hz=2000.0, n_requests=60, seed=11)],
+        node_faults=NodeFaultModel(slow_at={primary: (0.0, 100.0)}),
+        hedge=HedgePolicy(after_s=after),
+        batching=BatchPolicy(max_batch=1),
+        max_inflight=1,
+    )
+    tr = c.run()
+    left_queue = {a.req_id: a.dispatch_time for a in tr.attempts
+                  if a.node == primary}
+    waited = [
+        r for r in tr.requests
+        if left_queue.get(r.req_id, float("inf")) - r.dispatch_time > after
+    ]
+    assert len(waited) >= 10
+    service = max(
+        a.end_time - a.dispatch_time
+        for a in tr.attempts
+        if a.node != primary and a.ran
+    )
+    for r in waited:
+        assert r.n_hedges == 1, r.req_id
+        assert r.served_by != primary, r.req_id
+        assert r.end_time - r.dispatch_time <= after + service + 1e-12, r.req_id
+    c.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # brown-out
 # ---------------------------------------------------------------------------
@@ -501,10 +564,11 @@ def test_device_faults_are_retried_inside_nodes():
     c.shutdown()
 
 
-def test_failed_hedge_copy_of_a_finished_request_leaves_no_state():
-    """A hedge copy dispatched after its primary completed, answered
-    with a node failure (device retries exhausted), is the last event
-    of its key."""
+def test_queued_copy_of_a_finished_request_never_reaches_an_engine():
+    """Hedges queue behind a busy second replica; their primaries finish
+    first.  When the replica pumps its queue, each copy of a settled
+    request is dropped there: it makes no attempt and no engine task,
+    and its request's state is gone once the last copy is."""
     primary, second, _ = HashRing(range(3), vnodes=32).preference("alpha")
     c = make_cluster(
         n_nodes=3,
@@ -516,13 +580,32 @@ def test_failed_hedge_copy_of_a_finished_request_leaves_no_state():
         hedge=HedgePolicy(after_s=2e-3),
         max_inflight=1,
     )
+
+    def settled(req):
+        return c._reqs[(req.tenant, req.req_id)].finalized
+
+    dropped, reached = [], []
+    submit_batch = c._submit_batch
+
+    def pump_spy(node, batch, t):
+        dropped.extend(req for req in batch if settled(req))
+        submit_batch(node, batch, t)
+
+    c._submit_batch = pump_spy
+    for node in c.nodes.values():
+        def engine_spy(batch, t, submit=node.submit_batch):
+            reached.extend(req for req in batch if settled(req))
+            return submit(batch, t)
+
+        node.submit_batch = engine_spy
     tr = c.run()
+    assert dropped, "no settled request had a copy in a pumped batch"
+    assert not reached
     done = {(r.tenant, r.req_id): r.end_time for r in tr.requests}
-    assert any(
-        a.hedge and a.outcome == "failed"
-        and a.dispatch_time > done[(a.tenant, a.req_id)]
-        for a in tr.attempts
-    ), "no hedge copy failed after its request finished"
+    assert not [
+        a for a in tr.attempts if a.dispatch_time > done[(a.tenant, a.req_id)]
+    ]
+    assert any(a.hedge and a.outcome == "failed" for a in tr.attempts)
     assert not c._reqs
     c.shutdown()
 

@@ -7,7 +7,10 @@ exercises every late path of a request key: latency hedges and their
 losers, a partition that outlasts failure detection (queued work
 requeued, outstanding attempts lost and failed over, stranded
 completions redelivered as duplicates when the link heals), a
-straggler, brown-out shedding and one planned drain.
+straggler, brown-out shedding and one planned drain.  Hedges wait
+7 ms, longer than failure detection takes, so some copies on the
+partitioned node are still unhedged when it is declared dead and fail
+over.
 
 Update the digests only when a change legitimately alters cluster
 behaviour (routing, timing, record fields) — never for a pure
@@ -32,8 +35,8 @@ N_NODES = 5
 PARTITIONED, STRAGGLER, DRAINED = 2, 3, 4
 
 GOLDEN = {
-    0: "1c2c7970ad5d467224483368f5df82eef32ff4f97c38dd34738b3cf087e2b6c3",
-    1: "ee5ebb1d286951507fc7637ec47b508a65638720b7d632ea219fcf796b42ce68",
+    0: "86c8c129799dbdc6e4919628549385c06100574da0cd6492bd02f71ae05bbc5e",
+    1: "60069920ffb3f23876426882d3091a34033c4b590df683b294187dc10fbff687",
 }
 
 
@@ -51,10 +54,10 @@ def golden_cluster(seed: int) -> Cluster:
         specs,
         seed=seed,
         node_faults=NodeFaultModel(
-            slow_at={PARTITIONED: (0.005, 30.0), STRAGGLER: (0.005, 5.0)},
+            slow_at={PARTITIONED: (0.005, 30.0), STRAGGLER: (0.005, 4.0)},
             partition_at={PARTITIONED: (0.012, 0.030)},
         ),
-        hedge=HedgePolicy(after_s=2e-3),
+        hedge=HedgePolicy(after_s=7e-3),
         brownout=BrownoutPolicy(high_water=1.5, low_water=0.75),
         noise_sigma=0.05,
         check=False,

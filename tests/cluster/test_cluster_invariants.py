@@ -121,6 +121,19 @@ def test_overlapping_failover_retry_is_flagged(chaos):
     assert "cluster.attempt-overlap" in _rules(c)
 
 
+def test_dispatch_after_completion_is_flagged(chaos):
+    c, _ = chaos
+    # move an applied attempt's dispatch past its request's completion:
+    # a settled request's queued copy reached an engine
+    a = next(x for x in c.trace.attempts if x.outcome == "applied")
+    end = next(
+        r.end_time for r in c.trace.requests
+        if (r.tenant, r.req_id) == (a.tenant, a.req_id)
+    )
+    a.dispatch_time = end + 1e-3
+    assert "cluster.settled-dispatch" in _rules(c)
+
+
 def test_assert_cluster_legal_raises_with_count(chaos):
     c, _ = chaos
     c.trace.attempts[0].outcome = "mystery"

@@ -6,14 +6,17 @@ in any node's coalescer, its state is dropped and only the trace
 records remain.  This gate runs a chaos run shaped like the
 ``cluster_chaos`` benchmark (eight nodes, two partitions that outlast
 failure detection, a straggler, hedging and brown-out) and bounds the
-bytes it retains per request.
+bytes it retains per request.  Its hedges wait 5 ms, longer than
+failure detection takes: with the benchmark's 2 ms every copy blackholed
+by a partition has a live hedge by the time its node is declared dead,
+and the failover path would go untested.
 """
 
 import gc
 import tracemalloc
 from array import array
 
-from repro.cluster import NodeFaultModel
+from repro.cluster import HedgePolicy, NodeFaultModel
 from repro.experiments.cluster import (
     build_cluster,
     chaos_tenant_mix,
@@ -50,7 +53,9 @@ def _chaos_cluster(n_requests: int, seed: int):
         slow_at=plan.slow_at,
         partition_at={**plan.partition_at, victim: (at, at + window)},
     )
-    return build_cluster(N_NODES, tenants, seed, chaos, False)
+    cluster = build_cluster(N_NODES, tenants, seed, chaos, False)
+    cluster.hedge = HedgePolicy(after_s=5e-3)
+    return cluster
 
 
 def _run(n_requests: int, seed: int):

@@ -97,10 +97,16 @@ def test_memoized_layout_is_the_incremental_one_and_never_shared(
     grown = _grown(nodes, vnodes)
     layout = (list(grown._hashes), list(grown._owners))
     assert (a._hashes, a._owners) == (b._hashes, b._owners) == layout
-    # editing one ring leaves the other, and the next ring built, alone
+    keys = [f"key-{i}" for i in range(6)]
+    memo = [a.preference(k) for k in keys]
+    # editing one ring leaves the other, and the next ring built, alone;
+    # its memoized preferences follow the new member set
     a.add(other)
     if nodes:
         a.remove(nodes[0])
+    fresh = HashRing(a.members, vnodes=vnodes)
+    assert [a.preference(k) for k in keys] == [fresh.preference(k) for k in keys]
+    assert [b.preference(k) for k in keys] == memo
     assert (b._hashes, b._owners) == layout
     c = HashRing(nodes, vnodes=vnodes)
     assert (c._hashes, c._owners) == layout
