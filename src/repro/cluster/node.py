@@ -12,20 +12,20 @@ completion, which is what makes crashes and partitions meaningful.
 
 Ground-truth fault state lives here (``crashed_at``, ``partition``,
 ``slowdown``): the *router* only ever learns about it through the
-failure detector.  A crashed node executes nothing after its crash
-instant — dispatches that arrive later are blackholed without touching
-the engine, which is exactly the invariant
-``cluster.dead-node-execution`` checks after the run.
+failure detector.  Dispatches that arrive after a node's crash instant
+are blackholed without touching the engine.  The engine cannot yet halt
+at that instant, so tasks it had already been handed may still start
+after it, which ``cluster.dead-node-execution`` flags after the run
+(the crashed-node item in ROADMAP.md).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import UnrecoverableTaskError
 from repro.runtime.runtime import Runtime
 from repro.serve.admission import AdmissionController, AdmissionPolicy
-from repro.serve.batching import BatchPolicy, Coalescer
+from repro.serve.batching import BatchPolicy, Coalescer, submit_batch
 from repro.serve.client import WORKLOADS, Request, TenantSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,39 +145,18 @@ class ClusterNode:
 
     def submit_batch(
         self, batch: list[Request], t: float
-    ) -> "list[tuple[Request, Task | UnrecoverableTaskError]]":
+    ) -> "list[tuple[Request, Task]]":
         """Execute a coalesced batch on the node's engine at global time
-        ``t``; the per-batch dispatch overhead serializes on the node's
-        host clock exactly like the single-machine server's.  A request
-        whose device-level fault recovery is exhausted yields its
-        :class:`UnrecoverableTaskError` instead of a task (the node
-        answers the RPC with a failure; the router may fail it over).
-        A bulk policy defers every task, so the batch is then flushed as
-        one planning window, as the single-machine server does.
-        Each request's private output is released as it completes."""
-        clock = self.engine.clock
-        clock.advance_to(t)
-        clock.advance(self.dispatch_overhead_s)
-        out: list[tuple[Request, object]] = []
-        for req in batch:
-            try:
-                out.append((req, req.submit(self.runtime, release=True)))
-            except UnrecoverableTaskError as err:
-                out.append((req, err))
-        try:
-            self.engine.flush_window()
-        except UnrecoverableTaskError as err:
-            # the flush commits every plannable task before re-raising
-            # the first recovery failure: a task it left unplaced
-            # answers with that failure
-            out = [
-                (req, res)
-                if isinstance(res, UnrecoverableTaskError)
-                or res.chosen_variant is not None
-                else (req, err)
-                for req, res in out
-            ]
-        return out
+        ``t``, as the single-machine server does (see
+        :func:`~repro.serve.batching.submit_batch`): each request with
+        its task, unplaced (``chosen_variant is None``) when the node's
+        device-level fault recovery ran out."""
+        return [
+            (req, task)
+            for req, task, _ in submit_batch(
+                self.runtime, batch, t, self.dispatch_overhead_s
+            )
+        ]
 
     def backlog_seconds(self, t: float) -> float:
         return self.engine.backlog_seconds(t)

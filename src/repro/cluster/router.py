@@ -49,7 +49,7 @@ from repro.cluster.records import (
     ClusterTrace,
 )
 from repro.cluster.ring import HashRing
-from repro.errors import PeppherError, UnrecoverableTaskError
+from repro.errors import PeppherError
 from repro.hw import presets
 from repro.hw.faults import FaultModel
 from repro.runtime.engine import RecoveryPolicy
@@ -630,18 +630,17 @@ class Cluster:
                 )
             return
         results = node.submit_batch([req for req, _, _ in live], t)
-        for (_, res), (_, st, hedge) in zip(results, live):
+        for (_, task), (_, st, hedge) in zip(results, live):
             a = self._new_attempt(
                 st, nid, t, hedge=hedge, batch_size=len(live)
             )
-            if isinstance(res, UnrecoverableTaskError):
+            if task.chosen_variant is None:
                 # the node answered with a failure (its device-level
                 # retries are exhausted); eligible for failover
                 a.outcome = "failed"
                 a.resolved_time = t
                 self._copy_lost(st, nid, t, "node fault budget exhausted")
                 continue
-            task = res
             a.start_time = task.start_time
             a.end_time = task.end_time
             a.task_seq = task.submit_seq

@@ -224,13 +224,28 @@ class Runtime:
         by default; ``sync=True`` blocks the host program until the task
         completes (entry-wrappers expose both, paper section IV-C).
         """
+        task = self.make_task(codelet, operands, ctx, scalar_args, priority, name, parent)
+        return self.engine.submit(task, sync)
+
+    @staticmethod
+    def make_task(
+        codelet: Codelet,
+        operands: Sequence[tuple[DataHandle, str | AccessMode]],
+        ctx: Mapping[str, object] | None = None,
+        scalar_args: tuple = (),
+        priority: int = 0,
+        name: str = "",
+        parent: Task | None = None,
+    ) -> Task:
+        """The task :meth:`submit` would submit, not yet handed to the
+        engine: a caller that must keep the task whatever its submit
+        raises passes it to ``engine.submit`` itself."""
         parse = AccessMode.parse
         ops = [
             Operand(h, parse(m) if isinstance(m, str) else m)
             for h, m in operands
         ]
-        task = Task(codelet, ops, ctx, scalar_args, priority, parent, name)
-        return self.engine.submit(task, sync)
+        return Task(codelet, ops, ctx, scalar_args, priority, parent, name)
 
     def wait_for_all(self) -> float:
         """Barrier over every submitted task; returns virtual time."""

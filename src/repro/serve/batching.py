@@ -20,8 +20,14 @@ compatible requests into the same batch).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.errors import UnrecoverableTaskError
 from repro.serve.client import Request
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.runtime import Runtime
+    from repro.runtime.task import Task
 
 
 @dataclass(frozen=True)
@@ -135,3 +141,42 @@ class Coalescer:
     def mean_batch_size(self) -> float:
         dispatched = self.n_fused + self.n_batches
         return dispatched / self.n_batches if self.n_batches else 0.0
+
+
+def submit_batch(
+    runtime: "Runtime", batch: Sequence[Request], t: float, overhead_s: float
+) -> "Iterator[tuple[Request, Task, float]]":
+    """Submit one coalesced batch at time ``t``; yield each request with
+    its task and dispatch time.
+
+    One dispatcher: the per-batch overhead serializes on the host clock
+    after ``t``, which is exactly what coalescing amortizes.  An eager
+    policy places each task at submit, so each request is yielded right
+    after its submit, with its own dispatch time: the caller's service
+    charges land before the next submit.  A bulk policy defers every
+    task, and one :meth:`~repro.runtime.engine.Engine.flush_window`
+    plans and commits the batch as one DAG window, so the planner sees
+    all cross-tenant work at once; its requests are yielded after the
+    flush, all dispatched at the batch start.  A request failed exactly
+    when its task was left unplaced (``task.chosen_variant is None``).
+    Each request's private output is released as it completes.
+    """
+    engine = runtime.engine
+    clock = engine.clock
+    clock.advance_to(t)
+    clock.advance(overhead_s)
+    if not getattr(engine.scheduler, "is_bulk", False):
+        for req in batch:
+            dispatch_time = clock.now
+            yield req, req.submit(runtime, release=True), dispatch_time
+        return
+    batch_start = clock.now
+    tasks = [req.submit(runtime, release=True) for req in batch]
+    try:
+        engine.flush_window()
+    except UnrecoverableTaskError:
+        # the flush commits every plannable task before re-raising the
+        # first recovery failure; each request reads its own task
+        pass
+    for req, task in zip(batch, tasks):
+        yield req, task, batch_start

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.composer.glue import lower_component
-from repro.errors import PeppherError
+from repro.errors import PeppherError, UnrecoverableTaskError
 from repro.runtime.codelet import Codelet
 from repro.workloads import gemm_inputs, pathfinder_wall, random_graph
 
@@ -97,10 +97,13 @@ class Request:
     #: coalescing key: requests sharing it may be fused into one batch
     shape_key: tuple
     #: ``submit(rt, release=False)`` registers the request's private
-    #: output and submits its task; called at dispatch time.  With
+    #: output, submits its task and returns it; called at dispatch time.
+    #: An exhausted fault recovery does not raise: the request's outcome
+    #: is read from its task, which failed exactly when it was left
+    #: unplaced (``task.chosen_variant is None``).  With
     #: ``release=True`` the output is handed to ``rt.unregister_submit``
-    #: once submitted (or once the submit raised), so it leaves device
-    #: memory when the request completes.
+    #: once submitted, so it leaves device memory when the request
+    #: completes.
     submit: Callable[..., "Task"]
     #: filled by the server
     delayed: bool = False
@@ -161,17 +164,24 @@ class _Session:
         def submit(rt: "Runtime", release: bool = False) -> "Task":
             (name, shape, dtype, mode), shared, ctx, args = self._invocation()
             h = rt.register(_output(rt, shape, dtype), f"{tenant}:{name}{req_id}")
+            task = rt.make_task(
+                self.codelet,
+                [*shared, (h, mode)],
+                ctx={**ctx, "tenant": tenant},
+                scalar_args=args,
+                name=f"{tenant}/{shape_key[0]}#{req_id}",
+            )
             try:
-                return rt.submit(
-                    self.codelet,
-                    [*shared, (h, mode)],
-                    ctx={**ctx, "tenant": tenant},
-                    scalar_args=args,
-                    name=f"{tenant}/{shape_key[0]}#{req_id}",
-                )
+                rt.engine.submit(task)
+            except UnrecoverableTaskError:
+                # fault recovery ran out, for this task or (on a bulk
+                # policy, in a window that flushed here) another one:
+                # the task's own state tells which
+                pass
             finally:
                 if release:
                     rt.unregister_submit(h)
+            return task
 
         return Request(
             tenant=tenant,

@@ -16,10 +16,11 @@ next event.  A bounded number of in-flight tasks (``max_inflight``)
 keeps the dispatch queue meaningful — that queue is where admission
 depth, batching and fairness act.
 
-Injected hardware faults (PR 1) are honored end to end: a task that
-exhausts its :class:`~repro.runtime.engine.RecoveryPolicy` budget
-surfaces as a *failed request* in the tenant's SLO report — the server
-keeps serving other tenants instead of crashing.
+Injected hardware faults are honored end to end: a request's outcome
+is read from its own task, so a task that exhausts its
+:class:`~repro.runtime.engine.RecoveryPolicy` budget (and is left
+unplaced) surfaces as a *failed request* in the tenant's SLO report —
+the server keeps serving other tenants instead of crashing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import heapq
 from itertools import count
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.errors import PeppherError, UnrecoverableTaskError
+from repro.errors import PeppherError
 from repro.hw.faults import FaultModel
 from repro.hw.description import Machine
 from repro.obs.suite import MetricsSuite
@@ -45,7 +46,7 @@ from repro.serve.admission import (
     AdmissionOutcome,
     AdmissionPolicy,
 )
-from repro.serve.batching import BatchPolicy, Coalescer
+from repro.serve.batching import BatchPolicy, Coalescer, submit_batch
 from repro.serve.client import Request, TenantSpec, make_client
 from repro.serve.fairness import WeightedFairQueue
 from repro.serve.metrics import ServingMetrics
@@ -152,10 +153,6 @@ class CompositionServer:
             exec_backend=exec_backend,
         )
         self.engine = self.runtime.engine
-        #: bulk (window-planning) policies defer placement until a
-        #: window flush, so dispatch submits whole batches and settles
-        #: request accounting after one flush per batch
-        self._bulk = bool(getattr(self.engine.scheduler, "is_bulk", False))
         #: task id -> seconds of its staging transfers, from transfer events
         self._task_transfer_s: dict[int, float] = {}
         self.engine.events.subscribe("transfer", self._note_transfer)
@@ -294,11 +291,10 @@ class CompositionServer:
                 batch = self.coalescer.take_greedy()
             if not batch:
                 break
-            # one dispatcher: the per-batch overhead serializes on the
-            # host clock, which is exactly what coalescing amortizes
-            self.engine.clock.advance_to(t)
-            self.engine.clock.advance(self.dispatch_overhead_s)
-            self._submit_batch(batch)
+            for req, task, dispatch_time in submit_batch(
+                self.runtime, batch, t, self.dispatch_overhead_s
+            ):
+                self._finalize_one(req, task, dispatch_time, len(batch))
 
     def _note_transfer(self, ev) -> None:
         task = ev.task
@@ -309,95 +305,48 @@ class CompositionServer:
                 rec.end_time - rec.start_time
             )
 
-    def _submit_batch(self, batch: Sequence[Request]) -> None:
-        """Submit one coalesced batch and settle each request.
-
-        An eager policy places each task at submit, so each request
-        settles before the next submit (the fair queue's and the fair
-        policy's service charges must see it), with its own dispatch
-        time.  A bulk policy gets every task deferred, then a single
-        :meth:`~repro.runtime.engine.Engine.flush_window` plans and
-        commits the batch as one DAG window, so the planner sees all
-        cross-tenant work at once; its requests settle after the flush,
-        all dispatched at the batch start.  Either way each request's
-        private output goes to ``unregister_submit`` at its submit, so
-        it leaves device memory when the request completes.
-        """
-        batch_start = self.engine.clock.now
-        staged: list[tuple[Request, object]] = []
-        for req in batch:
-            dispatch_time = self.engine.clock.now
-            try:
-                task = req.submit(self.runtime, release=True)
-            except UnrecoverableTaskError:
-                # fault recovery exhausted (on a bulk policy, in a window
-                # that auto-flushed mid-batch): the raising submit loses
-                # its task reference, so the request settles as failed
-                task = None
-            if self._bulk:
-                staged.append((req, task))
-            else:
-                self._finalize_one(req, task, dispatch_time, len(batch))
-        if not staged:
-            return
-        try:
-            self.engine.flush_window()
-        except UnrecoverableTaskError:
-            # the flush commits every plannable task before re-raising
-            # the first recovery failure; per-request failure is settled
-            # below from each task's own outcome
-            pass
-        for req, task in staged:
-            self._finalize_one(req, task, batch_start, len(batch))
-
     def _finalize_one(self, req: Request, task, dispatch_time: float,
                       batch_size: int) -> None:
-        if task is None or task.chosen_variant is None:
-            # fault recovery exhausted: a per-tenant SLO miss, not a crash
-            self._inflight += 1
-            rec = RequestRecord.make(
-                tenant=req.tenant,
-                req_id=req.req_id,
-                codelet=req.codelet_name,
-                arrival_time=req.arrival_s,
-                failed=True,
-                delayed=req.delayed,
-                dispatch_time=dispatch_time,
-                batch_size=batch_size,
-            )
-            self.trace.record_request(rec)
-            self._push(self.engine.clock.now, _COMPLETION, (req, rec))
-            return
+        """Settle a dispatched request from its own task: completed when
+        the task was placed, failed when fault recovery left it unplaced
+        (a per-tenant SLO miss, not a crash)."""
         transfer_s = self._task_transfer_s.pop(task.task_id, 0)
-        service = task.end_time - task.start_time
-        self.wfq.charge(req.tenant, service)
-        sched = self.engine.scheduler
-        if isinstance(sched, FairShareScheduler):
-            sched.note_service(req.tenant, service)
-        size = float(sum(h.nbytes for h in task.handles))
-        self._shape_info[req.shape_key] = (
-            task.footprint(),
-            task.chosen_variant.name,
-            size,
-        )
-        n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
-        self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
+        ran = {}
+        if task.chosen_variant is not None:
+            service = task.end_time - task.start_time
+            self.wfq.charge(req.tenant, service)
+            sched = self.engine.scheduler
+            if isinstance(sched, FairShareScheduler):
+                sched.note_service(req.tenant, service)
+            size = float(sum(h.nbytes for h in task.handles))
+            self._shape_info[req.shape_key] = (
+                task.footprint(),
+                task.chosen_variant.name,
+                size,
+            )
+            n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
+            self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
+            ran = dict(
+                start_time=task.start_time,
+                end_time=task.end_time,
+                transfer_s=transfer_s,
+            )
         rec = RequestRecord.make(
             tenant=req.tenant,
             req_id=req.req_id,
             codelet=req.codelet_name,
             arrival_time=req.arrival_s,
+            failed=not ran,
             delayed=req.delayed,
             dispatch_time=dispatch_time,
-            start_time=task.start_time,
-            end_time=task.end_time,
-            transfer_s=transfer_s,
             batch_size=batch_size,
             task_id=task.task_id,
+            **ran,
         )
         self.trace.record_request(rec)
         self._inflight += 1
-        self._push(task.end_time, _COMPLETION, (req, rec))
+        end = task.end_time if ran else self.engine.clock.now
+        self._push(end, _COMPLETION, (req, rec))
 
     # -- backlog prediction -------------------------------------------------
 

@@ -486,6 +486,25 @@ def test_completed_request_must_map_to_completed_task():
     assert "conservation.request-task" in _rules(trace, machine)
 
 
+def test_failed_request_whose_task_completed_is_reported():
+    """A failed request keeps its task's id; that task must have left
+    no row (it was never placed)."""
+    machine = cpu_only(1)
+    failed = RequestRecord.make(
+        tenant="a", req_id=0, codelet="t", arrival_time=0.0,
+        dispatch_time=0.5, failed=True, task_id=0,
+    )
+    lost = failed.replace(req_id=1, task_id=1)
+    trace = _synthetic(
+        machine, tasks=[_task(machine, 0, 1.0, 2.0)], requests=[failed, lost]
+    )
+    flagged = [
+        v.events for v in check_trace(trace, machine)
+        if v.rule == "conservation.request-task"
+    ]
+    assert flagged == [("request#0", "task#0")]
+
+
 def test_request_task_time_mismatch_is_reported():
     machine = cpu_only(1)
     task = _task(machine, 0, 1.0, 2.0)

@@ -564,8 +564,9 @@ def test_oracles_build_each_record_at_most_once(monkeypatch):
 
 class _ReferenceChecker:
     """``TraceChecker`` as it was when every rule family re-read the
-    trace's records, verbatim: the reference the one-read checker must
-    match violation for violation."""
+    trace's records, verbatim but for one rule added since (a failed
+    request whose task has a row): the reference the one-read checker
+    must match violation for violation."""
 
     def __init__(
         self, trace: ExecutionTrace, machine: "Machine | MachineInfo"
@@ -916,6 +917,14 @@ class _ReferenceChecker:
                     )
                 continue
             if rec.failed:
+                if rec.task_id in self._tasks_by_id:
+                    self._fail(
+                        "conservation.request-task",
+                        f"failed request {rec.req_id} of tenant "
+                        f"{rec.tenant!r} maps to task {rec.task_id}, "
+                        "which completed",
+                        ev + (f"task#{rec.task_id}",),
+                    )
                 continue
             if rec.task_id is None:
                 self._fail(

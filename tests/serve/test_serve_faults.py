@@ -9,8 +9,11 @@ once through the engine's committed horizon and once through the
 coalescer — and admission would shed too aggressively.
 """
 
+from collections import Counter
+
 import pytest
 
+import repro.serve.server as server_mod
 from repro.hw.faults import FaultModel
 from repro.hw.presets import platform_c2050
 from repro.runtime.engine import RecoveryPolicy
@@ -20,6 +23,7 @@ from repro.serve import (
     CompositionServer,
     TenantSpec,
 )
+from repro.serve.fairness import WeightedFairQueue
 
 TENANTS = [
     TenantSpec("a", workload="sgemm", size=96, rate_hz=4000.0,
@@ -78,13 +82,13 @@ def test_backlog_estimate_never_prices_dispatched_work(monkeypatch):
     must never reappear in the coalescer term of the backlog estimate —
     that would count its retries twice in shed/delay decisions."""
     dispatched: set[tuple[str, int]] = set()
-    orig_submit = CompositionServer._submit_batch
+    orig_submit = server_mod.submit_batch
     orig_backlog = CompositionServer._predicted_backlog
     checks = []
 
-    def spy_submit(self, batch):
+    def spy_submit(runtime, batch, t, overhead_s):
         dispatched.update((req.tenant, req.req_id) for req in batch)
-        return orig_submit(self, batch)
+        return orig_submit(runtime, batch, t, overhead_s)
 
     def spy_backlog(self, t):
         queued = {(r.tenant, r.req_id) for r in self.coalescer.iter_requests()}
@@ -94,7 +98,7 @@ def test_backlog_estimate_never_prices_dispatched_work(monkeypatch):
         checks.append(t)
         return orig_backlog(self, t)
 
-    monkeypatch.setattr(CompositionServer, "_submit_batch", spy_submit)
+    monkeypatch.setattr(server_mod, "submit_batch", spy_submit)
     monkeypatch.setattr(CompositionServer, "_predicted_backlog", spy_backlog)
     server = make_server(
         admission=AdmissionPolicy(max_backlog_s=5e-4),
@@ -157,3 +161,59 @@ def test_batch_records_are_coherent_under_faults(rate):
         if rec.completed:
             assert rec.batch_size >= 1
             assert rec.end_time > rec.start_time
+
+
+@pytest.mark.parametrize(
+    "scheduler, options", [("lookahead", {"window_size": 2}), ("dmda", {})]
+)
+def test_a_failed_request_is_one_whose_own_task_failed(
+    monkeypatch, scheduler, options
+):
+    """A request's outcome is its own task's.  Under lookahead a window
+    can flush inside one request's submit while another task's recovery
+    runs out; the request whose submit raised must not be settled as
+    failed while its own task completes."""
+    charged = Counter()
+    charge = WeightedFairQueue.charge
+
+    def spy_charge(self, tenant, service):
+        charged[tenant] += service
+        return charge(self, tenant, service)
+
+    released = Counter()
+    on_completion = CompositionServer._on_completion
+
+    def spy_completion(self, t, payload):
+        req, _ = payload
+        released[(req.tenant, req.req_id)] += 1
+        return on_completion(self, t, payload)
+
+    monkeypatch.setattr(WeightedFairQueue, "charge", spy_charge)
+    monkeypatch.setattr(CompositionServer, "_on_completion", spy_completion)
+    server = CompositionServer(
+        platform_c2050(),
+        [TenantSpec("a", workload="sgemm", size=96, rate_hz=20000.0,
+                    n_requests=200, seed=1)],
+        scheduler=scheduler,
+        scheduler_options=options,
+        batching=BatchPolicy(max_batch=8),
+        faults=FaultModel(kernel_fault_rate=0.3, seed=5),
+        recovery=RecoveryPolicy(max_retries=0),
+    )
+    report = server.run()
+    rows = {t.name: t.task_id for t in server.trace.tasks}
+    failed = [r for r in server.trace.requests if r.failed]
+    done = [r for r in server.trace.requests if r.completed]
+    assert failed, "fault rate too low to exhaust recovery"
+    assert [r for r in failed if f"a/sgemm#{r.req_id}" in rows] == []
+    assert all(rows.get(f"a/sgemm#{r.req_id}") == r.task_id for r in done)
+    shed = report.total_shed
+    assert len(done) + shed + len(failed) == report.total_offered == 200
+    # every admission slot is released exactly once
+    assert set(released) == {(r.tenant, r.req_id) for r in failed + done}
+    assert set(released.values()) == {1}
+    assert server.admission.queue_depth() == 0
+    # the fair queue is charged exactly the completed requests' service
+    assert charged["a"] == pytest.approx(
+        sum(r.end_time - r.start_time for r in done), rel=1e-12
+    )
