@@ -19,7 +19,11 @@ heavy traffic" north star).  Three questions, each one sweep:
 
 Run ``python -m repro.experiments.serving`` to regenerate the tables in
 ``benchmarks/results/`` plus the machine-readable ``BENCH_serve.json``
-summary (``--smoke`` shrinks everything to a seconds-long CI run).
+summary (``--smoke`` shrinks the load sweep to a seconds-long CI run).
+Both ablations run at full size either way, and the run fails unless
+bounded admission sheds and caps p99 and greedy dispatch starves the
+light tenant while ``fair`` does not: the gates that keep the offered
+load (:data:`OVERLOAD_HZ`) over capacity.
 
 All runs are virtual-time simulations with seeded arrivals: every
 number is deterministic and the wall-clock cost is bookkeeping only.
@@ -53,6 +57,11 @@ SCHEDULERS = ("eager", "dmda", "fair")
 BATCH = BatchPolicy(max_batch=4)
 MAX_INFLIGHT = 4
 TENANT_QUOTA = 16
+
+#: the ablations' overload: about 1.3x the C2050's served sgemm-256
+#: capacity (~26.9k req/s, one dmda tenant offered 200k req/s), so
+#: bounded admission sheds and greedy dispatch starves
+OVERLOAD_HZ = 35_000.0
 
 
 def tenant_mix(
@@ -115,9 +124,8 @@ def calibrate_perfmodel(
         )
         for i, t in enumerate(tenants)
     ]
-    server = CompositionServer(machine, tenants=warm, scheduler="dmda")
-    server.run()
-    server.shutdown()
+    with CompositionServer(machine, tenants=warm, scheduler="dmda") as server:
+        server.run()
     return server.engine.perf
 
 
@@ -180,7 +188,7 @@ class ServingStudyResult:
 
 def run_serving_study(
     machine: Machine | None = None,
-    rates: tuple[float, ...] = (2000.0, 8000.0, 20000.0),
+    rates: tuple[float, ...] = (2000.0, 8000.0, OVERLOAD_HZ),
     tenant_counts: tuple[int, ...] = (2, 4),
     schedulers: tuple[str, ...] = SCHEDULERS,
     n_requests: int = 400,
@@ -190,7 +198,6 @@ def run_serving_study(
     machine = machine or platform_c2050()
     result = ServingStudyResult(platform=machine.name)
     admission = AdmissionPolicy(max_queue_per_tenant=TENANT_QUOTA)
-    perf: PerfModel | None = None
     for n_tenants in tenant_counts:
         tenants = tenant_mix(n_tenants, rates[0], n_requests, seed=seed)
         perf = calibrate_perfmodel(machine, tenants)
@@ -273,7 +280,7 @@ class AdmissionAblationResult:
 
 def admission_ablation(
     machine: Machine | None = None,
-    rate_hz: float = 20000.0,
+    rate_hz: float = OVERLOAD_HZ,
     n_requests: int = 400,
     seed: int = 5,
 ) -> AdmissionAblationResult:
@@ -375,7 +382,7 @@ def fairness_tenants(n_requests: int = 400, seed: int = 7) -> list[TenantSpec]:
     """A flooding tenant plus a light one of near-identical request cost."""
     return [
         TenantSpec(
-            "heavy", workload="sgemm", size=256, rate_hz=20000.0,
+            "heavy", workload="sgemm", size=256, rate_hz=OVERLOAD_HZ,
             n_requests=n_requests, seed=seed,
         ),
         TenantSpec(
@@ -443,14 +450,15 @@ def study(smoke: bool) -> Study:
 
         set_default_check(True)
         result = run_serving_study(
-            rates=(4000.0, 16000.0), tenant_counts=(2,), n_requests=120
+            rates=(4000.0, OVERLOAD_HZ), tenant_counts=(2,), n_requests=120
         )
-        adm = admission_ablation(n_requests=150)
-        fair = fairness_ablation(n_requests=150)
     else:
         result = run_serving_study()
-        adm = admission_ablation()
-        fair = fairness_ablation()
+    # full size at smoke too (well under a second): at 150 heavy
+    # requests the light tenant's six are too few for greedy to starve
+    adm = admission_ablation()
+    fair = fairness_ablation()
+    depth = adm.cell("depth<=16")
     tables = {
         "serving_study": format_serving_study(result),
         "serving_admission": format_admission_ablation(adm),
@@ -466,6 +474,17 @@ def study(smoke: bool) -> Study:
         },
         bench="serve",
         tables=tables,
+        # both ablations only mean something while the load overloads
+        gates={
+            "admission_sheds_and_caps_p99": (
+                depth.shed_rate > 0
+                and depth.p99_ms < adm.cell("unbounded").p99_ms
+            ),
+            "fair_bounds_spread_where_eager_starves": (
+                fair.cell("eager").p99_spread > 2.0
+                and fair.cell("fair").p99_spread <= 2.0
+            ),
+        },
     )
 
 

@@ -635,23 +635,27 @@ class Engine:
         ev = self.events
         if ev.want_submit:
             ev.emit_submit(task.submit_time, task)
-        if self._bulk:
-            # window buffering: fold the submit time into the start
-            # lower bound now (dependents released by a later flush see
-            # only earliest_start), defer placement to the flush
-            if task.submit_time > task.earliest_start:
-                task.earliest_start = task.submit_time
-            self._window.append(task)
-            if len(self._window) >= self.scheduler.window_size:
-                self.flush_window()
-        elif task.n_pending_deps == 0:
-            es = task.earliest_start
-            st = task.submit_time
-            self._make_ready(task, st if st > es else es)
-        if self._events:
-            self._process_events()
-        if ev._ring:
-            ev.drain()
+        try:
+            if self._bulk:
+                # window buffering: fold the submit time into the start
+                # lower bound now (dependents released by a later flush
+                # see only earliest_start), defer placement to the flush
+                if task.submit_time > task.earliest_start:
+                    task.earliest_start = task.submit_time
+                self._window.append(task)
+                if len(self._window) >= self.scheduler.window_size:
+                    self.flush_window()
+            elif task.n_pending_deps == 0:
+                es = task.earliest_start
+                st = task.submit_time
+                self._make_ready(task, st if st > es else es)
+        finally:
+            # also when placement raised: subscribers see a failed
+            # task's copies and faults before submit returns
+            if self._events:
+                self._process_events()
+            if ev._ring:
+                ev.drain()
         if sync:
             self.wait_for_task(task)
         return task

@@ -6,10 +6,14 @@ components at a fixed problem size), pre-registers the read-only inputs
 once (clients resend the same model/graph/wall on every call, so the
 runtime's coherence layer may cache device copies across requests) and
 registers one fresh output per request so requests of one tenant do not
-serialize on write-write dependencies.  With kernels off nothing ever
-writes that output, so it is a read-only zero-stride placeholder: it
-carries the real buffer's shape, dtype and ``nbytes`` (so transfers,
-footprints and traces are unchanged) without allocating its payload.
+serialize on write-write dependencies.  That output is write-only
+(``"w"``, set by :meth:`_Session.make_request` for every workload): no
+request reads its initial contents (sgemm's ``beta`` is 0), so the
+runtime never uploads it and the kernel writes it on the device it runs
+on.  With kernels off nothing ever writes that output, so it is a
+read-only zero-stride placeholder: it carries the real buffer's shape,
+dtype and ``nbytes`` (so footprints and traces are unchanged) without
+allocating its payload.
 For the same reason a kernels-off sgemm session registers placeholder
 operands instead of drawing random matrices nobody reads.
 
@@ -151,8 +155,8 @@ class _Session:
         raise NotImplementedError
 
     def _invocation(self) -> tuple:
-        """``((output name, shape, dtype, mode), shared operands, ctx,
-        scalar args)`` of one request."""
+        """``((output name, shape, dtype), shared operands, ctx, scalar
+        args)`` of one request; the output is always write-only."""
         raise NotImplementedError
 
     def make_request(self, req_id: int, arrival_s: float) -> Request:
@@ -162,11 +166,11 @@ class _Session:
             self.inputs = self._register_inputs()
 
         def submit(rt: "Runtime", release: bool = False) -> "Task":
-            (name, shape, dtype, mode), shared, ctx, args = self._invocation()
+            (name, shape, dtype), shared, ctx, args = self._invocation()
             h = rt.register(_output(rt, shape, dtype), f"{tenant}:{name}{req_id}")
             task = rt.make_task(
                 self.codelet,
-                [*shared, (h, mode)],
+                [*shared, (h, "w")],
                 ctx={**ctx, "tenant": tenant},
                 scalar_args=args,
                 name=f"{tenant}/{shape_key[0]}#{req_id}",
@@ -222,7 +226,7 @@ class SgemmSession(_Session):
         s = self.spec.size
         h_a, h_b = self.inputs
         return (
-            ("C", (s, s), np.float32, "rw"),
+            ("C", (s, s), np.float32),
             [(h_a, "r"), (h_b, "r")],
             {"m": s, "n": s, "k": s},
             (s, s, s, 1.0, 0.0),
@@ -251,7 +255,7 @@ class PathfinderSession(_Session):
         cols = self.spec.size
         (h_wall,) = self.inputs
         return (
-            ("res", cols, np.int32, "w"),
+            ("res", cols, np.int32),
             [(h_wall, "r")],
             {"rows": self.ROWS, "cols": cols},
             (self.ROWS, cols),
@@ -287,7 +291,7 @@ class BfsSession(_Session):
         n = self.spec.size
         h_nodes, h_edges, n_edges = self.inputs
         return (
-            ("costs", n, np.int32, "w"),
+            ("costs", n, np.int32),
             [(h_nodes, "r"), (h_edges, "r")],
             {"n_nodes": n, "n_edges": n_edges},
             (n, n_edges, 0),

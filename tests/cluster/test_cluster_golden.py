@@ -35,8 +35,8 @@ N_NODES = 5
 PARTITIONED, STRAGGLER, DRAINED = 2, 3, 4
 
 GOLDEN = {
-    0: "86c8c129799dbdc6e4919628549385c06100574da0cd6492bd02f71ae05bbc5e",
-    1: "60069920ffb3f23876426882d3091a34033c4b590df683b294187dc10fbff687",
+    0: "2f8df927410e6f0863d3dab430eb4adc7a9e44963ca5ce20c6af1903aa2f87a1",
+    1: "a9b2fd2077405413a79aad9079a25af257979c7437d82708cc2629ea5f90a78c",
 }
 
 

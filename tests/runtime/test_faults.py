@@ -240,6 +240,32 @@ def test_unrecoverable_error_names_a_default_named_task():
     assert err.value.attempts == 1
 
 
+@pytest.mark.parametrize("scheduler", ["eager", "dmda", "fair"])
+def test_copies_of_a_failed_task_reach_subscribers_before_submit_returns(
+    scheduler,
+):
+    rt = Runtime(
+        platform_c2050(),
+        scheduler=scheduler,
+        seed=0,
+        faults=FaultModel(kernel_fault_rate=1.0, seed=0),
+        recovery=RecoveryPolicy(max_retries=1),
+    )
+    seen = []
+    rt.engine.events.subscribe("transfer", lambda ev: seen.append(ev.task))
+    cl = make_axpy_codelet(archs=("cuda",))
+    y = rt.register(np.zeros(8, dtype=np.float32))
+    x = rt.register(np.ones(8, dtype=np.float32))
+    task = rt.make_task(cl, [(y, "w"), (x, "r")], ctx={"n": 8},
+                        scalar_args=(1.0,))
+    with pytest.raises(UnrecoverableTaskError):
+        rt.engine.submit(task)
+    # x was staged on the GPU before each attempt faulted; a subscriber
+    # that settles the task once submit returns must already see it
+    assert seen and all(t is task for t in seen)
+    assert len(seen) == len(rt.trace.transfers)
+
+
 def test_repeated_faults_blacklist_worker_but_never_the_last_one():
     rt = Runtime(
         cpu_only(3),

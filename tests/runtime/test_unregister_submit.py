@@ -9,7 +9,11 @@ far has completed, makes no copy and writes no trace row.
 import numpy as np
 import pytest
 
-from repro.errors import DataConsistencyError, RuntimeSystemError
+from repro.errors import (
+    DataConsistencyError,
+    RuntimeSystemError,
+    UnrecoverableTaskError,
+)
 from repro.hw.description import HOST_NODE
 from repro.hw.faults import FaultModel
 from repro.hw.presets import platform_c2050
@@ -184,10 +188,33 @@ def test_a_request_whose_recovery_is_exhausted_leaves_no_output_resident(
     )
     report = server.run()
     assert report.tenants[0].n_failed == 12
-    # each attempt staged the rw output on the GPU before faulting
-    assert any(r.handle_name.startswith("t:C") for r in server.trace.transfers)
+    # the output is write-only: no faulting attempt copied it anywhere
+    assert server.trace.transfers
+    assert not any(
+        r.handle_name.startswith("t:C") for r in server.trace.transfers
+    )
     shared = {h.handle_id for h in server._clients["t"].session.inputs}
     engine = server.engine
     assert set(engine._resident[GPU]) <= shared
     assert not engine._releasing
     server.shutdown()
+
+
+@pytest.mark.parametrize("scheduler", ["dmda", "lookahead"])
+def test_an_exhausted_task_releases_the_rw_output_it_staged(scheduler):
+    rt = _rt(scheduler, faults=FaultModel(kernel_fault_rate=1.0, seed=0),
+             recovery=RecoveryPolicy(max_retries=2))
+    h = rt.register(np.zeros(1024, np.float32), "out")
+    task = rt.make_task(_gpu_codelet(), [(h, "rw")])
+    with pytest.raises(UnrecoverableTaskError):
+        try:
+            rt.engine.submit(task)  # dmda places (and loses) it here
+        finally:
+            rt.unregister_submit(h)  # lookahead defers the release ...
+        rt.engine.flush_window()  # ... to this flush's abort
+    assert task.chosen_variant is None
+    # each attempt staged the rw output on the GPU before faulting
+    assert any(r.handle_name == "out" for r in rt.trace.transfers)
+    assert not _resident(rt, h) and not rt.engine._releasing
+    assert rt.engine.resident_bytes(GPU) == 0
+    rt.shutdown()

@@ -22,6 +22,7 @@ import pytest
 from repro.experiments.serving import (
     BATCH,
     MAX_INFLIGHT,
+    OVERLOAD_HZ,
     TENANT_QUOTA,
     calibrate_perfmodel,
     fairness_tenants,
@@ -51,7 +52,7 @@ def serve(machine, tenants, scheduler, admission, perf):
 def test_admission_bounds_p99_under_identical_load(machine):
     tenants = [
         TenantSpec(
-            "t0", workload="sgemm", size=256, rate_hz=20000.0,
+            "t0", workload="sgemm", size=256, rate_hz=OVERLOAD_HZ,
             n_requests=400, seed=5,
         )
     ]

@@ -98,3 +98,25 @@ def test_submit_produces_runnable_tasks(runtime):
     # shared read-only inputs, fresh output buffer per request
     assert t0.handles[0] is t1.handles[0]
     assert t0.handles[2] is not t1.handles[2]
+
+
+@pytest.mark.parametrize("scheduler", ["dmda", "fair", "lookahead"])
+@pytest.mark.parametrize("workload", ["sgemm", "pathfinder", "bfs"])
+def test_a_request_output_is_written_on_the_device_never_uploaded(
+    workload, scheduler
+):
+    from repro.serve import CompositionServer
+
+    spec = TenantSpec("t", workload=workload, size=96, rate_hz=4000.0,
+                      n_requests=16, seed=1)
+    server = CompositionServer(platform_c2050(), [spec], scheduler=scheduler)
+    report = server.run()
+    assert report.tenants[0].n_completed == 16
+    name = server._clients["t"].session._invocation()[0][0]
+    outputs = {f"t:{name}{r.req_id}" for r in server.trace.requests}
+    # some requests ran on the GPU, yet every copy moved a shared
+    # input: the output is written there, never uploaded
+    assert any(t.node == 1 for t in server.trace.tasks)
+    moved = {r.handle_name for r in server.trace.transfers}
+    assert not moved & outputs
+    server.shutdown()
