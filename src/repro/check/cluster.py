@@ -21,6 +21,9 @@ supposed to threaten:
   dispatched after the request's completion was applied: a copy still
   queued when its request settles is dropped before it reaches an
   engine.
+- ``cluster.hedge-budget`` — no request has more hedge attempts than
+  the cluster's ``HedgePolicy.max_hedges`` (none without a policy): a
+  re-armed hedge timer stops once the budget is spent.
 - ``cluster.outcome-vocabulary`` / unresolved attempts — every attempt
   ends the run resolved, with a known outcome.
 
@@ -32,6 +35,7 @@ invariants on every node.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.check.invariants import EPS, TraceChecker
@@ -56,6 +60,7 @@ class ClusterChecker:
         self._check_exactly_once()
         self._check_attempt_overlap()
         self._check_settled_dispatch()
+        self._check_hedge_budget()
         self._check_node_engines()
         return self.violations
 
@@ -125,15 +130,13 @@ class ClusterChecker:
     # -- exactly-once completion --------------------------------------------
 
     def _check_exactly_once(self) -> None:
-        applied: dict[tuple[str, int], int] = {}
-        for a in self.trace.attempts:
-            if a.outcome == "applied":
-                key = (a.tenant, a.req_id)
-                applied[key] = applied.get(key, 0) + 1
+        applied = Counter(
+            (a.tenant, a.req_id)
+            for a in self.trace.attempts
+            if a.outcome == "applied"
+        )
         for r in self.trace.requests:
-            key = (r.tenant, r.req_id)
-            label = f"request:{r.tenant}:{r.req_id}"
-            n = applied.pop(key, 0)
+            n = applied.pop((r.tenant, r.req_id), 0)
             want = 1 if r.outcome == "completed" else 0
             if n != want:
                 self._fail(
@@ -141,7 +144,7 @@ class ClusterChecker:
                     f"{r.outcome} request has {n} applied attempts, "
                     f"expected {want} — a failed-over or hedged invocation "
                     f"must be applied exactly once",
-                    (label,),
+                    (f"request:{r.tenant}:{r.req_id}",),
                 )
         for (tenant, req_id), n in applied.items():
             self._fail(
@@ -192,6 +195,21 @@ class ClusterChecker:
                     f"t={a.dispatch_time:.9f} after its request completed "
                     f"at t={end:.9f}",
                     (f"attempt:{a.tenant}:{a.req_id}#{a.attempt}",),
+                )
+
+    # -- hedges stay within the policy's budget ----------------------------
+
+    def _check_hedge_budget(self) -> None:
+        budget = self.cluster.hedge.max_hedges if self.cluster.hedge else 0
+        hedges = Counter(
+            (a.tenant, a.req_id) for a in self.trace.attempts if a.hedge
+        )
+        for (tenant, req_id), n in hedges.items():
+            if n > budget:
+                self._fail(
+                    "cluster.hedge-budget",
+                    f"{n} hedge attempts, the policy allows {budget}",
+                    (f"request:{tenant}:{req_id}",),
                 )
 
     # -- per-node physical invariants ---------------------------------------

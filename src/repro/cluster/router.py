@@ -96,11 +96,18 @@ class ClusterTenant(TenantSpec):
 
 @dataclass(frozen=True)
 class HedgePolicy:
-    """Tail-latency hedging: race a second replica when slow."""
+    """Tail-latency hedging: race the next node in preference order when
+    a request is late.
 
-    #: dispatch a hedge if no completion arrived this long after dispatch,
-    #: whether the first copy is executing or still waiting in a node's
-    #: batch queue
+    Each dispatched copy arms a timer; if no completion arrived when it
+    fires (the copy executing or still waiting in a node's batch queue),
+    the request is hedged.  The deadline is ``after_s`` until the
+    tenant has a clean response (one served by its only copy: no hedge,
+    one dispatch), then twice the slowest clean response seen, never
+    later than ``after_s``.  A hedge re-arms the timer while the request
+    has hedges left, so an overdue hedge races the node after it."""
+
+    #: the deadline's ceiling, and the deadline before a clean response
     after_s: float
     #: hedges allowed per request
     max_hedges: int = 1
@@ -330,6 +337,8 @@ class Cluster:
         }
         #: (key, node) pairs whose queued dispatch is a hedge
         self._queued_hedge: set[tuple[tuple[str, int], int]] = set()
+        #: per tenant, the slowest clean response seen (see HedgePolicy)
+        self._clean_s: dict[str, float] = {}
         self._schedules: list[ArrivalSchedule] = []
         self._total_offered = sum(s.n_requests for s in tenants)
         self._finalized = 0
@@ -541,7 +550,9 @@ class Cluster:
         node = self.nodes[nid]
         spec = st.spec
         if hedge:
+            # a hedge's request was admitted by its first dispatch
             st.n_hedges += 1
+            self._queued_hedge.add((st.key, nid))
         else:
             st.n_dispatches += 1
         st.tried.add(nid)
@@ -564,12 +575,13 @@ class Cluster:
             # cluster's backpressure buffer
             node.admission.note_admitted(spec.name)
             st.admitted_node = nid
-        if hedge:
-            self._queued_hedge.add((st.key, nid))
         node.coalescer.push(req)
         st.queued += 1
-        if not hedge and self.hedge is not None:
-            self._push(t + self.hedge.after_s, _HEDGE, st.key)
+        if self.hedge is not None and st.n_hedges < self.hedge.max_hedges:
+            after = min(
+                self.hedge.after_s, 2 * self._clean_s.get(spec.name, math.inf)
+            )
+            self._push(t + after, _HEDGE, st.key)
         self._pump(nid, t)
 
     def _pump(self, nid: int, t: float) -> None:
@@ -754,6 +766,11 @@ class Cluster:
         st.end_time = t
         st.served_by = attempt.node
         st.batch_size = attempt.batch_size
+        if st.n_hedges == 0 and st.n_dispatches == 1:
+            # a clean response (Karn's rule: no raced copy feeds it)
+            self._clean_s[st.spec.name] = max(
+                self._clean_s.get(st.spec.name, 0.0), t - st.first_dispatch
+            )
         self._finalize(st, t, "completed")
         nxt = self._schedules[st.tenant_idx].reissue(t)
         if nxt is not None:
@@ -903,18 +920,23 @@ class Cluster:
         st = self._reqs.get(key)
         if st is None or st.finalized or st.live:
             return
+        self._redispatch(st, t)
+
+    def _redispatch(self, st: _ReqState, t: float) -> None:
+        """Send ``st`` to the next untried node, or fail it if none is
+        left."""
         nid = self._route(st.spec.name, st.tried)
         if nid is None:
             self._finalize(st, t, "failed")
-            return
-        self._dispatch(st, nid, t, hedge=False)
+        else:
+            self._dispatch(st, nid, t, hedge=False)
 
     def _on_hedge(self, t: float, key: tuple[str, int]) -> None:
         st = self._reqs.get(key)
         if st is None or st.finalized or not st.live:
             return  # completed, or mid-failover (the retry path owns it)
-        if self.hedge is None or st.n_hedges >= self.hedge.max_hedges:
-            return
+        if st.n_hedges >= self.hedge.max_hedges:
+            return  # an earlier dispatch's timer spent the budget
         nid = self._route(st.spec.name, st.tried)
         if nid is None:
             return
@@ -973,12 +995,8 @@ class Cluster:
                 # settled, or another copy still races: no re-dispatch,
                 # which would overlap that copy as a second primary
                 self._retire(st)
-                continue
-            nxt = self._route(st.spec.name, st.tried)
-            if nxt is None:
-                self._finalize(st, t, "failed")
             else:
-                self._dispatch(st, nxt, t, hedge=False)
+                self._redispatch(st, t)
         self._maybe_finish_drain(node, t)
 
     def _maybe_finish_drain(self, node: ClusterNode, t: float) -> None:

@@ -56,6 +56,10 @@ RECOVERY_WINDOW_S = 2e-2
 RECOVERY_STEP_S = 5e-3
 #: ceiling on acceptable recovery time (detection + backoff + drain)
 RECOVERY_BUDGET_S = 0.25
+#: ceiling on the no-fault baseline's hedges, as a share of its requests:
+#: a hedge deadline learned from clean responses must not race healthy
+#: traffic
+HEALTHY_HEDGE_BUDGET = 0.01
 
 
 def chaos_tenant_mix(n_requests: int, rate_hz: float, seed: int = 0) -> list[ClusterTenant]:
@@ -149,7 +153,10 @@ def build_cluster(
         seed=seed,
         replication=2,
         node_faults=node_faults,
-        hedge=HedgePolicy(after_s=2e-3),
+        # 2 ms is the cold-start deadline and the ceiling; each tenant's
+        # clean responses bring it down, and an overdue hedge hedges once
+        # more (the spillover tier once both replicas are tried)
+        hedge=HedgePolicy(after_s=2e-3, max_hedges=2),
         brownout=BrownoutPolicy(high_water=3.0, low_water=1.0),
         check=check,
     )
@@ -183,6 +190,7 @@ class ChaosAblationResult:
     recovery: RecoveryStats | None = None
     n_failovers: int = 0
     n_hedges: int = 0
+    baseline_hedges: int = 0
     n_duplicates_suppressed: int = 0
     n_brownout_shed: int = 0
     chaos_failed: int = 0
@@ -204,8 +212,9 @@ class ChaosAblationResult:
 
     def gates(self) -> dict[str, bool]:
         """The CI gates: deterministic, invariant-clean, recovered in
-        budget, protected tenants' post-recovery tail under SLO, and
-        zero protected-tenant requests lost outright."""
+        budget, protected tenants' post-recovery tail under SLO, zero
+        protected-tenant requests lost outright, and a healthy cluster
+        hedging at most :data:`HEALTHY_HEDGE_BUDGET` of its requests."""
         rec = self.recovery
         return {
             "deterministic": self.deterministic,
@@ -220,6 +229,8 @@ class ChaosAblationResult:
                 t.chaos_completed > 0 and t.chaos_shed_rate < 1.0
                 for t in self.protected()
             ),
+            "healthy_hedge_rate": self.baseline_hedges
+            <= HEALTHY_HEDGE_BUDGET * self.n_requests,
         }
 
     def passed(self) -> bool:
@@ -238,6 +249,7 @@ class ChaosAblationResult:
             "recovery": self.recovery.to_dict() if self.recovery else None,
             "n_failovers": self.n_failovers,
             "n_hedges": self.n_hedges,
+            "baseline_hedges": self.baseline_hedges,
             "n_duplicates_suppressed": self.n_duplicates_suppressed,
             "n_brownout_shed": self.n_brownout_shed,
             "chaos_failed": self.chaos_failed,
@@ -309,6 +321,7 @@ def run_chaos_ablation(
         ),
         n_failovers=chaos.n_failovers,
         n_hedges=chaos.n_hedges,
+        baseline_hedges=baseline.n_hedges,
         n_duplicates_suppressed=chaos.n_duplicates_suppressed,
         n_brownout_shed=sum(
             1 for r in chaos.requests if r.shed_reason == "brownout"
@@ -364,6 +377,8 @@ def format_chaos_ablation(result: ChaosAblationResult) -> str:
             f"{r.p99_after_s * 1e3:.2f}ms)"
             if r and r.recovered
             else "protected p99 never recovered under budget",
+            f"no-fault baseline: {result.baseline_hedges} hedges of "
+            f"{result.n_requests} requests",
             f"invariants: {result.n_violations} violations; same-seed chaos "
             f"runs {'identical' if result.deterministic else 'DIVERGED'} "
             f"(digest {result.digest[:16]})",

@@ -138,8 +138,9 @@ class Metric:
         return dict(zip(self.labelnames, key))
 
     def series(self) -> Iterator[tuple[tuple[str, ...], object]]:
-        """(label-values, state) pairs in insertion order."""
-        return iter(self._series.items())
+        """(label-values, state) pairs in label order, so an exposition
+        does not depend on which series happened to be created first."""
+        return iter(sorted(self._series.items(), key=lambda kv: kv[0]))
 
     def __len__(self) -> int:
         return len(self._series)
@@ -195,7 +196,26 @@ class _CounterChild:
         return float(self._series.get(self._key, 0.0))
 
 
-class Counter(Metric):
+class _Scalar(Metric):
+    """A family whose series each hold one float."""
+
+    def value(self, **labels: object) -> float:
+        return float(self._series.get(self._key(labels), 0.0))
+
+    def expose(self) -> list[str]:
+        return [
+            f"{self.name}{self._label_str(key)} {_fmt(v)}"
+            for key, v in self.series()
+        ]
+
+    def snap(self) -> list[dict]:
+        return [
+            {"labels": self.labels_of(key), "value": v}
+            for key, v in self.series()
+        ]
+
+
+class Counter(_Scalar):
     """Monotonically increasing total."""
 
     kind = "counter"
@@ -206,23 +226,8 @@ class Counter(Metric):
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + value
 
-    def value(self, **labels: object) -> float:
-        return float(self._series.get(self._key(labels), 0.0))
-
     def _make_child(self, key: tuple[str, ...]) -> _CounterChild:
         return _CounterChild(self._series, key, self.name)
-
-    def expose(self) -> list[str]:
-        return [
-            f"{self.name}{self._label_str(key)} {_fmt(v)}"
-            for key, v in self._series.items()
-        ]
-
-    def snap(self) -> list[dict]:
-        return [
-            {"labels": self.labels_of(key), "value": v}
-            for key, v in self._series.items()
-        ]
 
     def merge_from(self, other: Metric) -> None:
         self._check_mergeable(other)
@@ -253,7 +258,7 @@ class _GaugeChild:
         return float(self._series.get(self._key, 0.0))
 
 
-class Gauge(Metric):
+class Gauge(_Scalar):
     """Point-in-time value; ``set`` overwrites, ``inc``/``dec`` adjust."""
 
     kind = "gauge"
@@ -268,23 +273,8 @@ class Gauge(Metric):
     def dec(self, value: float = 1.0, **labels: object) -> None:
         self.inc(-value, **labels)
 
-    def value(self, **labels: object) -> float:
-        return float(self._series.get(self._key(labels), 0.0))
-
     def _make_child(self, key: tuple[str, ...]) -> _GaugeChild:
         return _GaugeChild(self._series, key)
-
-    def expose(self) -> list[str]:
-        return [
-            f"{self.name}{self._label_str(key)} {_fmt(v)}"
-            for key, v in self._series.items()
-        ]
-
-    def snap(self) -> list[dict]:
-        return [
-            {"labels": self.labels_of(key), "value": v}
-            for key, v in self._series.items()
-        ]
 
     def merge_from(self, other: Metric) -> None:
         # gauges are last-write-wins: the merged-in registry is the
@@ -409,7 +399,7 @@ class Histogram(Metric):
 
     def expose(self) -> list[str]:
         lines: list[str] = []
-        for key, s in self._series.items():
+        for key, s in self.series():
             cumulative = 0
             for bound, n in zip(self.buckets, s.counts):
                 cumulative += n
@@ -428,7 +418,7 @@ class Histogram(Metric):
 
     def snap(self) -> list[dict]:
         out = []
-        for key, s in self._series.items():
+        for key, s in self.series():
             cumulative, buckets = 0, []
             for bound, n in zip(self.buckets, s.counts):
                 cumulative += n

@@ -321,6 +321,9 @@ def test_partition_healing_before_detection_resolves_blackholed_requests():
         partition_at={**plan.partition_at, victim: (at, at + window)},
     )
     c = build_cluster(8, specs, 0, chaos, False)
+    # without hedging: a hedged copy is live when the heal resolves the
+    # blackholed one, and the heal path fails nothing over
+    c.hedge = None
     tr = c.run()
     assert not events(tr, "dead", victim), "partition was detected first"
     healed = [
@@ -364,8 +367,10 @@ def test_attempts_on_a_node_never_declared_dead_resolve_at_the_end():
 # ---------------------------------------------------------------------------
 
 def test_hedge_timer_after_completion_is_a_no_op():
-    """Healthy requests finish in microseconds, so every 2 ms hedge
-    timer fires after its request completed and its state was dropped."""
+    """On a healthy cluster almost every request finishes inside twice
+    its tenant's slowest clean response, so its hedge timer fires after
+    it completed and its state was dropped: such a timer records
+    nothing.  The requests that were hedged fired theirs while live."""
     c = make_cluster(hedge=HedgePolicy(after_s=2e-3))
     late = []
     on_hedge = c._on_hedge
@@ -382,8 +387,11 @@ def test_hedge_timer_after_completion_is_a_no_op():
 
     c._on_hedge = spy
     tr = c.run()
-    assert len(late) == len(tr.requests)
-    assert not events(tr, "hedge")
+    unhedged = sorted(
+        (r.tenant, r.req_id) for r in tr.requests if not r.n_hedges
+    )
+    assert sorted(late) == unhedged
+    assert len(events(tr, "hedge")) == len(tr.requests) - len(unhedged)
     assert all(r.outcome == "completed" for r in tr.requests)
     c.shutdown()
 
@@ -484,6 +492,35 @@ def test_a_copy_waiting_behind_a_straggler_is_hedged():
         assert r.n_hedges == 1, r.req_id
         assert r.served_by != primary, r.req_id
         assert r.end_time - r.dispatch_time <= after + service + 1e-12, r.req_id
+    c.shutdown()
+
+
+def test_an_overdue_hedge_hedges_again_on_the_spillover_node():
+    """The primary is cut off and the replica straggles 1000x.  The
+    first hedge lands on the straggler and is overdue too, so the timer
+    it re-armed races the spillover node, which serves the request.
+    Heartbeats are slow enough that the primary is never declared dead
+    while the request is open."""
+    primary, replica, spill = HashRing(range(3), vnodes=32).preference("alpha")
+    c = make_cluster(
+        n_nodes=3,
+        specs=[ClusterTenant("alpha", workload="sgemm", size=64,
+                             rate_hz=1000.0, n_requests=1, seed=11)],
+        node_faults=NodeFaultModel(
+            slow_at={replica: (0.0, 1000.0)},
+            partition_at={primary: (0.0, float("inf"))},
+        ),
+        hedge=HedgePolicy(after_s=1e-3, max_hedges=2),
+        heartbeat_s=0.05,
+    )
+    tr = c.run()
+    (req,) = tr.requests
+    assert req.outcome == "completed" and req.n_hedges == 2
+    assert [a.node for a in tr.attempts] == [primary, replica, spill]
+    assert [a.hedge for a in tr.attempts] == [False, True, True]
+    assert req.served_by == spill
+    assert req.end_time - req.arrival_time < 3e-3
+    assert not events(tr, "dead")
     c.shutdown()
 
 

@@ -4,13 +4,16 @@ How the router stores its per-request bookkeeping (and when it lets go
 of it) must not change what the cluster does: a chaos run's
 :meth:`ClusterTrace.digest` is pinned here at two seeds.  The plan
 exercises every late path of a request key: latency hedges and their
-losers, a partition that outlasts failure detection (queued work
+losers, partitions that outlast failure detection (queued work
 requeued, outstanding attempts lost and failed over, stranded
 completions redelivered as duplicates when the link heals), a
-straggler, brown-out shedding and one planned drain.  Hedges wait
-7 ms, longer than failure detection takes, so some copies on the
-partitioned node are still unhedged when it is declared dead and fail
-over.
+straggler, brown-out shedding and one planned drain.  A hedge fires at
+twice its tenant's slowest clean response, long before failure
+detection, so one partition alone fails nothing over: every blackholed
+copy has a live hedge when its node is declared dead.  The straggler is
+therefore cut off over the same window.  The hedges of the first
+node's copies land on it, are blackholed too, and when both nodes are
+declared dead their requests have no live copy left and fail over.
 
 Update the digests only when a change legitimately alters cluster
 behaviour (routing, timing, record fields) — never for a pure
@@ -35,8 +38,8 @@ N_NODES = 5
 PARTITIONED, STRAGGLER, DRAINED = 2, 3, 4
 
 GOLDEN = {
-    0: "2f8df927410e6f0863d3dab430eb4adc7a9e44963ca5ce20c6af1903aa2f87a1",
-    1: "a9b2fd2077405413a79aad9079a25af257979c7437d82708cc2629ea5f90a78c",
+    0: "5fd063b6fbd38cba877a403ac18e12058978a42e3c8f8ea565bad7c4a4a2ae92",
+    1: "a57b291d55854732718eadcabcf7badaf3fcf93d9ff534ae4a4b837946e727c0",
 }
 
 
@@ -55,7 +58,10 @@ def golden_cluster(seed: int) -> Cluster:
         seed=seed,
         node_faults=NodeFaultModel(
             slow_at={PARTITIONED: (0.005, 30.0), STRAGGLER: (0.005, 4.0)},
-            partition_at={PARTITIONED: (0.012, 0.030)},
+            partition_at={
+                PARTITIONED: (0.012, 0.030),
+                STRAGGLER: (0.012, 0.030),
+            },
         ),
         hedge=HedgePolicy(after_s=7e-3),
         brownout=BrownoutPolicy(high_water=1.5, low_water=0.75),

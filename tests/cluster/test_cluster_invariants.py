@@ -8,6 +8,7 @@ from repro.cluster import (
     Cluster,
     ClusterTenant,
     HashRing,
+    HedgePolicy,
     NodeFaultModel,
 )
 from repro.errors import InvariantViolation
@@ -132,6 +133,19 @@ def test_dispatch_after_completion_is_flagged(chaos):
     )
     a.dispatch_time = end + 1e-3
     assert "cluster.settled-dispatch" in _rules(c)
+
+
+def test_hedge_over_the_budget_is_flagged(chaos):
+    c, _ = chaos
+    # the fixture does not hedge: one attempt marked as a hedge is over
+    # a budget of none, and two are over a one-hedge policy
+    a, b = [x for x in c.trace.attempts if x.tenant == "alpha"][:2]
+    a.hedge = True
+    assert "cluster.hedge-budget" in _rules(c)
+    c.hedge = HedgePolicy(after_s=1e-3)
+    assert "cluster.hedge-budget" not in _rules(c)
+    b.tenant, b.req_id, b.hedge = a.tenant, a.req_id, True
+    assert "cluster.hedge-budget" in _rules(c)
 
 
 def test_assert_cluster_legal_raises_with_count(chaos):

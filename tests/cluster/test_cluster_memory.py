@@ -6,17 +6,17 @@ in any node's coalescer, its state is dropped and only the trace
 records remain.  This gate runs a chaos run shaped like the
 ``cluster_chaos`` benchmark (eight nodes, two partitions that outlast
 failure detection, a straggler, hedging and brown-out) and bounds the
-bytes it retains per request.  Its hedges wait 5 ms, longer than
-failure detection takes: with the benchmark's 2 ms every copy blackholed
-by a partition has a live hedge by the time its node is declared dead,
-and the failover path would go untested.
+bytes it retains per request.  With hedging every copy blackholed by a
+partition has a live hedge long before its node is declared dead, so
+nothing fails over; a second run without hedging covers the failover
+path under the same gate.
 """
 
 import gc
 import tracemalloc
 from array import array
 
-from repro.cluster import HedgePolicy, NodeFaultModel
+from repro.cluster import NodeFaultModel
 from repro.experiments.cluster import (
     build_cluster,
     chaos_tenant_mix,
@@ -41,7 +41,7 @@ RATE_HZ = 12_000.0
 GATE_BYTES_PER_REQUEST = 620
 
 
-def _chaos_cluster(n_requests: int, seed: int):
+def _chaos_cluster(n_requests: int, seed: int, hedged: bool):
     """The benchmark's plan: a straggler and a partition on best-effort
     primaries, and the protected primary partitioned over the window
     the chaos study would crash it in."""
@@ -54,14 +54,15 @@ def _chaos_cluster(n_requests: int, seed: int):
         partition_at={**plan.partition_at, victim: (at, at + window)},
     )
     cluster = build_cluster(N_NODES, tenants, seed, chaos, False)
-    cluster.hedge = HedgePolicy(after_s=5e-3)
+    if not hedged:
+        cluster.hedge = None
     return cluster
 
 
-def _run(n_requests: int, seed: int):
+def _run(n_requests: int, seed: int, hedged: bool):
     """Run one chaos cluster; return it and the traced bytes it gained
     between set-up and shutdown."""
-    cluster = _chaos_cluster(n_requests, seed)
+    cluster = _chaos_cluster(n_requests, seed, hedged)
     base, _ = tracemalloc.get_traced_memory()
     cluster.run()
     cluster.shutdown()
@@ -69,20 +70,35 @@ def _run(n_requests: int, seed: int):
     return cluster, after - base
 
 
-def test_finished_requests_retain_bounded_bytes():
+def _measure(hedged: bool):
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
-        _run(200, 1)  # warm-up: lazy module state and memos
-        cluster, retained = _run(N_REQUESTS, 0)
+        _run(200, 1, hedged)  # warm-up: lazy module state and memos
+        return _run(N_REQUESTS, 0, hedged)
     finally:
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
+
+
+def test_finished_requests_retain_bounded_bytes():
+    cluster, retained = _measure(hedged=True)
+    trace = cluster.trace
+    assert trace.n_hedges and trace.n_duplicates_suppressed
+    _assert_released(cluster, retained)
+
+
+def test_failed_over_requests_retain_bounded_bytes():
+    cluster, retained = _measure(hedged=False)
+    assert cluster.trace.n_failovers
+    _assert_released(cluster, retained)
+
+
+def _assert_released(cluster, retained: int) -> None:
     trace = cluster.trace
     assert len(trace.requests) == sum(t.n_requests for t in cluster.tenants)
-    assert trace.n_failovers and trace.n_hedges and trace.n_duplicates_suppressed
     assert not cluster._reqs, f"{len(cluster._reqs)} request states left"
     for node in cluster.nodes.values():
         # finished requests released their outputs: each GPU holds only

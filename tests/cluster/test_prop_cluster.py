@@ -4,10 +4,13 @@ Hypothesis draws a cluster of 3-6 nodes and a node-level fault plan
 against it: per node an optional straggler (instant and slowdown
 factor), an optional partition (instant and window, from one that heals
 before failure detection to one that never heals) and an optional
-planned drain.  It also draws hedging on or off, replication 1-3 and
-the brown-out water marks.  Every draw must give:
+planned drain.  It also draws hedging on or off (on: its delay and a
+budget of one or two hedges, so an overdue hedge hedges again),
+replication 1-3 and the brown-out water marks.  Every draw must give:
 
-- ``check_cluster`` clean, ``cluster.settled-dispatch`` included;
+- ``check_cluster`` clean, ``cluster.settled-dispatch`` and
+  ``cluster.hedge-budget`` included, and no request record with more
+  hedges than the budget;
 - exactly-once delivery: one final record per offered request, and
   exactly one applied attempt per completed request, none otherwise;
 - no router state left in ``_reqs`` after ``run()``;
@@ -60,7 +63,12 @@ def chaos_plans(draw):
             partition[nid] = (t0, t0 + window)
         if draw(st.integers(0, 3)) == 0:
             drains.append((nid, draw(_instant)))
-    hedge = draw(st.one_of(st.none(), st.floats(5e-4, 8e-3)))
+    hedge = draw(
+        st.one_of(
+            st.none(),
+            st.builds(HedgePolicy, st.floats(5e-4, 8e-3), st.integers(1, 2)),
+        )
+    )
     brownout = draw(
         st.one_of(
             st.none(),
@@ -99,7 +107,7 @@ def _run(plan) -> Cluster:
         seed=plan["seed"],
         replication=plan["replication"],
         node_faults=plan["faults"],
-        hedge=None if plan["hedge"] is None else HedgePolicy(plan["hedge"]),
+        hedge=plan["hedge"],
         brownout=None if plan["brownout"] is None
         else BrownoutPolicy(**plan["brownout"]),
         check=False,
@@ -121,6 +129,8 @@ def test_chaos_plan_keeps_every_cluster_invariant(plan):
     c = _run(plan)
     trace = c.trace
     assert check_cluster(c) == []
+    budget = plan["hedge"].max_hedges if plan["hedge"] else 0
+    assert all(r.n_hedges <= budget for r in trace.requests)
     offered = {(s.name, i) for s in c.tenants for i in range(s.n_requests)}
     records = Counter((r.tenant, r.req_id) for r in trace.requests)
     assert set(records) == offered and set(records.values()) == {1}
