@@ -39,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
             "ClusterEventRecord",
             "ClusterRequestRecord",
             "ClusterTrace",
-            "completed_latencies",
         ),
         "repro.cluster.ring": ("HashRing",),
         "repro.cluster.router": (
@@ -51,6 +50,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.cluster.slo": (
             "RecoveryStats",
             "cluster_slo_report",
+            "completed_latencies",
             "recovery_stats",
             "windowed_p99",
         ),

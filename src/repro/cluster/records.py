@@ -9,7 +9,13 @@ actions (crashes, detector verdicts, failovers, brown-out toggles) are
 recorded as *events*.  Together the three streams form the
 :class:`ClusterTrace`, which is fully deterministic for a fixed seed:
 its canonical-JSON digest is the identity the chaos experiments compare
-across same-seed runs.
+across same-seed runs.  Each stream is a store of typed columns, as an
+engine trace's records are (:mod:`repro.runtime.stats`): counts in int
+arrays, attempt and event times in float arrays, and tenants,
+outcomes, event kinds and the None-able node fields dictionary-coded.
+The trace's counts, the SLO windows (:mod:`repro.cluster.slo`) and the
+cluster metrics (:mod:`repro.cluster.metrics`) are folds over those
+columns.
 
 Attempt outcome vocabulary:
 
@@ -31,10 +37,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field
 
-from repro.runtime.stats import RecordsView, RequestRecord, _ColumnStore, _Record
+import numpy as np
+
+from repro.runtime.stats import (
+    RecordsView,
+    RequestRecord,
+    _ColumnStore,
+    _grouped,
+    _Record,
+)
 
 #: attempt outcomes (see module docstring)
 ATTEMPT_OUTCOMES = ("pending", "applied", "duplicate", "lost", "failed")
@@ -115,31 +127,58 @@ class AttemptRecord(_Record):
         return self.task_seq is not None
 
 
-@dataclass(frozen=True, slots=True)
-class ClusterRequestRecord:
-    """Final accounting of one request (idempotency key ``tenant:req_id``)."""
+class ClusterRequestRecord(_Record):
+    """Final accounting of one request (idempotency key ``tenant:req_id``).
 
-    tenant: str
-    req_id: int
-    priority: int
-    codelet: str
-    arrival_time: float
-    outcome: str  # completed | shed | failed
-    #: why a shed request was rejected ("brownout", "admission", "no-node")
-    shed_reason: str = ""
-    #: first dispatch to any node (NaN if shed)
-    dispatch_time: float = float("nan")
-    #: applied attempt's engine start (NaN unless completed)
-    start_time: float = float("nan")
-    #: delivery time of the applied completion (NaN unless completed)
-    end_time: float = float("nan")
-    #: node whose attempt was applied
-    served_by: int | None = None
-    n_attempts: int = 0
-    n_hedges: int = 0
-    #: at least one failover (retry on another node) happened
-    failed_over: bool = False
-    batch_size: int = 1
+    ``outcome`` is one of :data:`REQUEST_OUTCOMES`; ``shed_reason`` says
+    why a shed request was rejected (``"brownout"``, ``"admission"``,
+    ``"no-node"``).  ``dispatch_time`` is the first dispatch to any node
+    (NaN if shed); ``start_time`` the applied attempt's engine start and
+    ``end_time`` the delivery of the applied completion (both NaN unless
+    completed).  ``served_by`` is the node whose attempt was applied
+    (None unless completed); ``failed_over`` is True once a failover
+    (a retry on another node) happened.
+    """
+
+    __slots__ = (
+        "tenant",
+        "req_id",
+        "priority",
+        "codelet",
+        "arrival_time",
+        "outcome",
+        "shed_reason",
+        "dispatch_time",
+        "start_time",
+        "end_time",
+        "served_by",
+        "n_attempts",
+        "n_hedges",
+        "failed_over",
+        "batch_size",
+    )
+    _fields = __slots__
+    _defaults = {
+        "shed_reason": "",
+        "dispatch_time": float("nan"),
+        "start_time": float("nan"),
+        "end_time": float("nan"),
+        "served_by": None,
+        "n_attempts": 0,
+        "n_hedges": 0,
+        "failed_over": False,
+        "batch_size": 1,
+    }
+    # the four times are kept as float objects, not in a float array:
+    # a record read shares them, where an array boxes four new floats per
+    # read (a second copy of every time for a caller that keeps each
+    # record, or projects it with as_request_record)
+    _int_fields = frozenset(
+        {"req_id", "priority", "n_attempts", "n_hedges", "batch_size"}
+    )
+    _coded_fields = frozenset(
+        {"tenant", "codelet", "outcome", "shed_reason", "served_by", "failed_over"}
+    )
 
     #: a cluster request records no staging time
     transfer_s = 0.0
@@ -172,76 +211,89 @@ class ClusterRequestRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ClusterEventRecord:
-    """One control-plane event (ground-truth fault or router reaction)."""
+class ClusterEventRecord(_Record):
+    """One control-plane event (ground-truth fault or router reaction),
+    ``kind`` one of :data:`CLUSTER_EVENT_KINDS`; ``node`` is None for a
+    cluster-wide event (brown-out)."""
 
-    kind: str
-    time: float
-    node: int | None = None
-    tenant: str = ""
-    req_id: int = -1
-    detail: str = ""
-    seq: int = -1
+    __slots__ = ("kind", "time", "node", "tenant", "req_id", "detail", "seq")
+    _fields = __slots__
+    _defaults = {"node": None, "tenant": "", "req_id": -1, "detail": "", "seq": -1}
+    _float_fields = frozenset({"time"})
+    _int_fields = frozenset({"req_id", "seq"})
+    _coded_fields = frozenset({"kind", "node", "tenant", "detail"})
 
 
-@dataclass
+def _tally(kind: str, field: str, value) -> property:
+    """The count of ``kind`` rows whose coded ``field`` holds ``value``."""
+    return property(lambda self: _grouped(self._column(kind, field)).get(value, 0))
+
+
 class ClusterTrace:
-    """Deterministic record of one cluster run."""
+    """Deterministic record of one cluster run: requests, attempts and
+    events, each a store of typed columns read as write-through rows
+    (the router still updates an attempt once appended).  Every
+    aggregate is a fold over the columns on each read."""
 
-    requests: list[ClusterRequestRecord] = field(default_factory=list)
-    #: typed columns; a read returns a write-through row
-    attempts: RecordsView = field(
-        default_factory=lambda: RecordsView(_ColumnStore(AttemptRecord, rows=True))
-    )
-    events: list[ClusterEventRecord] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.requests = RecordsView(_ColumnStore(ClusterRequestRecord, rows=True))
+        self.attempts = RecordsView(_ColumnStore(AttemptRecord, rows=True))
+        self.events = RecordsView(_ColumnStore(ClusterEventRecord, rows=True))
+
+    def _view(self, kind: str) -> RecordsView:
+        return getattr(self, kind)
+
+    def _column(self, kind: str, field: str):
+        """``kind``'s raw ``field`` column, as stored (aggregates only)."""
+        return self._view(kind)._store.columns[field]
+
+    def array(self, kind: str, field: str) -> np.ndarray:
+        """A NumPy copy of one time or count column of ``kind``."""
+        return np.array(self._column(kind, field))
+
+    def where(self, kind: str, /, **match) -> np.ndarray:
+        """Row numbers of the ``kind`` records whose coded fields hold
+        the given values, each a value or a set of them
+        (``trace.where("events", kind="dead", node=3)``)."""
+        hit = np.ones(len(self._view(kind)), bool)
+        for field, value in match.items():
+            col = self._column(kind, field)
+            wanted = value if isinstance(value, (set, frozenset)) else {value}
+            codes = [col.index[v] for v in wanted if v in col.index]
+            hit &= np.isin(np.array(col.codes, np.intp), codes)
+        return np.flatnonzero(hit)
 
     def tenants(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.requests:
-            seen.setdefault(r.tenant)
-        return list(seen)
+        """Tenant names, in order of first final record."""
+        return list(_grouped(self._column("requests", "tenant")))
 
     def requests_for(self, tenant: str) -> list[ClusterRequestRecord]:
-        return [r for r in self.requests if r.tenant == tenant]
+        """``tenant``'s requests; only the matching records are read."""
+        rows = self.where("requests", tenant=tenant)
+        return [self.requests[i] for i in rows.tolist()]
 
     def events_of(self, kind: str) -> list[ClusterEventRecord]:
-        return [e for e in self.events if e.kind == kind]
+        return [self.events[i] for i in self.where("events", kind=kind).tolist()]
 
     # -- aggregates ---------------------------------------------------------
 
-    @property
-    def n_failovers(self) -> int:
-        return len(self.events_of("failover"))
-
-    @property
-    def n_hedges(self) -> int:
-        return len(self.events_of("hedge"))
-
-    @property
-    def n_duplicates_suppressed(self) -> int:
-        return len(self.events_of("duplicate"))
-
-    @property
-    def n_completed(self) -> int:
-        return sum(1 for r in self.requests if r.outcome == "completed")
-
-    @property
-    def n_shed(self) -> int:
-        return sum(1 for r in self.requests if r.outcome == "shed")
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.requests if r.outcome == "failed")
+    n_failovers = _tally("events", "kind", "failover")
+    n_hedges = _tally("events", "kind", "hedge")
+    n_duplicates_suppressed = _tally("events", "kind", "duplicate")
+    n_completed = _tally("requests", "outcome", "completed")
+    n_shed = _tally("requests", "outcome", "shed")
+    n_failed = _tally("requests", "outcome", "failed")
 
     # -- identity -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "requests": [asdict(r) for r in self.requests],
-            "attempts": [a.as_dict() for a in self.attempts],
-            "events": [asdict(e) for e in self.events],
-        }
+        """Each kind's records as field dicts, in row order, read
+        straight down the columns."""
+        doc = {}
+        for kind in ("requests", "attempts", "events"):
+            store = self._view(kind)._store
+            doc[kind] = [dict(zip(store._fields, row)) for row in zip(*store._cols)]
+        return doc
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON serialization.
@@ -258,19 +310,3 @@ class ClusterTrace:
             allow_nan=True,
         )
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def completed_latencies(
-    trace: ClusterTrace, tenants: "set[str] | None" = None
-) -> list[tuple[float, float]]:
-    """(completion time, latency) pairs, optionally tenant-filtered —
-    the windowed-percentile basis for recovery-time measurement."""
-    out = [
-        (r.end_time, r.latency)
-        for r in trace.requests
-        if r.outcome == "completed"
-        and not math.isnan(r.end_time)
-        and (tenants is None or r.tenant in tenants)
-    ]
-    out.sort()
-    return out

@@ -316,9 +316,8 @@ class Cluster:
         if metrics is True:
             from repro.cluster.metrics import ClusterMetrics
 
-            self.metrics = ClusterMetrics()
-        else:
-            self.metrics = metrics or None
+            metrics = ClusterMetrics()
+        self.metrics = metrics.attach(self.trace) if metrics else None
 
         # brown-out shed class: the lowest priority present, but only
         # when the mix is heterogeneous (shedding everyone is an outage,
@@ -483,7 +482,7 @@ class Cluster:
         detail: str = "",
     ) -> None:
         self.trace.events.append(
-            ClusterEventRecord(
+            ClusterEventRecord.make(
                 kind=kind,
                 time=t,
                 node=node,
@@ -748,8 +747,6 @@ class Cluster:
                 req_id=attempt.req_id,
                 detail="hedge loser" if attempt.hedge else "late response",
             )
-            if self.metrics:
-                self.metrics.note_duplicate(attempt.tenant)
             if st is not None:
                 self._retire(st)
         else:
@@ -786,26 +783,25 @@ class Cluster:
         self._finalized += 1
         if st.admitted_node is not None:
             self.nodes[st.admitted_node].admission.note_finished(st.spec.name)
-        rec = ClusterRequestRecord(
-            tenant=st.spec.name,
-            req_id=st.req_id,
-            priority=st.priority,
-            codelet=st.codelet,
-            arrival_time=st.arrival_s,
-            outcome=outcome,
-            shed_reason=shed_reason,
-            dispatch_time=st.first_dispatch,
-            start_time=st.start_time,
-            end_time=st.end_time if outcome == "completed" else float("nan"),
-            served_by=st.served_by,
-            n_attempts=st.n_dispatches,
-            n_hedges=st.n_hedges,
-            failed_over=st.failed_over,
-            batch_size=st.batch_size,
+        self.trace.requests.append(
+            ClusterRequestRecord.make(
+                tenant=st.spec.name,
+                req_id=st.req_id,
+                priority=st.priority,
+                codelet=st.codelet,
+                arrival_time=st.arrival_s,
+                outcome=outcome,
+                shed_reason=shed_reason,
+                dispatch_time=st.first_dispatch,
+                start_time=st.start_time,
+                end_time=st.end_time if outcome == "completed" else float("nan"),
+                served_by=st.served_by,
+                n_attempts=st.n_dispatches,
+                n_hedges=st.n_hedges,
+                failed_over=st.failed_over,
+                batch_size=st.batch_size,
+            )
         )
-        self.trace.requests.append(rec)
-        if self.metrics:
-            self.metrics.note_request(rec)
         self._retire(st)
 
     def _retire(self, st: _ReqState) -> None:
@@ -836,8 +832,6 @@ class Cluster:
             if state is prev:
                 continue
             self._belief[nid] = state
-            if self.metrics:
-                self.metrics.set_node_state(nid, state)
             phi = self.detector.phi(nid, t)
             if state is NodeState.DEAD:
                 self._event("dead", t, node=nid, detail=f"phi={phi:.2f}")
@@ -896,8 +890,6 @@ class Cluster:
             req_id=st.req_id,
             detail=detail,
         )
-        if self.metrics:
-            self.metrics.note_failover(st.spec.name)
         self._schedule_retry(st, t)
 
     def _schedule_retry(self, st: _ReqState, t: float) -> None:
@@ -914,7 +906,8 @@ class Cluster:
             )
         self._push(t + self.failover.backoff(n, u), _RETRY, st.key)
         if self.metrics:
-            self.metrics.note_retry(st.spec.name)
+            # scheduled retries are the one count no trace column holds
+            self.metrics.retries.inc(1, tenant=st.spec.name)
 
     def _on_retry(self, t: float, key: tuple[str, int]) -> None:
         st = self._reqs.get(key)
@@ -943,8 +936,6 @@ class Cluster:
         self._event(
             "hedge", t, node=nid, tenant=st.spec.name, req_id=st.req_id
         )
-        if self.metrics:
-            self.metrics.note_hedge(st.spec.name)
         self._dispatch(st, nid, t, hedge=True)
 
     # -- control plane -------------------------------------------------------
@@ -1026,13 +1017,9 @@ class Cluster:
         if not self._brownout_active and pressure >= self.brownout.high_water:
             self._brownout_active = True
             self._event("brownout_on", t, detail=f"pressure={pressure:.2f}")
-            if self.metrics:
-                self.metrics.set_brownout(True)
         elif self._brownout_active and pressure <= self.brownout.low_water:
             self._brownout_active = False
             self._event("brownout_off", t, detail=f"pressure={pressure:.2f}")
-            if self.metrics:
-                self.metrics.set_brownout(False)
 
     # -- teardown ------------------------------------------------------------
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.cluster.records import ClusterTrace, completed_latencies
+import numpy as np
+
+from repro.cluster.records import ClusterTrace
 from repro.serve.slo import SloReport, offered_window, percentile, tenant_slo
 
 
@@ -36,11 +38,33 @@ def cluster_slo_report(
     if window_s is None:
         window_s = offered_window(trace.requests)
     report = SloReport(window_s=window_s)
+    # the coded tenant column read once; each tenant's records are built
+    # in turn, so one tenant's are alive at a time
+    tenants = trace._column("requests", "tenant")
+    codes = np.array(tenants.codes, np.intp)
     for tenant in trace.tenants():
+        rows = np.flatnonzero(codes == tenants.index[tenant]).tolist()
         report.tenants.append(
-            tenant_slo(tenant, trace.requests_for(tenant), window_s)
+            tenant_slo(tenant, [trace.requests[i] for i in rows], window_s)
         )
     return report
+
+
+def completed_latencies(
+    trace: ClusterTrace, tenants: "set[str] | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Completion times and latencies of the completed requests,
+    optionally tenant-filtered, sorted by completion time (then
+    latency) — the windowed-percentile basis for recovery-time
+    measurement."""
+    match = {"outcome": "completed"}
+    if tenants is not None:
+        match["tenant"] = set(tenants)
+    rows = trace.where("requests", **match)
+    end = trace.array("requests", "end_time")[rows]
+    latency = end - trace.array("requests", "arrival_time")[rows]
+    order = np.lexsort((latency, end))
+    return end[order], latency[order]
 
 
 def windowed_p99(
@@ -51,30 +75,23 @@ def windowed_p99(
     tenants: "set[str] | None" = None,
 ) -> list[tuple[float, float]]:
     """Sliding-window p99 latency series: ``(t, p99 over completions in
-    (t - window_s, t])`` sampled every ``step_s``.  Windows with no
-    completions yield NaN (plotted as gaps, skipped by recovery logic).
+    (t - window_s, t])`` sampled every ``step_s`` until the last
+    completion.  Windows with no completions yield NaN (plotted as gaps,
+    skipped by recovery logic).
     """
     if window_s <= 0 or step_s <= 0:
         raise ValueError("window_s and step_s must be > 0")
-    pairs = completed_latencies(trace, tenants)
-    if not pairs:
+    end, latency = completed_latencies(trace, tenants)
+    if not len(end):
         return []
-    t_end = pairs[-1][0]
-    out: list[tuple[float, float]] = []
-    lo = 0
-    hi = 0
-    n_steps = int(math.ceil(t_end / step_s)) + 1
-    for k in range(1, n_steps + 1):
-        t = k * step_s
-        while hi < len(pairs) and pairs[hi][0] <= t:
-            hi += 1
-        while lo < hi and pairs[lo][0] <= t - window_s:
-            lo += 1
-        lat = [latency for _, latency in pairs[lo:hi]]
-        out.append((t, percentile(lat, 99)))
-        if t >= t_end:
-            break
-    return out
+    t = np.arange(1, int(math.ceil(end[-1] / step_s)) + 2) * step_s
+    t = t[: np.searchsorted(t, end[-1]) + 1]
+    hi = np.searchsorted(end, t, "right")
+    lo = np.searchsorted(end, t - window_s, "right")
+    return [
+        (tk, percentile(latency[a:b].tolist(), 99))
+        for tk, a, b in zip(t.tolist(), lo.tolist(), hi.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -261,10 +261,11 @@ class ChaosAblationResult:
 
 
 def _detected_at(trace: ClusterTrace, crashed_node: int, after: float) -> float:
-    for ev in trace.events:
-        if ev.kind == "dead" and ev.node == crashed_node and ev.time >= after:
-            return ev.time
-    return float("nan")
+    times = trace.array("events", "time")[
+        trace.where("events", kind="dead", node=crashed_node)
+    ]
+    later = times[times >= after]
+    return float(later[0]) if len(later) else float("nan")
 
 
 def run_chaos_ablation(
@@ -323,9 +324,7 @@ def run_chaos_ablation(
         n_hedges=chaos.n_hedges,
         baseline_hedges=baseline.n_hedges,
         n_duplicates_suppressed=chaos.n_duplicates_suppressed,
-        n_brownout_shed=sum(
-            1 for r in chaos.requests if r.shed_reason == "brownout"
-        ),
+        n_brownout_shed=len(chaos.where("requests", shed_reason="brownout")),
         chaos_failed=chaos.n_failed,
         n_violations=len(violations),
         digest=chaos.digest(),

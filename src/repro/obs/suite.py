@@ -60,11 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Rows:
-    """Rows ``start:stop`` of one record kind of a trace, read by column."""
+    """Rows ``start:stop`` of one record kind of a trace, read by column
+    (an engine or a cluster trace: anything with ``_column(kind, field)``)."""
 
-    def __init__(
-        self, trace: ExecutionTrace, kind: str, start: int, stop: int
-    ) -> None:
+    def __init__(self, trace, kind: str, start: int, stop: int) -> None:
         self.trace, self.kind, self.start, self.stop = trace, kind, start, stop
 
     def array(self, field: str) -> np.ndarray:
@@ -94,6 +93,16 @@ def span(first: str, last: str) -> Callable[[Rows], np.ndarray]:
     return lambda rows: rows.array(last) - rows.array(first)
 
 
+def among(field: str, *values) -> Callable[[Rows], np.ndarray]:
+    """The rows whose ``field`` holds one of ``values`` (a ``where``)."""
+
+    def where(rows: Rows) -> np.ndarray:
+        codes, table = rows.labels(field)
+        return np.isin(codes, [c for c, v in enumerate(table) if v in values])
+
+    return where
+
+
 def _direction(rows: Rows) -> tuple:
     src, dst = rows.array("src_node"), rows.array("dst_node")
     return transfer_direction(src, dst), DIRECTIONS
@@ -103,7 +112,7 @@ class Fold(NamedTuple):
     """One metric of a catalogue and the record columns it folds."""
 
     name: str
-    type: str  # counter | histogram
+    type: str  # counter | histogram | gauge
     help: str
     unit: str
     #: a record kind, or a per-codelet count of the trace
@@ -111,8 +120,8 @@ class Fold(NamedTuple):
     #: label name -> a field name or a function of the rows (see
     #: :meth:`Rows.labels`)
     labels: dict
-    #: a function of the rows: the values a counter adds or a histogram
-    #: observes; None counts rows
+    #: a function of the rows: the values a counter adds, a histogram
+    #: observes or a gauge is set to; None counts rows
     value: Callable[[Rows], np.ndarray] | None = None
     #: a function of the rows selecting those folded; None folds all
     where: Callable[[Rows], np.ndarray] | None = None
@@ -121,7 +130,8 @@ class Fold(NamedTuple):
 def fold_rows(metric, fold: Fold, rows: Rows) -> None:
     """Fold ``rows`` into ``metric``: group them by label tuple, in order
     of first appearance; each group increments its counter by its value
-    total or is observed by its histogram in row order."""
+    total, is observed by its histogram in row order, or sets its gauge
+    to its last value."""
     keep = slice(None) if fold.where is None else fold.where(rows)
     columns = [
         (codes[keep], table)
@@ -129,7 +139,7 @@ def fold_rows(metric, fold: Fold, rows: Rows) -> None:
     ]
     n = rows.stop - rows.start
     values = (np.ones(n) if fold.value is None else fold.value(rows))[keep]
-    key = 0
+    key = np.zeros(len(values), np.intp)
     for codes, table in columns:
         key = key * len(table) + codes
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -138,8 +148,12 @@ def fold_rows(metric, fold: Fold, rows: Rows) -> None:
     if metric.kind == "histogram":
         ends = np.cumsum(np.bincount(group))[:-1]
         parts = np.split(values[np.argsort(group, kind="stable")], ends)
+    elif metric.kind == "gauge":
+        last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
+        parts = values[last[order]].tolist()
     else:
         parts = np.bincount(group, values).tolist()
+    apply = {"counter": "inc", "gauge": "set", "histogram": "observe_all"}
     for row, part in zip(first[order].tolist(), parts):
         child = metric.labels(
             **{
@@ -147,7 +161,25 @@ def fold_rows(metric, fold: Fold, rows: Rows) -> None:
                 for label, (codes, table) in zip(fold.labels, columns)
             }
         )
-        (child.observe_all if metric.kind == "histogram" else child.inc)(part)
+        getattr(child, apply[metric.kind])(part)
+
+
+def register(registry: MetricsRegistry, fold: Fold):
+    """``fold``'s metric in ``registry``, created if it is new."""
+    return getattr(registry, fold.type)(
+        fold.name, help=fold.help, unit=fold.unit, labelnames=tuple(fold.labels)
+    )
+
+
+def fold_unread(trace, folds, read: dict) -> None:
+    """Apply each ``(kind, fold)`` of ``folds`` to the rows its kind of
+    ``trace`` gained since ``read`` (kind -> rows already folded), then
+    advance ``read``."""
+    stops = {kind: len(trace._view(kind)) for kind, _ in folds}
+    for kind, fold in folds:
+        if stops[kind] > read.get(kind, 0):
+            fold(Rows(trace, kind, read.get(kind, 0), stops[kind]))
+    read.update(stops)
 
 
 _CODELET = {"codelet": "codelet"}
@@ -304,9 +336,7 @@ class MetricsSuite:
     def add_folds(self, folds) -> None:
         """Register the metrics of ``folds`` and fold them on every read."""
         for f in folds:
-            metric = getattr(self.registry, f.type)(
-                f.name, help=f.help, unit=f.unit, labelnames=tuple(f.labels)
-            )
+            metric = register(self.registry, f)
             if f.source in ExecutionTrace.RECORD_CLASSES:
                 self.folds[f.name] = (f.source, partial(fold_rows, metric, f))
             else:
@@ -328,11 +358,7 @@ class MetricsSuite:
                 if n != seen.get(name, 0):
                     metric.labels(codelet=name).inc(n - seen.get(name, 0))
             self._seen[source] = dict(getattr(trace, source))
-        stops = {kind: len(trace._view(kind)) for kind, _ in self.folds.values()}
-        for kind, fold in self.folds.values():
-            if stops[kind] > self._read.get(kind, 0):
-                fold(Rows(trace, kind, self._read.get(kind, 0), stops[kind]))
-        self._read.update(stops)
+        fold_unread(trace, self.folds.values(), self._read)
         for set_gauges in self.gauges.values():
             set_gauges()
 

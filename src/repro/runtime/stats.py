@@ -88,7 +88,7 @@ from collections import Counter
 from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import itemgetter
-from types import FunctionType, MappingProxyType
+from types import FunctionType, MappingProxyType, MemberDescriptorType
 
 import numpy as np
 
@@ -932,16 +932,26 @@ def _row_class(cls: type) -> type:
     def __reduce__(self):
         return _restore, (cls, self._astuple())
 
-    ns = {name: column(k) for k, name in enumerate(cls._fields)}
+    # the record's properties and methods, but not its slots: a row holds
+    # two references, not an empty slot per field, and names ``cls`` as
+    # its ``__class__``, which ``isinstance(row, cls)`` consults
+    ns = {
+        name: value
+        for klass in reversed(cls.__mro__[:-1])
+        for name, value in vars(klass).items()
+        if name != "__slots__" and type(value) is not MemberDescriptorType
+    }
+    ns.update({name: column(k) for k, name in enumerate(cls._fields)})
     ns.update(
         __slots__=("_cols", "_i"),
+        __class__=property(lambda row: cls),
         __init__=__init__,
         __eq__=__eq__,
         __hash__=None,
         replace=replace,
         __reduce__=__reduce__,
     )
-    return type(cls.__name__, (cls,), ns)
+    return type(cls.__name__, (), ns)
 
 
 class _ColumnStore:

@@ -27,18 +27,20 @@ from repro.runtime.data import DataHandle
 N_NODES = 8
 N_REQUESTS = 6_000
 RATE_HZ = 12_000.0
-#: retained bytes per request, ~15% over the measured ~539 B (x86-64
-#: Linux, CPython 3.11).  With 8-byte int and id trace columns and
-#: served handle names stored whole, ~651 B.  While attempts were
-#: record objects, each
-#: shared input kept a DoneTask per completed reader and served task
-#: names were whole strings, ~868 B; while every finished request's
+#: retained bytes per request, ~15% over the measured ~446 B of the
+#: hedged run (~384 B without hedging; x86-64 Linux, CPython 3.11).
+#: While request and event records were objects (each request a 152 B
+#: record plus boxed ints), ~590 B and ~505 B, gated at 620 B.  With
+#: 8-byte int and id trace columns and served handle names stored whole,
+#: ~651 B.  While attempts were record objects, each shared input kept
+#: a DoneTask per completed reader and served task names were whole
+#: strings, ~868 B; while every finished request's
 #: output handle stayed in its node engine's residency table, ~1,220 B;
 #: while finished tasks also stayed pinned by their inputs' reader lists
 #: and the trace cached every transfer record the serving layer read,
 #: ~1,534 B; keeping every finished request's router state as well,
 #: ~2,420 B.
-GATE_BYTES_PER_REQUEST = 620
+GATE_BYTES_PER_REQUEST = 515
 
 
 def _chaos_cluster(n_requests: int, seed: int, hedged: bool):

@@ -14,7 +14,11 @@ replication 1-3 and the brown-out water marks.  Every draw must give:
 - exactly-once delivery: one final record per offered request, and
   exactly one applied attempt per completed request, none otherwise;
 - no router state left in ``_reqs`` after ``run()``;
-- the same ``ClusterTrace.digest()`` from two runs of the same draw.
+- the same ``ClusterTrace.digest()`` from two runs of the same draw,
+  the second with ``metrics=True`` (metrics on or off, the same trace);
+- in that run, folded metric counters equal to the trace aggregates:
+  ``cluster_requests_total`` per outcome, failovers, hedges and
+  suppressed duplicates.
 
 Crashes are not drawn.  A crashed node's engine still starts the tasks
 queued at the crash instant (``cluster.dead-node-execution``, the
@@ -100,7 +104,7 @@ def _tenants():
     ]
 
 
-def _run(plan) -> Cluster:
+def _run(plan, metrics: bool = False) -> Cluster:
     c = Cluster(
         plan["n_nodes"],
         _tenants(),
@@ -110,6 +114,7 @@ def _run(plan) -> Cluster:
         hedge=plan["hedge"],
         brownout=None if plan["brownout"] is None
         else BrownoutPolicy(**plan["brownout"]),
+        metrics=metrics,
         check=False,
     )
     for nid, at in plan["drains"]:
@@ -140,4 +145,25 @@ def test_chaos_plan_keeps_every_cluster_invariant(plan):
     for r in trace.requests:
         assert applied[(r.tenant, r.req_id)] == int(r.completed), r
     assert not c._reqs
-    assert _run(plan).trace.digest() == trace.digest()
+    again = _run(plan, metrics=True)
+    assert again.trace.digest() == trace.digest()
+    metrics = again.metrics.snapshot()
+    assert _totals(metrics, "cluster_requests_total", "outcome") == {
+        outcome: n
+        for outcome, n in (("completed", trace.n_completed),
+                           ("shed", trace.n_shed), ("failed", trace.n_failed))
+        if n
+    }
+    for name, n in (("cluster_failovers_total", trace.n_failovers),
+                    ("cluster_hedges_total", trace.n_hedges),
+                    ("cluster_duplicates_suppressed_total",
+                     trace.n_duplicates_suppressed)):
+        assert sum(_totals(metrics, name, "tenant").values()) == n, name
+
+
+def _totals(snapshot: dict, name: str, label: str) -> Counter:
+    """A snapshotted metric's series summed per value of ``label``."""
+    out = Counter()
+    for series in snapshot[name]["series"]:
+        out[series["labels"][label]] += series["value"]
+    return out
