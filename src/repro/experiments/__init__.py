@@ -18,23 +18,34 @@ module                    paper artefact
 ``fig5``                  Figure 5 (hybrid SpMV speedups)
 ``fig6``                  Figure 6 (OpenMP/CUDA/TGPA, two platforms)
 ``fig7``                  Figure 7 (ODE solver runtime overhead)
-``overhead``              section V-E (per-task runtime overhead)
+``overhead``              section V-E (per-task runtime overhead),
+                          obs budget and engine throughput floor
 ``ablations``             scheduler / container / narrowing studies
 ``faults``                fault-injection / recovery resilience study
 ``backends``              analytical-vs-measured exec differential
-``engine_bench``          engine submit/schedule/complete throughput
+``planner``               lookahead-vs-dmda planner ablation
+``devices``               coarse-vs-detailed device-model ablation
+``tuning``                cold-start vs store-warmed composition
+``serving``               multi-tenant serving on one machine
+``cluster``               cluster serving under chaos
+``runner``                the shared command line and table renderer
 ========================  =====================================
 """
 
 __all__ = [
     "ablations",
     "backends",
-    "engine_bench",
+    "cluster",
+    "devices",
     "faults",
     "fig3",
     "fig5",
     "fig6",
     "fig7",
     "overhead",
+    "planner",
+    "runner",
+    "serving",
     "table1",
+    "tuning",
 ]

@@ -54,16 +54,12 @@ class Runtime:
     perfmodel:
         Optionally start from a pre-trained performance model (e.g.
         loaded from disk), like StarPU's persistent calibration files.
-    perfmodel_path:
-        Persistent calibration file (StarPU keeps per-machine perfmodel
-        files under ``~/.starpu``): loaded at start-up when it exists,
-        written back at shutdown, so later sessions skip calibration.
     store:
         A :class:`~repro.tuning.store.PerfModelStore`: the machine's
         calibrated model is loaded at start-up (stale entries raise
         :class:`~repro.errors.StaleModelError` instead of being reused)
         and the updated model is merged back at shutdown.  Mutually
-        exclusive with ``perfmodel`` / ``perfmodel_path``.
+        exclusive with ``perfmodel``.
     faults:
         Optional :class:`~repro.hw.faults.FaultModel` injecting transient
         kernel failures, transfer corruption and device loss.  ``None``
@@ -108,7 +104,6 @@ class Runtime:
         run_kernels: bool = True,
         perfmodel: PerfModel | None = None,
         scheduler_options: Mapping[str, object] | None = None,
-        perfmodel_path: "str | None" = None,
         store: "PerfModelStore | None" = None,
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
@@ -116,24 +111,10 @@ class Runtime:
         record: bool = False,
         exec_backend: "str | ExecutionBackend | None" = None,
     ) -> None:
-        if store is not None and (
-            perfmodel is not None or perfmodel_path is not None
-        ):
-            raise RuntimeSystemError(
-                "pass either store or perfmodel/perfmodel_path, not both"
-            )
-        if perfmodel_path is not None:
-            if perfmodel is not None:
-                raise RuntimeSystemError(
-                    "pass either perfmodel or perfmodel_path, not both"
-                )
-            from pathlib import Path
-
-            if Path(perfmodel_path).exists():
-                perfmodel = PerfModel.load(perfmodel_path)
         if store is not None:
+            if perfmodel is not None:
+                raise RuntimeSystemError("pass either store or perfmodel, not both")
             perfmodel = store.warm_model(machine)
-        self._perfmodel_path = perfmodel_path
         self._store = store
         scheduler = make_scheduler(scheduler, **dict(scheduler_options or {}))
         self._check = check
@@ -254,8 +235,8 @@ class Runtime:
     def shutdown(self) -> float:
         """Drain and close the session; returns the final virtual time.
 
-        When a persistent calibration file or a model store was
-        configured, the (now updated) performance model is written back.
+        When a model store was configured, the (now updated)
+        performance model is merged back into it.
         With checking enabled (``check=True`` or the process default),
         the finished trace is validated against the run invariants and
         the first violation raises
@@ -264,8 +245,6 @@ class Runtime:
         t = self.engine.shutdown()
         if self._own_backend and self.exec_backend is not None:
             self.exec_backend.close()
-        if self._perfmodel_path is not None:
-            self.engine.perf.save(self._perfmodel_path)
         if self._store is not None:
             self._store.save(self.machine, self.engine.perf)
         if not self._checked and self._resolve_check():

@@ -1,11 +1,10 @@
-"""Smoke tests for the backends differential and engine benchmark."""
+"""Smoke tests for the backends differential."""
 
 from __future__ import annotations
 
 import json
 
 from repro.experiments import backends as backends_exp
-from repro.experiments import engine_bench
 from repro.experiments.runner import cli
 
 
@@ -38,17 +37,3 @@ def test_backends_main_writes_json_and_exits_zero(tmp_path, capsys):
     assert {c["component"] for c in payload["components"]} == {"sgemm", "spmv"}
     for comp in payload["components"]:
         assert comp["n_rows"] > 0
-
-
-def test_engine_bench_workloads():
-    fan = engine_bench.run_fanout(n_tasks=300)
-    chain = engine_bench.run_chain(n_tasks=300)
-    assert fan.tasks_per_s > 0 and chain.tasks_per_s > 0
-    assert fan.n_tasks == chain.n_tasks == 300
-
-
-def test_engine_bench_main_writes_json(tmp_path, capsys):
-    rc = cli(engine_bench.study, ["--smoke", "--outdir", str(tmp_path)])
-    payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
-    assert {w["workload"] for w in payload["workloads"]} == {"fanout", "chain"}
-    assert payload["within_budget"] == (rc == 0)

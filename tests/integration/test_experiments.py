@@ -1,8 +1,12 @@
 """Experiment harnesses reproduce the paper's shapes (small scale)."""
 
+import json
+import math
+
 import pytest
 
 from repro.experiments import ablations, fig3, fig5, fig6, fig7, overhead, table1
+from repro.experiments.runner import cli
 
 
 def test_table1_direct_exceeds_tool_for_every_app():
@@ -80,6 +84,41 @@ def test_overhead_below_two_microseconds_virtual():
     result = overhead.run(n_tasks=500)
     assert result.virtual_us_per_task < 2.0  # the paper's bound
     assert "us/task" in overhead.format_result(result)
+
+
+def test_overhead_study_gates_obs_budget_and_throughput_floor(tmp_path, capsys):
+    cli(overhead.study, ["--smoke", "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    for gate in ("obs_budget", "throughput_floor"):
+        assert f"gate {gate}: ok" in out or f"FAILED gate: {gate}" in out
+    doc = json.loads((tmp_path / "BENCH_obs.json").read_text())["throughput"]
+    assert set(doc["tasks_per_s"]) == {"fanout", "chain"}
+    assert all(rate > 0 for rate in doc["tasks_per_s"].values())
+    assert doc["floor_tasks_per_s"] == overhead.THROUGHPUT_FLOOR
+
+
+def test_overhead_cli_fails_under_the_throughput_floor(tmp_path, monkeypatch):
+    monkeypatch.setattr(overhead, "THROUGHPUT_FLOOR", math.inf)
+    assert cli(overhead.study, ["--smoke", "--outdir", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "BENCH_obs.json").read_text())["throughput"]
+    assert doc["within_floor"] is False
+
+
+def test_overhead_chain_stream_waits_on_last_writer(monkeypatch):
+    runtimes = []
+
+    class Recording(overhead.Runtime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    monkeypatch.setattr(overhead, "Runtime", Recording)
+    overhead._cycle(40, seed=0)
+    overhead._cycle(40, seed=0, mode="rw")
+    fanout, chain = (sorted(rt.trace.tasks, key=lambda r: r.task_id) for rt in runtimes)
+    assert all(not rec.deps for rec in fanout)
+    assert all(not rec.deps for rec in chain[:8])
+    assert all(len(rec.deps) == 1 for rec in chain[8:])
 
 
 def test_ablation_scheduler_random_is_worst():
