@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
@@ -64,6 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # capacity first; control/detection next so nothing routes to a node
 # that died "now"; retries and hedges before fresh arrivals)
 _COMPLETION, _CONTROL, _HEARTBEAT, _RETRY, _HEDGE, _ARRIVAL = range(6)
+
+#: how many of a tenant's latest clean responses its hedge deadline is
+#: taken over: few enough that a cold start's slow first responses
+#: leave the window long before the run ends
+HEDGE_WINDOW = 64
 
 #: an attempt's identity in the outstanding maps
 _AttemptKey = tuple[str, int, int]
@@ -103,9 +109,11 @@ class HedgePolicy:
     fires (the copy executing or still waiting in a node's batch queue),
     the request is hedged.  The deadline is ``after_s`` until the
     tenant has a clean response (one served by its only copy: no hedge,
-    one dispatch), then twice the slowest clean response seen, never
-    later than ``after_s``.  A hedge re-arms the timer while the request
-    has hedges left, so an overdue hedge races the node after it."""
+    one dispatch), then twice the slowest of its last
+    :data:`HEDGE_WINDOW` clean responses, never later than ``after_s``
+    (:meth:`Cluster.hedge_deadline`).  A hedge re-arms the timer while
+    the request has hedges left, so an overdue hedge races the node
+    after it."""
 
     #: the deadline's ceiling, and the deadline before a clean response
     after_s: float
@@ -336,8 +344,10 @@ class Cluster:
         }
         #: (key, node) pairs whose queued dispatch is a hedge
         self._queued_hedge: set[tuple[tuple[str, int], int]] = set()
-        #: per tenant, the slowest clean response seen (see HedgePolicy)
-        self._clean_s: dict[str, float] = {}
+        #: per tenant, its last HEDGE_WINDOW clean responses and their
+        #: maximum (see HedgePolicy)
+        self._clean_s: dict[str, deque[float]] = {}
+        self._clean_max: dict[str, float] = {}
         self._schedules: list[ArrivalSchedule] = []
         self._total_offered = sum(s.n_requests for s in tenants)
         self._finalized = 0
@@ -433,6 +443,17 @@ class Cluster:
             for i, n in self.nodes.items()
             if not n.removed and self._belief[i] is not NodeState.DEAD
         ]
+
+    def hedge_deadline(self, tenant: str) -> float:
+        """Seconds after its dispatch that a copy of ``tenant``'s request
+        is hedged: twice the slowest of the tenant's last
+        :data:`HEDGE_WINDOW` clean responses, never later than
+        ``hedge.after_s`` (``inf`` without a hedge policy)."""
+        if self.hedge is None:
+            return math.inf
+        return min(
+            self.hedge.after_s, 2 * self._clean_max.get(tenant, math.inf)
+        )
 
     # -- setup ---------------------------------------------------------------
 
@@ -577,10 +598,7 @@ class Cluster:
         node.coalescer.push(req)
         st.queued += 1
         if self.hedge is not None and st.n_hedges < self.hedge.max_hedges:
-            after = min(
-                self.hedge.after_s, 2 * self._clean_s.get(spec.name, math.inf)
-            )
-            self._push(t + after, _HEDGE, st.key)
+            self._push(t + self.hedge_deadline(spec.name), _HEDGE, st.key)
         self._pump(nid, t)
 
     def _pump(self, nid: int, t: float) -> None:
@@ -765,9 +783,11 @@ class Cluster:
         st.batch_size = attempt.batch_size
         if st.n_hedges == 0 and st.n_dispatches == 1:
             # a clean response (Karn's rule: no raced copy feeds it)
-            self._clean_s[st.spec.name] = max(
-                self._clean_s.get(st.spec.name, 0.0), t - st.first_dispatch
+            window = self._clean_s.setdefault(
+                st.spec.name, deque(maxlen=HEDGE_WINDOW)
             )
+            window.append(t - st.first_dispatch)
+            self._clean_max[st.spec.name] = max(window)
         self._finalize(st, t, "completed")
         nxt = self._schedules[st.tenant_idx].reissue(t)
         if nxt is not None:

@@ -154,8 +154,9 @@ def build_cluster(
         replication=2,
         node_faults=node_faults,
         # 2 ms is the cold-start deadline and the ceiling; each tenant's
-        # clean responses bring it down, and an overdue hedge hedges once
-        # more (the spillover tier once both replicas are tried)
+        # recent clean responses bring it down, and an overdue hedge
+        # hedges once more (the spillover tier once both replicas are
+        # tried)
         hedge=HedgePolicy(after_s=2e-3, max_hedges=2),
         brownout=BrownoutPolicy(high_water=3.0, low_water=1.0),
         check=check,
@@ -174,6 +175,9 @@ class TenantComparison:
     chaos_shed_rate: float
     baseline_completed: int
     chaos_completed: int
+    #: the tenant's hedge deadline when each run ended
+    baseline_hedge_ms: float
+    chaos_hedge_ms: float
 
 
 @dataclass
@@ -288,7 +292,8 @@ def run_chaos_ablation(
     )
     (crashed_node,) = plan.crash_at
 
-    baseline = build_cluster(n_nodes, tenants, seed, None, check).run()
+    baseline_cluster = build_cluster(n_nodes, tenants, seed, None, check)
+    baseline = baseline_cluster.run()
     chaos_cluster = build_cluster(n_nodes, tenants, seed, plan, check)
     chaos = chaos_cluster.run()
     repeat = build_cluster(n_nodes, tenants, seed, plan, False).run()
@@ -343,6 +348,8 @@ def run_chaos_ablation(
                 chaos_shed_rate=c.shed_rate,
                 baseline_completed=b.n_completed,
                 chaos_completed=c.n_completed,
+                baseline_hedge_ms=baseline_cluster.hedge_deadline(spec.name) * 1e3,
+                chaos_hedge_ms=chaos_cluster.hedge_deadline(spec.name) * 1e3,
             )
         )
     return result, base_report, chaos_report
@@ -355,12 +362,13 @@ def format_chaos_ablation(result: ChaosAblationResult) -> str:
         f"{result.n_requests} requests at {result.rate_hz:.0f} req/s "
         f"(seed {result.seed})",
         ("tenant", "prio", "base p99 (ms)", "chaos p99 (ms)", "base shed",
-         "chaos shed", "done (base/chaos)"),
+         "chaos shed", "done (base/chaos)", "hedge at (ms, base/chaos)"),
         [
             (t.tenant, t.priority, f"{t.baseline_p99_ms:.2f}",
              f"{t.chaos_p99_ms:.2f}", f"{t.baseline_shed_rate:.1%}",
              f"{t.chaos_shed_rate:.1%}",
-             f"{t.baseline_completed}/{t.chaos_completed}")
+             f"{t.baseline_completed}/{t.chaos_completed}",
+             f"{t.baseline_hedge_ms:.3f}/{t.chaos_hedge_ms:.3f}")
             for t in result.tenants
         ],
         [

@@ -18,7 +18,7 @@ which swamps the effects measured here.
   of magnitude slower than StarPU's C fast path; the *modeled* number
   is the one calibrated to the paper).
 
-Two gates ride on the same cycle:
+Three gates ride on the same cycle:
 
 - **obs budget**: the :mod:`repro.obs` default metrics suite (registry
   + samplers at the default period) may cost at most 5% over a bare
@@ -30,10 +30,15 @@ Two gates ride on the same cycle:
   operands and no dependencies (pure submit/schedule/complete; the
   metrics-off runs of the obs pairs), and *chain*, ``"rw"`` operands so
   each task waits on its handle's last writer (dependency inference at
-  submission, ready propagation at completion).
+  submission, ready propagation at completion);
+- **per-task growth**: a fan-out stream :data:`LONG_STREAM` times
+  longer may cost at most :data:`GROWTH_LIMIT` times more CPU per task
+  (best run each).  An O(n^2) in submit or completion that runs at C
+  speed can stay above the absolute floor on a fast machine at the
+  short length; its per-task cost still grows with the stream.
 
 ``python -m repro.experiments.overhead`` writes
-``benchmarks/results/BENCH_obs.json`` and exits non-zero when either
+``benchmarks/results/BENCH_obs.json`` and exits non-zero when any
 gate fails — which is what CI's observability entry runs with
 ``--smoke``.
 """
@@ -58,6 +63,14 @@ OBS_BUDGET = 0.05
 #: regression (an accidental O(n^2) in submit or completion, a
 #: de-optimized hot path) trips it on noisy shared CI hardware
 THROUGHPUT_FLOOR = 15_000.0
+
+#: ceiling on the ratio of per-task CPU cost, long fan-out stream over
+#: short.  Engine work per task does not depend on how many tasks came
+#: before, so the ratio reads ~1.0; a per-task scan of every earlier
+#: task reads ~3 at these lengths
+GROWTH_LIMIT = 1.5
+#: the long stream's length, in short streams
+LONG_STREAM = 4
 
 
 @dataclass(frozen=True)
@@ -243,18 +256,20 @@ def format_obs_result(result: ObsOverheadResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_chain(n_tasks: int = 6000, reps: int = 9, seed: int = 0) -> float:
-    """Best CPU seconds of ``reps`` ``"rw"`` cycles, after one warm-up."""
-    _cycle(min(n_tasks, 200), seed, mode="rw")
-    return min(_cycle(n_tasks, seed + rep, mode="rw")[1] for rep in range(reps))
+def best_cycle(n_tasks: int, reps: int, seed: int = 0, mode: str = "r") -> float:
+    """Best CPU seconds of ``reps`` ``mode`` cycles, after one warm-up."""
+    _cycle(min(n_tasks, 200), seed, mode=mode)
+    return min(_cycle(n_tasks, seed + rep, mode=mode)[1] for rep in range(reps))
 
 
-def format_throughput(rates: dict[str, float]) -> str:
+def format_throughput(rates: dict[str, float], growth: float) -> str:
     return table(
         f"Engine throughput (floor {THROUGHPUT_FLOOR:.0f} tasks/s)",
         ("stream", "tasks/s CPU (best run)", "floor"),
         [(name, f"{rate:.0f}", "ok" if rate >= THROUGHPUT_FLOOR else "UNDER")
          for name, rate in rates.items()],
+        [f"per-task cost, fanout_long over fanout: x{growth:.2f} "
+         f"(limit x{GROWTH_LIMIT:.2f})"],
     )
 
 
@@ -268,15 +283,21 @@ def study(smoke: bool) -> Study:
     n_tasks, reps = (3000, 5) if smoke else (6000, 9)
     base = run(n_tasks=500 if smoke else 2000)
     obs = run_obs_overhead(n_tasks=n_tasks, reps=reps)
+    n_long = LONG_STREAM * n_tasks
     rates = {
         "fanout": 1e6 / obs.base_us_per_task,
-        "chain": n_tasks / run_chain(n_tasks=n_tasks, reps=reps),
+        "chain": n_tasks / best_cycle(n_tasks, reps, mode="rw"),
+        "fanout_long": n_long / best_cycle(n_long, reps=3),
     }
     floor_ok = min(rates.values()) >= THROUGHPUT_FLOOR
+    growth = rates["fanout"] / rates["fanout_long"]
+    growth_ok = growth <= GROWTH_LIMIT
     return Study(
-        report="\n\n".join(
-            (format_result(base), format_obs_result(obs), format_throughput(rates))
-        ),
+        report="\n\n".join((
+            format_result(base),
+            format_obs_result(obs),
+            format_throughput(rates, growth),
+        )),
         doc={
             "smoke": smoke,
             "task_overhead": {
@@ -288,13 +309,21 @@ def study(smoke: bool) -> Study:
             "throughput": {
                 "n_tasks": n_tasks,
                 "reps": reps,
+                "long_n_tasks": n_long,
                 "tasks_per_s": rates,
                 "floor_tasks_per_s": THROUGHPUT_FLOOR,
                 "within_floor": floor_ok,
+                "per_task_growth": growth,
+                "growth_limit": GROWTH_LIMIT,
+                "within_growth": growth_ok,
             },
         },
         bench="obs",
-        gates={"obs_budget": obs.within_budget, "throughput_floor": floor_ok},
+        gates={
+            "obs_budget": obs.within_budget,
+            "throughput_floor": floor_ok,
+            "per_task_growth": growth_ok,
+        },
     )
 
 

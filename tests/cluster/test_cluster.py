@@ -13,10 +13,13 @@ from repro.cluster import (
     chaos_schedule,
 )
 from repro.cluster.node import ClusterNode
+from repro.cluster.router import HEDGE_WINDOW
 from repro.errors import PeppherError
 from repro.experiments.cluster import (
     build_cluster,
     chaos_tenant_mix,
+    format_chaos_ablation,
+    run_chaos_ablation,
     targeted_chaos,
 )
 from repro.hw.faults import FaultModel
@@ -372,7 +375,7 @@ def test_attempts_on_a_node_never_declared_dead_resolve_at_the_end():
 
 def test_hedge_timer_after_completion_is_a_no_op():
     """On a healthy cluster almost every request finishes inside twice
-    its tenant's slowest clean response, so its hedge timer fires after
+    its tenant's slowest recent clean response, so its hedge timer fires after
     it completed and its state was dropped: such a timer records
     nothing.  The requests that were hedged fired theirs while live."""
     c = make_cluster(hedge=HedgePolicy(after_s=2e-3))
@@ -526,6 +529,106 @@ def test_an_overdue_hedge_hedges_again_on_the_spillover_node():
     assert req.end_time - req.arrival_time < 3e-3
     assert not events(tr, "dead")
     c.shutdown()
+
+
+def clean_latencies(trace, until=float("inf")):
+    """Latencies of the clean responses (one copy, no hedge) completed
+    by ``until``, in completion order: the order requests are finalized
+    in."""
+    return [
+        r.end_time - r.dispatch_time
+        for r in trace.requests
+        if r.outcome == "completed" and r.n_hedges == 0
+        and r.n_attempts == 1 and r.end_time <= until
+    ]
+
+
+def alpha_cluster(**kw):
+    """One sgemm tenant on three nodes, 120 requests over 60 ms."""
+    spec = ClusterTenant("alpha", workload="sgemm", size=64, rate_hz=2000.0,
+                         n_requests=120, seed=11)
+    return make_cluster(n_nodes=3, specs=[spec], **kw)
+
+
+def test_hedge_deadline_forgets_a_slow_cold_start():
+    """A tenant's first clean responses are its slowest (cold perf
+    models).  Once ``HEDGE_WINDOW`` fast clean responses follow, a late
+    copy is hedged at twice the slowest of those: the cold start no
+    longer sets the deadline."""
+    primary = primary_of("alpha", 3)
+    c = alpha_cluster(
+        node_faults=NodeFaultModel(slow_at={primary: (0.05, 100.0)}),
+        hedge=HedgePolicy(after_s=2e-3),
+    )
+    tr = c.run()
+    first = min(events(tr, "hedge"), key=lambda e: e.time)
+    (late,) = [r for r in tr.requests if r.req_id == first.req_id]
+    before = clean_latencies(tr, until=late.dispatch_time)
+    recent = max(before[-HEDGE_WINDOW:])
+    assert len(before) > HEDGE_WINDOW and max(before) > 2 * recent
+    assert first.time - late.dispatch_time == pytest.approx(2 * recent)
+    assert c.hedge_deadline("alpha") == pytest.approx(2 * recent)
+    c.shutdown()
+
+
+@pytest.mark.parametrize("fault", ["hedged", "failed-over"])
+def test_only_clean_responses_enter_the_deadline_window(fault):
+    """Karn's rule: a response that raced a hedge or came from a
+    re-dispatch says nothing about one copy's latency, so the window
+    holds exactly the last ``HEDGE_WINDOW`` clean responses even when
+    the others are slower than all of them."""
+    primary = primary_of("alpha", 3)
+    if fault == "hedged":  # every copy on the primary is hedged after 50 ms
+        c = alpha_cluster(
+            node_faults=NodeFaultModel(slow_at={primary: (0.05, 100.0)}),
+            hedge=HedgePolicy(after_s=2e-3),
+        )
+    else:  # no hedging: the primary's last copies fail over
+        c = alpha_cluster(node_faults=NodeFaultModel(crash_at={primary: 0.059}))
+    tr = c.run()
+    window = list(c._clean_s["alpha"])
+    assert window == clean_latencies(tr)[-HEDGE_WINDOW:]
+    others = [
+        r.end_time - r.dispatch_time for r in tr.requests
+        if r.outcome == "completed" and (r.n_hedges or r.n_attempts > 1)
+    ]
+    assert others and min(others) > max(window)
+    c.shutdown()
+
+
+def test_hedge_deadline_never_exceeds_after_s():
+    """``after_s`` is the deadline before a tenant's first clean
+    response and its ceiling after: here twice the recent clean maximum
+    is later than ``after_s``, and every hedge still fires within it."""
+    after = 20e-6
+    c = alpha_cluster(hedge=HedgePolicy(after_s=after))
+    assert c.hedge_deadline("alpha") == after
+    tr = c.run()
+    assert 2 * max(clean_latencies(tr)[-HEDGE_WINDOW:]) > after
+    assert c.hedge_deadline("alpha") == after
+    dispatched = {r.req_id: r.dispatch_time for r in tr.requests}
+    hedges = events(tr, "hedge")
+    assert hedges
+    assert all(e.time - dispatched[e.req_id] <= after * (1 + 1e-9) for e in hedges)
+    assert alpha_cluster().hedge_deadline("alpha") == float("inf")
+    c.shutdown()
+
+
+def test_chaos_study_reports_each_tenants_final_hedge_deadline():
+    """The chaos study reads each run's ``hedge_deadline`` per tenant
+    into its table and its BENCH document; every tenant has learned a
+    deadline under the 2 ms ceiling in both runs."""
+    result, _, _ = run_chaos_ablation(
+        n_nodes=4, n_requests=800, rate_hz=8000.0, check=False
+    )
+    tenants = result.to_dict()["tenants"]
+    assert [t["tenant"] for t in tenants] == ["prod-a", "prod-b", "svc", "batch"]
+    for t in tenants:
+        assert 0 < t["baseline_hedge_ms"] < 2.0 and 0 < t["chaos_hedge_ms"] < 2.0
+    text = format_chaos_ablation(result)
+    assert "hedge at (ms, base/chaos)" in text
+    t = result.tenants[0]
+    assert f"{t.baseline_hedge_ms:.3f}/{t.chaos_hedge_ms:.3f}" in text
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ losers, partitions that outlast failure detection (queued work
 requeued, outstanding attempts lost and failed over, stranded
 completions redelivered as duplicates when the link heals), a
 straggler, brown-out shedding and one planned drain.  A hedge fires at
-twice its tenant's slowest clean response, long before failure
+twice its tenant's slowest recent clean response, long before failure
 detection, so one partition alone fails nothing over: every blackholed
 copy has a live hedge when its node is declared dead.  The straggler is
 therefore cut off over the same window.  The hedges of the first
@@ -38,8 +38,8 @@ N_NODES = 5
 PARTITIONED, STRAGGLER, DRAINED = 2, 3, 4
 
 GOLDEN = {
-    0: "5fd063b6fbd38cba877a403ac18e12058978a42e3c8f8ea565bad7c4a4a2ae92",
-    1: "a57b291d55854732718eadcabcf7badaf3fcf93d9ff534ae4a4b837946e727c0",
+    0: "16225600deb8a43cd4cff3549f12e2887a6297858b7d2c3e86e4a588172f53a0",
+    1: "e70573f14ced337fb11d51c923e70139a1c89bccff7e14503fd66a87a5bb13e2",
 }
 
 

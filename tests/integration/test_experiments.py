@@ -89,12 +89,14 @@ def test_overhead_below_two_microseconds_virtual():
 def test_overhead_study_gates_obs_budget_and_throughput_floor(tmp_path, capsys):
     cli(overhead.study, ["--smoke", "--outdir", str(tmp_path)])
     out = capsys.readouterr().out
-    for gate in ("obs_budget", "throughput_floor"):
+    for gate in ("obs_budget", "throughput_floor", "per_task_growth"):
         assert f"gate {gate}: ok" in out or f"FAILED gate: {gate}" in out
     doc = json.loads((tmp_path / "BENCH_obs.json").read_text())["throughput"]
-    assert set(doc["tasks_per_s"]) == {"fanout", "chain"}
+    assert set(doc["tasks_per_s"]) == {"fanout", "chain", "fanout_long"}
     assert all(rate > 0 for rate in doc["tasks_per_s"].values())
     assert doc["floor_tasks_per_s"] == overhead.THROUGHPUT_FLOOR
+    assert doc["long_n_tasks"] == overhead.LONG_STREAM * doc["n_tasks"]
+    assert doc["growth_limit"] == overhead.GROWTH_LIMIT
 
 
 def test_overhead_cli_fails_under_the_throughput_floor(tmp_path, monkeypatch):
@@ -102,6 +104,24 @@ def test_overhead_cli_fails_under_the_throughput_floor(tmp_path, monkeypatch):
     assert cli(overhead.study, ["--smoke", "--outdir", str(tmp_path)]) == 1
     doc = json.loads((tmp_path / "BENCH_obs.json").read_text())["throughput"]
     assert doc["within_floor"] is False
+
+
+@pytest.mark.parametrize("power, exit_code", [(1, 0), (2, 1)],
+                         ids=["linear", "quadratic"])
+def test_overhead_growth_gate_fails_a_quadratic_stream(
+    tmp_path, monkeypatch, power, exit_code
+):
+    """A cycle whose CPU cost is quadratic in its length trips
+    ``per_task_growth`` even at 1 us/task on the short stream, far
+    above the floor; a linear one passes every gate."""
+    def cycle(n_tasks, seed, mode="r", metrics=False):
+        return 1e-9 * n_tasks, 1e-6 * n_tasks * (n_tasks / 3000) ** (power - 1)
+
+    monkeypatch.setattr(overhead, "_cycle", cycle)
+    assert cli(overhead.study, ["--smoke", "--outdir", str(tmp_path)]) == exit_code
+    doc = json.loads((tmp_path / "BENCH_obs.json").read_text())["throughput"]
+    assert doc["within_floor"] is True
+    assert doc["per_task_growth"] == pytest.approx(overhead.LONG_STREAM ** (power - 1))
 
 
 def test_overhead_chain_stream_waits_on_last_writer(monkeypatch):
