@@ -5,10 +5,10 @@ C2050s, prints the makespans and a terminal Gantt chart of the dual-GPU
 schedule, and writes a Chrome trace (open in chrome://tracing or
 https://ui.perfetto.dev).
 
-Uses the unified :class:`repro.Session` facade: the session wires the
-machine, the dmda runtime and trace export, and ``restart()`` carries
-the learned performance model across repetitions (first run calibrates,
-second measures warm).
+Uses :class:`repro.Session`, the runtime that builds its machine from a
+factory and exports traces: the session is passed wherever a runtime is
+expected, and ``restart()`` carries the learned performance model
+across repetitions (first run calibrates, second measures warm).
 
 Run:  python examples/multi_gpu.py [scale]
 """
@@ -42,7 +42,7 @@ def run_hybrid(machine_factory, mat, n_chunks=32, seed=0):
         hx = session.register(np.ones(mat.ncols, dtype=np.float32), "x")
         hy = session.register(np.zeros(mat.nrows, dtype=np.float32), "y")
         spmv.submit_partitioned(
-            session.runtime, codelet, hv, hc, hp, hx, hy,
+            session, codelet, hv, hc, hp, hx, hy,
             mat.rowptr, mat.ncols, n_chunks,
         )
         session.unpartition(hy)

@@ -99,11 +99,10 @@ def _cycle(
     ``n_tasks`` no-op tasks rotate over 8 handles with access ``mode``;
     ``metrics`` attaches the default metrics suite first.
     """
-    rt = Runtime(platform_c2050(), scheduler="eager", seed=seed, noise_sigma=0.0)
-    if metrics:
-        from repro.obs import MetricsSuite
-
-        MetricsSuite().attach(rt.engine)
+    rt = Runtime(
+        platform_c2050(), scheduler="eager", seed=seed, noise_sigma=0.0,
+        metrics=metrics,
+    )
     codelet = empty_codelet()
     data = np.zeros(16, dtype=np.float32)
     handles = [rt.register(data.copy(), f"d{i}") for i in range(8)]

@@ -118,7 +118,7 @@ def _run_batch(
     for size in sizes:
         for _ in range(tasks_per_size):
             operands, scalar_args = sgemm.training_operands(
-                {"m": size, "n": size, "k": size}, session.runtime
+                {"m": size, "n": size, "k": size}, session
             )
             session.submit(
                 codelet,

@@ -9,8 +9,8 @@ transfer → kernel`` spans per component invocation, and
 :class:`EngineSamplers` polling queue depth / worker busy state /
 container residency / backlog at a fixed virtual-time period.  All three
 consume the engine's typed :class:`~repro.runtime.events.EngineEvents`
-stream; :class:`MetricsSuite` bundles them behind ``Session(metrics=
-True)`` and ``CompositionServer(metrics=...)``.
+stream; :class:`MetricsSuite` bundles them behind ``Runtime(metrics=
+True)`` (and so ``Session`` and ``CompositionServer``).
 
 See ``docs/OBSERVABILITY.md`` for the metric catalogue and guidance.
 """

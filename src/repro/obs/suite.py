@@ -228,8 +228,8 @@ ENGINE_FOLDS = (
 class MetricsSuite:
     """Registry + samplers (+ optional span tracer), attached to one engine.
 
-    Build with :meth:`attach` (or let ``Session(metrics=True)`` /
-    ``CompositionServer(metrics=...)`` do it); afterwards
+    Build with :meth:`attach` (or let ``Runtime(metrics=True)``, and so
+    ``Session``/``CompositionServer``, do it); afterwards
     ``suite.snapshot()`` and ``suite.to_prometheus()`` expose the live
     state at any point of the run, and ``suite.spans`` / ``suite
     .samplers`` hold the trace/sample views.
@@ -279,7 +279,7 @@ class MetricsSuite:
     def create(
         cls, spec: "bool | MetricsSuite | dict | None"
     ) -> "MetricsSuite | None":
-        """Normalize the ``metrics=`` argument of Session/CompositionServer.
+        """Normalize the ``metrics=`` argument of :class:`~repro.runtime.runtime.Runtime`.
 
         ``True`` → a fresh default suite; a :class:`MetricsSuite` → used
         as-is; a dict → keyword arguments for the constructor (e.g.

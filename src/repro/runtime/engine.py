@@ -211,6 +211,11 @@ class Engine:
         #: index instead of making one method call per candidate
         self._avail: list[float] = [0.0] * len(self._workers)
         self._gang = tuple(u for u in machine.units if u.is_cpu)
+        #: the workers neither lost nor blacklisted, in machine order,
+        #: and the CPU gang's usable members; both shrink only in
+        #: _retire_worker
+        self.usable_units: tuple[ProcessingUnit, ...] = tuple(machine.units)
+        self._usable_gang = self._gang
         #: one shared ``(unit_id,)`` per worker: the ``worker_ids`` of
         #: every single-worker task record, instead of a fresh 1-tuple
         self._solo_ids = tuple((u.unit_id,) for u in machine.units)
@@ -265,7 +270,7 @@ class Engine:
         self._staging_task: Task | None = None
         #: per-codelet feasible-decision cache consulted by
         #: enumerate_candidates (guard-free codelets only); cleared
-        #: whenever worker health changes (device loss, blacklisting)
+        #: with the usable state in _retire_worker
         self.candidate_cache: dict[int, tuple] = {}
         #: one-entry (task, footprint, size) cache: schedulers query the
         #: performance model several times per choose() for the same
@@ -305,11 +310,7 @@ class Engine:
         estimates of queued-but-undispatched requests to predict backlog.
         """
         t = self.clock.now if at is None else at
-        free = [
-            ws.available_at
-            for ws in self._workers
-            if self.worker_usable(ws.unit.unit_id)
-        ]
+        free = [self._workers[u.unit_id].available_at for u in self.usable_units]
         if not free:
             return 0.0
         return max(0.0, max(free) - t)
@@ -446,10 +447,8 @@ class Engine:
         self.trace.n_exploration_decisions += 1
 
     def cpu_gang(self) -> tuple[ProcessingUnit, ...]:
-        if not self._lost_workers and not self._blacklisted:
-            return self._gang
         # graceful degradation: the gang shrinks around unusable cores
-        return tuple(u for u in self._gang if self.worker_usable(u.unit_id))
+        return self._usable_gang
 
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
@@ -1307,14 +1306,11 @@ class Engine:
         if (
             n >= self.recovery.blacklist_after
             and unit.unit_id not in self._blacklisted
-            and any(
-                u.unit_id != unit.unit_id and self.worker_usable(u.unit_id)
-                for u in self.machine.units
-            )
+            and any(u.unit_id != unit.unit_id for u in self.usable_units)
         ):
             self._blacklisted.add(unit.unit_id)
             self.trace.blacklisted_workers.add(unit.unit_id)
-            self.candidate_cache.clear()
+            self._retire_worker(unit)
             self._fault(
                 FaultRecord.make(
                     kind="blacklisted",
@@ -1328,13 +1324,21 @@ class Engine:
                 )
             )
 
+    def _retire_worker(self, unit: ProcessingUnit) -> None:
+        """Drop a lost or blacklisted worker from the usable state and
+        the feasible-decision cache built on it."""
+        uid = unit.unit_id
+        self.usable_units = tuple(u for u in self.usable_units if u.unit_id != uid)
+        self._usable_gang = tuple(u for u in self._usable_gang if u.unit_id != uid)
+        self.candidate_cache.clear()
+
     def _mark_device_lost(self, unit: ProcessingUnit, t: float) -> None:
         """Graceful degradation after permanent device loss: retire the
         worker and invalidate the dead node's replicas (sole-owner copies
         re-source from the host shadow via the coherence protocol)."""
         self._lost_workers.add(unit.unit_id)
         self.trace.lost_workers.add(unit.unit_id)
-        self.candidate_cache.clear()
+        self._retire_worker(unit)
         node = unit.memory_node
         if node == HOST_NODE:
             return

@@ -28,6 +28,7 @@ from repro.runtime.task import Operand, Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.base import ExecutionBackend
+    from repro.obs.suite import MetricsSuite
     from repro.tuning.store import PerfModelStore
 
 
@@ -85,6 +86,12 @@ class Runtime:
         path.  A backend given by name is owned by this runtime and
         closed at shutdown; an instance is borrowed (callers sharing a
         pool across runtimes close it themselves).
+    metrics:
+        Live observability (see :mod:`repro.obs`): ``True`` attaches a
+        fresh :class:`~repro.obs.MetricsSuite` (reachable as
+        :attr:`metrics`), an existing suite is reused, a dict supplies
+        suite keyword arguments (e.g. ``{"period_s": 1e-2}``), and
+        ``False``/``None`` (default) leaves metrics off at no cost.
 
     Example
     -------
@@ -110,46 +117,65 @@ class Runtime:
         check: bool | None = None,
         record: bool = False,
         exec_backend: "str | ExecutionBackend | None" = None,
+        metrics: "bool | dict | MetricsSuite | None" = None,
     ) -> None:
-        if store is not None:
-            if perfmodel is not None:
-                raise RuntimeSystemError("pass either store or perfmodel, not both")
-            perfmodel = store.warm_model(machine)
-        self._store = store
-        scheduler = make_scheduler(scheduler, **dict(scheduler_options or {}))
+        if store is not None and perfmodel is not None:
+            raise RuntimeSystemError("pass either store or perfmodel, not both")
+        self.store = store
         self._check = check
-        self._checked = False
-        self._recorder = None
-        self._own_backend = False
-        if isinstance(exec_backend, str):
+        self._record = record
+        self._policy = (scheduler, dict(scheduler_options or {}))
+        self._noise_sigma = noise_sigma
+        self._own_backend = isinstance(exec_backend, str)
+        if self._own_backend:
             from repro.exec.base import make_backend
 
             exec_backend = make_backend(exec_backend)
-            self._own_backend = True
         self.exec_backend = exec_backend
-        noise: NoiseModel = (
-            NullNoise() if noise_sigma == 0 else NoiseModel(sigma=noise_sigma, seed=seed)
-        )
+        self._engine_options = {
+            "submit_overhead_s": submit_overhead_s,
+            "run_kernels": run_kernels,
+            "faults": faults,
+            "recovery": recovery,
+            "exec_backend": exec_backend,
+        }
+        self.metrics = None
+        if metrics is not None:
+            from repro.obs.suite import MetricsSuite
+
+            self.metrics = MetricsSuite.create(metrics)
+        self._open(machine, seed, perfmodel)
+
+    def _open(self, machine: Machine, seed: int, perfmodel: PerfModel | None) -> None:
+        """Start a fresh engine on ``machine`` from the configuration
+        resolved at construction; a store, when set, supplies the
+        model.  The recorder and the metrics suite follow the engine."""
+        if self.store is not None:
+            perfmodel = self.store.warm_model(machine)
+        name, options = self._policy
         self.machine = machine
-        self.scheduler = scheduler
+        self.seed = seed
+        self.scheduler = make_scheduler(name, **options)
+        sigma = self._noise_sigma
+        noise = NullNoise() if sigma == 0 else NoiseModel(sigma=sigma, seed=seed)
         self.engine = Engine(
             machine=machine,
-            scheduler=scheduler,
+            scheduler=self.scheduler,
             perfmodel=perfmodel,
             noise=noise,
-            submit_overhead_s=submit_overhead_s,
             seed=seed,
-            run_kernels=run_kernels,
-            faults=faults,
-            recovery=recovery,
-            exec_backend=exec_backend,
+            **self._engine_options,
         )
-        if record:
+        self._checked = False
+        self._recorder = None
+        if self._record:
             # decisions are captured from the typed event stream, not by
             # wrapping the scheduler: one schedule event per choose call
             from repro.check.replay import DecisionRecorder
 
             self._recorder = DecisionRecorder().attach(self.engine)
+        if self.metrics is not None:
+            self.metrics.attach(self.engine)
 
     # -- data ---------------------------------------------------------------
 
@@ -240,13 +266,21 @@ class Runtime:
         With checking enabled (``check=True`` or the process default),
         the finished trace is validated against the run invariants and
         the first violation raises
-        :class:`~repro.errors.InvariantViolation`.
+        :class:`~repro.errors.InvariantViolation`.  A backend this
+        runtime owns is closed whatever the engine's close raised.
         """
+        try:
+            return self._close()
+        finally:
+            if self._own_backend:
+                self.exec_backend.close()
+
+    def _close(self) -> float:
+        """Drain and close the engine, merge its model into the store
+        and check its trace; the exec backend stays open."""
         t = self.engine.shutdown()
-        if self._own_backend and self.exec_backend is not None:
-            self.exec_backend.close()
-        if self._store is not None:
-            self._store.save(self.machine, self.engine.perf)
+        if self.store is not None:
+            self.store.save(self.machine, self.engine.perf)
         if not self._checked and self._resolve_check():
             self._checked = True
             from repro.check.invariants import assert_trace_legal

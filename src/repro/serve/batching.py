@@ -49,20 +49,22 @@ class Coalescer:
         self.policy = policy or BatchPolicy()
         #: shape_key -> FIFO of requests (insertion order preserved)
         self._buckets: dict[tuple, list[Request]] = {}
-        self._arrival_seq = 0
+        #: queued requests over every bucket (drained buckets are deleted)
+        self._len = 0
         #: dispatch statistics
         self.n_batches = 0
         self.n_fused = 0  # requests that rode along in a batch of > 1
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return self._len
 
     @property
     def empty(self) -> bool:
-        return not any(self._buckets.values())
+        return not self._buckets
 
     def push(self, request: Request) -> None:
         self._buckets.setdefault(request.shape_key, []).append(request)
+        self._len += 1
 
     def pending_for(self, tenant: str) -> int:
         return sum(
@@ -101,6 +103,7 @@ class Coalescer:
             self._buckets[key] = rest
         else:
             del self._buckets[key]
+        self._len -= len(take)
         self.n_batches += 1
         if len(take) > 1:
             self.n_fused += len(take) - 1

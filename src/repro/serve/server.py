@@ -32,13 +32,13 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.errors import PeppherError
 from repro.hw.faults import FaultModel
 from repro.hw.description import Machine
-from repro.obs.suite import MetricsSuite
 from repro.runtime.engine import RecoveryPolicy
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.runtime import Runtime
 from repro.runtime.schedulers import FairShareScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.suite import MetricsSuite
     from repro.tuning.store import PerfModelStore
 from repro.runtime.stats import RequestRecord
 from repro.serve.admission import (
@@ -99,11 +99,11 @@ class CompositionServer:
         Live observability (see :mod:`repro.obs`): ``True`` for a fresh
         default :class:`~repro.obs.MetricsSuite`, a suite to reuse one,
         a dict of suite keyword arguments (e.g. ``{"period_s": 1e-2}``),
-        or ``False``/``None`` (default) for no metrics.  The attached
-        suite (``server.metrics``) exposes engine metrics plus live
-        per-tenant request counters, latency histograms, and SLO
-        quantile gauges whose final values match the end-of-run
-        :func:`~repro.serve.slo.slo_report`.
+        or ``False``/``None`` (default) for no metrics; the runtime
+        builds and attaches it.  The suite (``server.metrics``) exposes
+        engine metrics plus live per-tenant request counters, latency
+        histograms, and SLO quantile gauges whose final values match
+        the end-of-run :func:`~repro.serve.slo.slo_report`.
     """
 
     def __init__(
@@ -151,19 +151,19 @@ class CompositionServer:
             store=store,
             check=check,
             exec_backend=exec_backend,
+            metrics=metrics,
         )
         self.engine = self.runtime.engine
         #: task id -> seconds of its staging transfers, from transfer events
         self._task_transfer_s: dict[int, float] = {}
         self.engine.events.subscribe("transfer", self._note_transfer)
         self.admission = AdmissionController(admission)
-        self.metrics = MetricsSuite.create(metrics)
-        self.serving_metrics: ServingMetrics | None = None
-        if self.metrics is not None:
-            self.metrics.attach(self.engine)
-            self.serving_metrics = ServingMetrics(
-                self.metrics, self.admission, lambda: self._inflight, names
-            )
+        self.metrics = self.runtime.metrics
+        self.serving_metrics = (
+            ServingMetrics(self.metrics, self.admission, lambda: self._inflight, names)
+            if self.metrics is not None
+            else None
+        )
         self.coalescer = Coalescer(batching)
         self.wfq = WeightedFairQueue(weights)
         if max_inflight is None:
@@ -369,9 +369,5 @@ class CompositionServer:
         queued = sum(
             self._estimate_service(r) for r in self.coalescer.iter_requests()
         )
-        workers = sum(
-            1
-            for u in self.engine.machine.units
-            if self.engine.worker_usable(u.unit_id)
-        )
+        workers = len(self.engine.usable_units)
         return committed + (queued / workers if workers else queued)

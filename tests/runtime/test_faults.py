@@ -283,6 +283,11 @@ def test_repeated_faults_blacklist_worker_but_never_the_last_one():
     # but at least one worker must always stay usable
     assert rt.trace.blacklisted_workers
     assert len(rt.trace.blacklisted_workers) < 3
+    # the engine's usable state is the machine minus the retired workers
+    engine = rt.engine
+    usable = [u for u in rt.machine.units if engine.worker_usable(u.unit_id)]
+    assert list(engine.usable_units) == usable
+    assert list(engine.cpu_gang()) == [u for u in usable if u.is_cpu]
 
 
 # ---------------------------------------------------------------------------

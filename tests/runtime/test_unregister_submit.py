@@ -64,7 +64,7 @@ def test_session_delegates_to_the_runtime():
         h = s.register(np.zeros(1024, np.float32), "out")
         s.submit(_gpu_codelet(), [(h, "w")])
         s.unregister_submit(h)
-        assert h.unregistered and not _resident(s.runtime, h)
+        assert h.unregistered and not _resident(s, h)
 
 
 def test_a_handle_no_task_touched_releases_at_once():

@@ -88,3 +88,16 @@ def test_take_for_picks_tenants_oldest_bucket():
     batch = c.take_for("x")
     assert batch[0].req_id == 1
     assert batch[0].shape_key == B
+
+
+def test_length_follows_pushes_and_drains():
+    c = Coalescer(BatchPolicy(max_batch=2))
+    for i in range(3):
+        c.push(req("x", i, i * 0.1, A))
+    c.push(req("y", 3, 0.05, B))
+    assert len(c) == 4
+    c.take_greedy()  # two of A's three
+    assert len(c) == 2 and not c.empty
+    c.take_for("y")
+    c.take_greedy()
+    assert len(c) == 0 and c.empty

@@ -8,6 +8,8 @@ from repro import Session
 from repro.errors import PeppherError
 from repro.hw.description import Machine
 from repro.hw.presets import platform_c2050
+from repro.runtime import Runtime
+from repro.runtime.trace_export import canonical_chrome_json
 from repro.tuning import PerfModelStore
 
 from tests.conftest import make_axpy_codelet
@@ -89,7 +91,7 @@ def test_session_scheduler_options_and_trace_export(tmp_path):
         run_kernels=False,
         trace_dir=tmp_path,
     )
-    assert s.runtime.scheduler.calibration_samples == 3
+    assert s.scheduler.calibration_samples == 3
     _run_axpy(s, n_tasks=2)
     out = s.save_trace("run.json")
     assert out == tmp_path / "run.json" and out.exists()
@@ -126,4 +128,59 @@ def test_session_metrics_suite_lifecycle():
 def test_session_metrics_disabled_by_default():
     with Session("c2050") as s:
         assert s.metrics is None
-        assert s.runtime.engine.events.n_subscribers() == 0
+        assert s.engine.events.n_subscribers() == 0
+
+
+def test_session_is_a_runtime():
+    with Session("c2050", run_kernels=False) as s:
+        assert isinstance(s, Runtime)
+
+
+def test_session_and_runtime_runs_give_the_same_trace():
+    options = dict(scheduler="dmda", seed=3, run_kernels=False)
+    with Session(platform_c2050, **options) as s:
+        _run_axpy(s, n_tasks=6)
+    with Runtime(platform_c2050(), **options) as rt:
+        _run_axpy(rt, n_tasks=6)
+    assert canonical_chrome_json(s.trace, s.machine) == canonical_chrome_json(
+        rt.trace, rt.machine
+    )
+
+
+def test_named_backend_survives_restart_and_closes_once(monkeypatch):
+    s = Session("c2050", exec_backend="thread", noise_sigma=0.0)
+    backend = s.exec_backend
+    closes = []
+    close = backend.close
+    monkeypatch.setattr(backend, "close", lambda: closes.append(1) or close())
+    _run_axpy(s, n_tasks=2)
+    s.restart()
+    assert s.exec_backend is backend and s.engine.exec_backend is backend
+    assert closes == []
+    y = _run_axpy(s, n_tasks=2)
+    assert y.array[0] == 2.0  # kernels still run on the kept pool
+    s.shutdown()
+    assert closes == [1]
+
+
+def test_restart_with_store_warm_loads_the_merged_model(tmp_path):
+    s = Session("c2050", store=tmp_path, run_kernels=False)
+    assert s.perfmodel.codelets() == set()
+    _run_axpy(s)
+    learned = s.perfmodel
+    s.restart()
+    # the close merged the learned model; the re-open loaded it back
+    assert s.perfmodel is not learned
+    assert s.perfmodel.codelets() == {"axpy"}
+    assert "axpy" in s.store.load(s.machine).codelets()
+    s.shutdown()
+
+
+def test_runtime_metrics_attaches_a_suite():
+    with Runtime(platform_c2050(), metrics=True, run_kernels=False) as rt:
+        assert rt.metrics is not None and rt.metrics.engine is rt.engine
+        _run_axpy(rt, n_tasks=2)
+        submitted = rt.metrics.snapshot()["repro_tasks_submitted_total"]["series"]
+        assert sum(row["value"] for row in submitted) == 2
+    with Runtime(platform_c2050()) as rt:
+        assert rt.metrics is None
